@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .admissibility import (BetaFunction, check_limit_condition, check_monotonicity,
-                            delta_max, delta_max_bounds, fundamental_identity_residual,
-                            tail_integral)
+                            default_capacity, delta_max, delta_max_bounds,
+                            fundamental_identity_residual, tail_integral)
 from .config import (build_comparison, build_params, build_perturbation, build_rates,
                      build_solver_config, build_system, load_run_input, resolve_config,
                      scale_tolerances)
@@ -89,8 +89,7 @@ class Runner:
         self.system = build_system(resolved, self.mu, self.nu)
         self.pert = build_perturbation(resolved["perturbation"], self.system.n)
         self.cfg = build_solver_config(resolved)
-        self._graph = None
-        self._history = None
+        self._solved = None
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -98,17 +97,12 @@ class Runner:
     def rng(self, stream: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])
 
-    def graph(self):
-        if self._graph is None:
-            self._graph = solve_manifold(self.system, self.mu, self.nu, self.params,
-                                         self.pert, self.cfg)[0]
-        return self._graph
-
     def solve(self):
-        graph, history = solve_manifold(self.system, self.mu, self.nu, self.params,
-                                        self.pert, self.cfg)
-        self._graph, self._history = graph, history
-        return graph, history
+        """The solved graph and its history, computed once per invocation."""
+        if self._solved is None:
+            self._solved = solve_manifold(self.system, self.mu, self.nu, self.params,
+                                          self.pert, self.cfg)
+        return self._solved
 
     # ------------------------------------------------------------- commands
 
@@ -199,7 +193,7 @@ class Runner:
                                   np.linspace(0.0, ch["beta_s_max"],
                                               ch["monotonicity_points"]),
                                   rel_tol=self.resolved["solver"]["quad_rel_tol"])
-        cap = self.cfg.C if self.cfg.C is not None else 2.0 * d["D"]
+        cap = self.cfg.C if self.cfg.C is not None else default_capacity(d["D"])
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])
         certified = delta_max(self.pert.c, q, cap, d["D"], self.cfg.delta_cap)
         identity_ok = worst_resid <= ch["identity_tol"]
@@ -255,7 +249,7 @@ class Runner:
 
     def verify_cmd(self) -> tuple[bool, dict]:
         v = self.resolved["verification"]
-        graph = self.graph()
+        graph, _ = self.solve()
         rng = self.rng(1)
         inv_samples = random_invariance_samples(graph, self.nu, self.params,
                                                 v["n_invariance"], v["tau_max"], rng)

@@ -28,6 +28,12 @@ class ConvergenceError(NumericalError):
 class DecayBoundError(NumericalError):
     """A trajectory violated its certified decay envelope beyond tolerance."""
 
+    def __init__(self, message, s=None, node=None, ratio=None):
+        super().__init__(message)
+        self.s = s
+        self.node = node
+        self.ratio = ratio
+
 
 class LipschitzError(NumericalError):
     """A computed graph violated the contractive Lipschitz bound between nodes."""

@@ -11,7 +11,14 @@ where x is the inner trajectory solving the variation-of-constants equation
     x(t) = U(t,s) xi + integral_s^t U(t,r) f_E(r, x(r), phi(r, x(r))) dr
 
 by Picard sweeps (cumulative Simpson on the integrand; the scalar cocycle
-U(t,r) = U(t,s)/U(r,s) of block-scalar systems makes a sweep O(N)).
+U(t,r) = U(t,s)/U(r,s) of block-scalar systems makes a sweep O(N)); matrix
+systems step it in differential form with projected RK4.  The nodes of a slice
+are solved together in chunks of max(1, 4096 // len(t_grid)); a node leaves
+the sweep at its own tolerance, so its value matches a solve of that node
+alone bit for bit.  Each node path is checked against its decay envelope.
+The slice tables (truncation point, grid, propagator factors, envelope)
+depend only on the slice radii: ``solve_manifold`` builds them once and
+drops them when it returns.
 
 Graphs are stored per s-slice on a shared tensor lattice in normalized
 coordinates; evaluation is multilinear per slice, linear in s between slices,
@@ -31,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import (BetaFunction, analytic_tail_bound, delta_max)
+from .admissibility import BetaFunction, analytic_tail_bound, default_capacity, delta_max
 from .dichotomy import DichotomyParams, LinearSystem
 from .errors import (BlowupError, ContractionError, ConvergenceError, DecayBoundError,
                      DivergenceError, LipschitzError, NumericalError, TailBoundError)
@@ -44,6 +51,9 @@ __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
            "InnerTrajectory", "inner_trajectory", "apply_phi_operator",
            "solve_manifold", "nonlinear_flow", "outer_contraction_factor",
            "graph_metric_distance"]
+
+# inner-grid samples per chunk of nodes: bounds every (nodes, grid, state) array
+_CHUNK_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -228,12 +238,6 @@ def _assemble_state(x: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
     return np.concatenate([x, phi_vals], axis=1)
 
 
-def _decay_envelope(t: np.ndarray, s: float, mu: GrowthRate, nu: GrowthRate,
-                    params: DichotomyParams, C: float, xi_norm: float) -> np.ndarray:
-    log_b = params.a * (np.asarray(mu.log_eval(t), dtype=float) - float(mu.log_eval(s)))
-    return C * np.exp(log_b + params.eps * float(nu.log_eval(s))) * xi_norm
-
-
 @dataclass(frozen=True)
 class InnerTrajectory:
     t: np.ndarray
@@ -242,60 +246,117 @@ class InnerTrajectory:
     max_decay_ratio: float
 
 
-def _picard_path(graph: ManifoldGraph, system: LinearSystem, pert: Perturbation,
-                 s: float, xi: np.ndarray, t_grid: np.ndarray, h: float,
-                 picard_tol: float, max_sweeps: int = 80) -> tuple[np.ndarray, int]:
-    """Solve the inner integral equation on block-scalar systems; returns (x, sweeps)."""
-    n_e = system.n_stable
-    u_factors = np.asarray(system.U(t_grid, s), dtype=float)
-    if np.any(u_factors <= 0.0) or not np.all(np.isfinite(u_factors)):
-        raise NumericalError("stable propagator under/overflowed on the inner grid; "
-                             "shorten the integration horizon")
-    x = u_factors[:, None] * xi[None, :]
+@dataclass(frozen=True)
+class _SliceTable:
+    """Inner grid and propagator tables of one s-slice, shared by its node paths."""
+
+    s: float
+    t: np.ndarray               # uniform grid from s to the truncation point
+    h: float                    # its step
+    u: np.ndarray | None        # U(t, s) on closed-form systems
+    v_inv: np.ndarray | None    # V(t, s)^-1: scalars, or the (T, n, n) table Q(s) T(s, t)
+    envelope: np.ndarray        # C (mu(t)/mu(s))^a nu(s)^eps: decay bound per unit |xi|_1
+
+
+def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
+                 params: DichotomyParams, C: float, s: float, t_max: float, h: float,
+                 outer: bool = True) -> _SliceTable:
+    n = max(2, int(math.ceil((t_max - s) / h)))
+    h_eff = (t_max - s) / n
+    t_grid = s + h_eff * np.arange(n + 1)
+    v_inv = _unstable_inverse_factors(system, s, t_grid) if outer else None
+    u = None
+    if system.form == "closed_form":
+        u = np.asarray(system.U(t_grid, s), dtype=float)
+        if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
+            raise NumericalError("stable propagator under/overflowed on the inner grid; "
+                                 "shorten the integration horizon")
+    log_b = params.a * (np.asarray(mu.log_eval(t_grid), dtype=float) - float(mu.log_eval(s)))
+    envelope = C * np.exp(log_b + params.eps * float(nu.log_eval(s)))
+    return _SliceTable(s, t_grid, h_eff, u, v_inv, envelope)
+
+
+def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
+             x: np.ndarray) -> np.ndarray:
+    """f(t, x, phi(t, x)) along node paths x (B, T, n_E) on the grid t_grid (T,)."""
+    t = np.tile(t_grid, len(x))
+    flat = x.reshape(len(t), -1)
+    fv = pert.batch(t, _assemble_state(flat, eval_phi_many(graph, t, flat)))
+    return fv.reshape(x.shape[:2] + (-1,))
+
+
+def _node_paths(graph: ManifoldGraph, system: LinearSystem, pert: Perturbation,
+                table: _SliceTable, xi: np.ndarray, picard_tol: float,
+                max_sweeps: int = 80) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inner paths x (B, T, n_E) of the nodes xi (B, n_E), f along them, sweeps per node.
+
+    Closed-form systems sweep the whole chunk; a node leaves once its own sweep
+    distance is <= picard_tol and keeps that sweep's f-values if the sweep left
+    its path unchanged bit for bit.  Matrix systems step the chunk with RK4.
+    """
+    n_b, n_e = xi.shape
+    if system.form != "closed_form":
+        proj_t = system.P(table.s).T
+
+        def deriv(tt: float, states: np.ndarray) -> np.ndarray:
+            t = np.full(len(states), tt)
+            stable = states[:, :n_e]
+            full = _assemble_state(stable, eval_phi_many(graph, t, stable))
+            return states @ system.A(tt).T + pert.batch(t, full) @ proj_t
+
+        def project(states: np.ndarray) -> None:
+            states[:, n_e:] = 0.0
+
+        start = np.zeros((n_b, system.n))
+        start[:, :n_e] = xi
+        paths = _rk4_grid(deriv, table.t, start, project)
+        x = np.ascontiguousarray(np.moveaxis(paths[..., :n_e], 1, 0))
+        return x, _forcing(graph, pert, table.t, x), np.ones(n_b, dtype=np.int64)
+    u = table.u[:, None]
+    x = u * xi[:, None, :]
+    fv = np.empty(x.shape[:2] + (system.n,))
+    sweeps = np.zeros(n_b, dtype=np.int64)
+    active = np.arange(n_b)
+    stale: list[int] = []
     for sweep in range(1, max_sweeps + 1):
-        phi_vals = eval_phi_many(graph, t_grid, x)
-        fv = pert.batch(t_grid, _assemble_state(x, phi_vals))
-        cum = cumulative_simpson(fv[:, :n_e] / u_factors[:, None], h)
-        x_new = u_factors[:, None] * (xi[None, :] + cum)
-        delta = float(np.max(np.abs(x_new - x))) if x.size else 0.0
-        x = x_new
-        if delta <= picard_tol:
-            return x, sweep
+        x_old = x[active]
+        fv_old = _forcing(graph, pert, table.t, x_old)
+        cum = cumulative_simpson(np.moveaxis(fv_old[..., :n_e] / u, 1, 0), table.h)
+        x_new = u * (xi[active, None, :] + np.moveaxis(cum, 1, 0))
+        done = np.abs(x_new - x_old).max(axis=(1, 2)) <= picard_tol
+        same = (x_new.view(np.int64) == x_old.view(np.int64)).all(axis=(1, 2))
+        x[active] = x_new
+        fv[active[done & same]] = fv_old[done & same]
+        stale.extend(active[done & ~same])
+        sweeps[active[done]] = sweep
+        active = active[~done]
+        if not active.size:
+            if stale:
+                fv[stale] = _forcing(graph, pert, table.t, x[stale])
+            return x, fv, sweeps
     raise ConvergenceError(f"inner Picard sweeps stalled above tolerance {picard_tol:g}")
 
 
-def _matrix_inner_path(graph: ManifoldGraph, system: LinearSystem, pert: Perturbation,
-                       s: float, xi: np.ndarray, t_grid: np.ndarray) -> tuple[np.ndarray, int]:
-    """Inner trajectory for matrix systems: projected 4th-order stepping."""
-    n, n_e = system.n, system.n_stable
-    proj = system.P(s)
-    state = np.zeros(n)
-    state[:n_e] = xi
-    out = np.empty((len(t_grid), n_e))
-    out[0] = xi
+def _check_decay(table: _SliceTable, x: np.ndarray, xi: np.ndarray, slack: float,
+                 first_node: int = 0) -> float:
+    """Worst ratio of |x(t)|_1 to the decay envelope of the paths x (B, T, n_E).
 
-    def deriv(tt: float, vv: np.ndarray) -> np.ndarray:
-        phi = eval_phi(graph, tt, vv[:n_e])
-        full = np.concatenate([vv[:n_e], phi])
-        return system.A(tt) @ vv + proj @ pert.f(tt, full)
-
-    for j in range(len(t_grid) - 1):
-        t0 = t_grid[j]
-        dt = t_grid[j + 1] - t0
-        k1 = deriv(t0, state)
-        k2 = deriv(t0 + 0.5 * dt, state + 0.5 * dt * k1)
-        k3 = deriv(t0 + 0.5 * dt, state + 0.5 * dt * k2)
-        k4 = deriv(t0 + dt, state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        state[n_e:] = 0.0
-        out[j + 1] = state[:n_e]
-    return out, 1
-
-
-def _uniform_grid(s: float, t_max: float, h: float) -> tuple[np.ndarray, float]:
-    n = max(2, int(math.ceil((t_max - s) / h)))
-    h_eff = (t_max - s) / n
-    return s + h_eff * np.arange(n + 1), h_eff
+    A ratio above ``slack`` raises DecayBoundError naming s, node and ratio.
+    """
+    xi_norm = np.abs(xi).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.abs(x).sum(axis=2) / (table.envelope * xi_norm[:, None])
+    worst = np.where(xi_norm > 0.0, ratios.max(axis=1), 0.0)
+    bad = np.flatnonzero(~(worst <= slack))
+    if bad.size:
+        b = int(bad[0])
+        j = int(np.argmax(ratios[b]))
+        raise DecayBoundError(
+            f"inner trajectory from s={table.s:g}, node {first_node + b} "
+            f"(|xi|={xi_norm[b]:g}) broke its decay envelope: ratio {worst[b]:.6f} "
+            f"at t={table.t[j]:g} (slack {slack:g})",
+            s=table.s, node=first_node + b, ratio=float(worst[b]))
+    return float(worst.max())
 
 
 def inner_trajectory(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
@@ -309,29 +370,17 @@ def inner_trajectory(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
     to ``decay_slack``; a violation raises DecayBoundError, which signals
     either an oversized delta or a bad graph iterate.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float)).reshape(graph.n_stable)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float)).reshape(1, graph.n_stable)
     xi_norm = float(np.abs(xi).sum())
     rho_s = float(graph.radius_fn(np.asarray(s, dtype=float)))
     if xi_norm > rho_s * (1.0 + 1e-9):
         raise ValueError(f"|xi|={xi_norm:g} outside the slice ball of radius {rho_s:g}")
     if t_max <= s:
         raise ValueError("t_max must exceed s")
-    t_grid, h_eff = _uniform_grid(s, t_max, h)
-    if system.form == "closed_form":
-        x, sweeps = _picard_path(graph, system, pert, s, xi, t_grid, h_eff, picard_tol)
-    else:
-        x, sweeps = _matrix_inner_path(graph, system, pert, s, xi, t_grid)
-    if xi_norm == 0.0:
-        return InnerTrajectory(t_grid, x, sweeps, 0.0)
-    envelope = _decay_envelope(t_grid, s, mu, nu, params, graph.C, xi_norm)
-    ratios = np.abs(x).sum(axis=1) / envelope
-    worst = float(ratios.max())
-    if worst > decay_slack:
-        j = int(np.argmax(ratios))
-        raise DecayBoundError(
-            f"inner trajectory from (s={s:g}, |xi|={xi_norm:g}) broke its decay envelope: "
-            f"ratio {worst:.6f} at t={t_grid[j]:g} (slack {decay_slack:g})")
-    return InnerTrajectory(t_grid, x, sweeps, worst)
+    table = _slice_table(system, mu, nu, params, graph.C, s, t_max, h, outer=False)
+    x, _, sweeps = _node_paths(graph, system, pert, table, xi, picard_tol)
+    worst = _check_decay(table, x, xi, decay_slack)
+    return InnerTrajectory(table.t, x[0], int(sweeps[0]), worst)
 
 
 def _rate_integrand(mu: GrowthRate, nu: GrowthRate, p: float, eps: float):
@@ -374,6 +423,29 @@ def _truncation_point(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: f
         f"no truncation certifying tail <= {target:.3e} within span {t_cut_max:g}")
 
 
+def _rk4_grid(deriv: Callable[[float, np.ndarray], np.ndarray], t_grid: np.ndarray,
+              y0: np.ndarray, project: Callable[[np.ndarray], None] | None = None
+              ) -> np.ndarray:
+    """Classical 4th-order steps along ``t_grid``; the state at every grid point.
+
+    ``project``, when given, acts in place on each new state.
+    """
+    out = np.empty((len(t_grid),) + y0.shape)
+    y = out[0] = y0
+    for j in range(len(t_grid) - 1):
+        t0 = t_grid[j]
+        dt = t_grid[j + 1] - t0
+        k1 = deriv(t0, y)
+        k2 = deriv(t0 + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = deriv(t0 + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = deriv(t0 + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if project is not None:
+            project(y)
+        out[j + 1] = y
+    return out
+
+
 def _unstable_inverse_factors(system: LinearSystem, s: float,
                               t_grid: np.ndarray) -> np.ndarray:
     """V(r, s)^-1 along the grid: scalars for closed forms, else one backward sweep.
@@ -387,21 +459,8 @@ def _unstable_inverse_factors(system: LinearSystem, s: float,
         if np.any(v == 0.0) or not np.all(np.isfinite(v)):
             raise NumericalError("unstable propagator under/overflowed on the outer grid")
         return 1.0 / v
-    n = system.n
-    q_s = np.eye(n) - system.P(s)
-    out = np.empty((len(t_grid), n, n))
-    w = q_s.copy()
-    out[0] = w
-    for j in range(len(t_grid) - 1):
-        t0 = t_grid[j]
-        dt = t_grid[j + 1] - t0
-        k1 = -w @ system.A(t0)
-        k2 = -(w + 0.5 * dt * k1) @ system.A(t0 + 0.5 * dt)
-        k3 = -(w + 0.5 * dt * k2) @ system.A(t0 + 0.5 * dt)
-        k4 = -(w + dt * k3) @ system.A(t0 + dt)
-        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[j + 1] = w
-    return out
+    q_s = np.eye(system.n) - system.P(s)
+    return _rk4_grid(lambda r, w: -w @ system.A(r), t_grid, q_s)
 
 
 @dataclass(frozen=True)
@@ -410,7 +469,7 @@ class SolverConfig:
 
     s_grid: tuple[float, ...]
     delta: float | None = None       # None: use the certified delta_max
-    C: float | None = None           # None: 2 * D
+    C: float | None = None           # None: default_capacity(D)
     nodes_per_axis: int = 41
     h: float = 0.01
     outer_tol: float = 1e-8
@@ -464,45 +523,59 @@ def _check_lipschitz(graph: ManifoldGraph, values: np.ndarray, tol: float):
     return worst
 
 
-def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
-                       nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
-                       cfg: SolverConfig) -> ManifoldGraph:
-    """One outer iteration: recompute every node value through the graph operator.
+def _slice_tables(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
+                  nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
+                  cfg: SolverConfig) -> list[_SliceTable]:
+    """Tables of every slice; they depend on the slice radii, not on the graph values.
 
     Truncation points come from the decay-certified tail bound of the outer
-    integrand, per slice; node values at lattice corners outside the slice
-    ball are computed at their radially clamped targets, which keeps the
-    interpolant consistent with the Lipschitz extension.
+    integrand, per slice.
     """
-    n_e, n_f = graph.n_stable, graph.n_unstable
-    new_values = np.empty_like(graph.values)
     q, c = pert.q, pert.c
-    for k in range(graph.n_slices):
-        s = float(graph.s_grid[k])
-        rho = float(graph.radii[k])
+    tables = []
+    for s, rho in zip(graph.s_grid.tolist(), graph.radii.tolist()):
         coef = (3.0 ** (q + 1.0) * c * graph.C ** (q + 1.0) * params.D * rho ** (q + 1.0)
                 * math.exp((params.b - (q + 1.0) * params.a) * float(mu.log_eval(s))
                            + params.eps * (q + 1.0) * float(nu.log_eval(s))))
         t_cut = _truncation_point(mu, nu, (q + 1.0) * params.a - params.b, params.eps, s,
                                   cfg.tail_abs_tol / coef, cfg.t_cut_max)
-        t_grid, h_eff = _uniform_grid(s, t_cut, cfg.h)
-        v_inv = _unstable_inverse_factors(system, s, t_grid)
-        for j in range(len(graph.targets_unit)):
-            xi = graph.targets_unit[j] * rho
+        tables.append(_slice_table(system, mu, nu, params, graph.C, s, t_cut, cfg.h))
+    return tables
+
+
+def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
+                       nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
+                       cfg: SolverConfig,
+                       tables: Sequence[_SliceTable] | None = None) -> ManifoldGraph:
+    """One outer iteration: recompute every node value through the graph operator.
+
+    ``tables`` are the slice tables of the solve, built here when not given.
+    Node values at lattice corners outside the slice ball are computed at
+    their radially clamped targets, which keeps the interpolant consistent
+    with the Lipschitz extension.  Every node path must respect its decay
+    envelope up to ``cfg.decay_slack``; the worst ratio is returned in
+    ``meta["max_decay_ratio"]``.
+    """
+    if tables is None:
+        tables = _slice_tables(graph, system, mu, nu, params, pert, cfg)
+    n_e = graph.n_stable
+    new_values = np.empty_like(graph.values)
+    worst = 0.0
+    for k, table in enumerate(tables):
+        targets = graph.targets_unit * float(graph.radii[k])
+        chunk = max(1, _CHUNK_SAMPLES // len(table.t))
+        for lo in range(0, len(targets), chunk):
+            xi = targets[lo:lo + chunk]
+            x, fv, _ = _node_paths(graph, system, pert, table, xi, cfg.picard_tol)
+            worst = max(worst, _check_decay(table, x, xi, cfg.decay_slack, lo))
             if system.form == "closed_form":
-                x, _ = _picard_path(graph, system, pert, s, xi, t_grid, h_eff,
-                                    cfg.picard_tol)
+                integrand = table.v_inv[:, None] * fv[..., n_e:]
             else:
-                x, _ = _matrix_inner_path(graph, system, pert, s, xi, t_grid)
-            phi_vals = eval_phi_many(graph, t_grid, x)
-            fv = pert.batch(t_grid, _assemble_state(x, phi_vals))
-            if system.form == "closed_form":
-                integrand = v_inv[:, None] * fv[:, n_e:]
-            else:
-                integrand = np.einsum("rij,rj->ri", v_inv, fv)[:, n_e:]
-            new_values[k, j] = -composite_simpson(integrand, h_eff)
+                integrand = np.einsum("rij,brj->bri", table.v_inv, fv)[..., n_e:]
+            new_values[k, lo:lo + chunk] = -composite_simpson(np.moveaxis(integrand, 1, 0),
+                                                              table.h)
     _check_lipschitz(graph, new_values, cfg.lipschitz_tol)
-    return replace(graph, values=new_values)
+    return replace(graph, values=new_values, meta={**graph.meta, "max_decay_ratio": worst})
 
 
 def _make_radius_fn(s_grid: np.ndarray, radii: np.ndarray, beta_fn: BetaFunction):
@@ -545,12 +618,13 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     """Iterate the graph operator from phi = 0 until the node metric settles.
 
     Returns the converged graph and the iteration history
-    [{iteration, distance, ratio}].  The measured contraction ratio must stay
-    within 10% of the certified factor; persistent excess raises
-    ContractionError, exhaustion of the budget raises ConvergenceError.
+    [{iteration, distance, ratio, max_decay_ratio}].  The measured contraction
+    ratio must stay within 10% of the certified factor; persistent excess
+    raises ContractionError, exhaustion of the budget raises ConvergenceError.
+    The slice tables are built once here and dropped on return.
     """
     n_e, n_f = system.n_stable, system.n_unstable
-    cap = cfg.C if cfg.C is not None else 2.0 * params.D
+    cap = cfg.C if cfg.C is not None else default_capacity(params.D)
     if not cap > params.D:
         raise ValueError(f"capacity C={cap} must exceed D={params.D}")
     certified = delta_max(pert.c, pert.q, cap, params.D, cfg.delta_cap)
@@ -578,15 +652,17 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
         meta={"system": system.label, "perturbation": pert.label,
               "params": params, "beta_closed_form": beta_fn.closed_form},
     )
+    tables = _slice_tables(graph, system, mu, nu, params, pert, cfg)
     factor = outer_contraction_factor(pert.c, pert.q, cap, params.D, delta)
     history: list[dict] = []
     strikes = 0
     prev_distance = None
     for iteration in range(1, cfg.max_outer + 1):
-        new_graph = apply_phi_operator(graph, system, mu, nu, params, pert, cfg)
+        new_graph = apply_phi_operator(graph, system, mu, nu, params, pert, cfg, tables)
         distance = graph_metric_distance(graph.values, new_graph.values, graph)
         ratio = (distance / prev_distance) if prev_distance else None
-        history.append({"iteration": iteration, "distance": distance, "ratio": ratio})
+        history.append({"iteration": iteration, "distance": distance, "ratio": ratio,
+                        "max_decay_ratio": new_graph.meta["max_decay_ratio"]})
         graph = new_graph
         if distance <= cfg.outer_tol:
             return graph, history

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import delta_max
+from .admissibility import default_capacity, delta_max
 from .dichotomy import DichotomyParams, LinearSystem
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, eval_phi,
                        graph_metric_distance, nonlinear_flow, solve_manifold)
@@ -258,7 +258,7 @@ def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRat
     """
     if pert.q != pert_bar.q:
         raise ValueError("perturbation orders q must match for the stability bound")
-    cap = cfg.C if cfg.C is not None else 2.0 * params.D
+    cap = cfg.C if cfg.C is not None else default_capacity(params.D)
     c_common = max(pert.c, pert_bar.c)
     certified = delta_max(c_common, pert.q, cap, params.D, cfg.delta_cap)
     delta = certified if cfg.delta is None else min(cfg.delta, certified)

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stablemanifold import manifold
 from stablemanifold.dichotomy import DichotomyParams, matrix_system, rate_power_system
-from stablemanifold.errors import BlowupError
-from stablemanifold.manifold import (InnerTrajectory, Perturbation, SolverConfig,
-                                     cubic_perturbation, eval_phi, eval_phi_many,
+from stablemanifold.errors import BlowupError, DecayBoundError
+from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbation,
+                                     SolverConfig, cubic_perturbation, eval_phi, eval_phi_many,
                                      expression_perturbation, graph_metric_distance,
                                      inner_trajectory, nonlinear_flow,
                                      outer_contraction_factor, solve_manifold)
+from stablemanifold.quadrature import composite_simpson, cumulative_simpson
 from stablemanifold.rates import builtin_rate
 
 EXP = builtin_rate("exponential")
@@ -236,3 +240,128 @@ def test_matrix_route_reproduces_graph():
         mask = xi != 0.0
         err = np.abs(graph.values[k][mask, 0] - exact_phi(xi[mask]))
         assert (err / np.abs(xi[mask]) ** 3).max() <= 1e-4
+
+
+def test_history_records_decay_ratio(solved):
+    # at t = s the path sits at |xi|, the envelope at C |xi| = 2 |xi|
+    _, _, graph, history = solved
+    for row in history:
+        assert row["max_decay_ratio"] == pytest.approx(0.5, rel=1e-12)
+    assert graph.meta["max_decay_ratio"] == history[-1]["max_decay_ratio"]
+
+
+def test_decay_slack_is_enforced():
+    system = rate_power_system(EXP, a=-1.0, b=1.0)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05,
+                       decay_slack=0.4)
+    with pytest.raises(DecayBoundError, match="node") as info:
+        solve_manifold(system, EXP, EXP, PARAMS, cubic_perturbation(1.0), cfg)
+    assert info.value.s == 0.0
+    assert info.value.ratio == pytest.approx(0.5, rel=1e-12)
+    assert 0 <= info.value.node < 5
+
+
+FEEDBACK = expression_perturbation(["u1*u2*u1 + u2^3", "u1^3 + u2*u1^2"], c=3, q=2)
+
+
+@pytest.mark.parametrize("pert, delta, stale", [(cubic_perturbation(1.0), 0.02, False),
+                                                (FEEDBACK, None, True)],
+                         ids=["oracle", "feedback"])
+def test_chunked_slices_match_single_node_chunks(monkeypatch, pert, delta, stale):
+    system = rate_power_system(EXP, a=-1.0, b=1.0)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=delta, C=2.0, nodes_per_axis=41, h=0.01)
+    calls = {"forcing": 0, "sweeps": 0}
+    sweep_counts = []
+    forcing, sweep, node_paths = (manifold._forcing, manifold.cumulative_simpson,
+                                  manifold._node_paths)
+
+    def count_forcing(*args):
+        calls["forcing"] += 1
+        return forcing(*args)
+
+    def count_sweep(*args):
+        calls["sweeps"] += 1
+        return sweep(*args)
+
+    def record_sweeps(*args):
+        out = node_paths(*args)
+        sweep_counts.append(set(out[2].tolist()))
+        return out
+
+    monkeypatch.setattr(manifold, "_forcing", count_forcing)
+    monkeypatch.setattr(manifold, "cumulative_simpson", count_sweep)
+    monkeypatch.setattr(manifold, "_node_paths", record_sweeps)
+    monkeypatch.setattr(manifold, "_CHUNK_SAMPLES", 1)
+    single, single_history = solve_manifold(system, EXP, EXP, PARAMS, pert, cfg)
+    monkeypatch.setattr(manifold, "_CHUNK_SAMPLES", 10 ** 9)
+    calls.update(forcing=0, sweeps=0)
+    sweep_counts.clear()
+    whole, whole_history = solve_manifold(system, EXP, EXP, PARAMS, pert, cfg)
+    assert len(sweep_counts) == 2 * len(whole_history)  # one chunk per slice
+    assert np.array_equal(single.values, whole.values)
+    assert single_history == whole_history
+    # feedback reaches the stable block: nodes of one chunk take different
+    # sweep counts, and paths moved by their last sweep recompute f
+    assert any(len(counts) > 1 for counts in sweep_counts) == stale
+    assert (calls["forcing"] > calls["sweeps"]) == stale
+
+
+def _node_loop_value(graph, pert, table, xi, picard_tol):
+    """Reference: one node at a time, Picard sweeps and then the outer integral."""
+    t, h, u = table.t, table.h, table.u[:, None]
+    n_e = graph.n_stable
+
+    def forcing(x):
+        return pert.batch(t, np.concatenate([x, eval_phi_many(graph, t, x)], axis=1))
+
+    x = u * xi[None, :]
+    for _ in range(80):
+        x_new = u * (xi[None, :] + cumulative_simpson(forcing(x)[:, :n_e] / u, h))
+        distance = np.max(np.abs(x_new - x))
+        x = x_new
+        if distance <= picard_tol:
+            break
+    return -composite_simpson(table.v_inv[:, None] * forcing(x)[:, n_e:], h)
+
+
+def test_operator_matches_node_loop_reference():
+    system = rate_power_system(EXP, a=-1.0, b=1.0)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=None, C=2.0, nodes_per_axis=41, h=0.01)
+    graph, _ = solve_manifold(system, EXP, EXP, PARAMS, FEEDBACK, cfg)
+    tables = manifold._slice_tables(graph, system, EXP, EXP, PARAMS, FEEDBACK, cfg)
+    new = manifold.apply_phi_operator(graph, system, EXP, EXP, PARAMS, FEEDBACK, cfg, tables)
+    for k, table in enumerate(tables):
+        for j, xi in enumerate(graph.node_points(k)):
+            ref = _node_loop_value(graph, FEEDBACK, table, xi, cfg.picard_tol)
+            assert np.array_equal(new.values[k, j], ref)
+
+
+def _random_graph(d: int, seed: int) -> ManifoldGraph:
+    m = 5
+    lattice, in_ball, targets = manifold._build_lattice(d, m)
+    s_grid = np.array([0.0, 0.7, 1.5])
+    radii = np.array([0.03, 0.025, 0.02])
+
+    def radius(t):
+        t = np.asarray(t, dtype=float)
+        return np.interp(t, s_grid, radii) * np.exp(-np.maximum(t - s_grid[-1], 0.0))
+
+    values = np.random.default_rng(seed).uniform(-1e-3, 1e-3, size=(3, len(lattice), 1))
+    return ManifoldGraph(s_grid, radii, lattice, in_ball, targets, values, n_stable=d,
+                         n_unstable=1, delta=0.02, C=2.0, nodes_per_axis=m,
+                         radius_fn=radius)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_phi_many_matches_eval_phi(d, data):
+    graph = _random_graph(d, seed=d)
+    n = data.draw(st.integers(1, 12))
+    coord = st.floats(-0.05, 0.05, allow_nan=False)
+    t = np.array(data.draw(st.lists(st.floats(-0.5, 3.0), min_size=n, max_size=n)))
+    xi = np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                     min_size=n, max_size=n)))
+    batch = eval_phi_many(graph, t, xi)
+    rows = np.stack([eval_phi(graph, t[i], xi[i]) for i in range(n)])
+    assert np.array_equal(batch, rows)

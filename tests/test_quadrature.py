@@ -94,3 +94,29 @@ def test_adaptive_handles_narrow_spike():
     f = lambda x: np.exp(-((x - 0.5) / 1e-3) ** 2)
     val = adaptive_simpson(f, 0.0, 1.0, 1e-10)
     assert val == pytest.approx(1e-3 * np.sqrt(np.pi), rel=1e-7)
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 9, 10, 130, 801])
+def test_cumulative_simpson_batch_equals_columns(n_samples):
+    # the inner solver integrates a (T, B, n) stack in one call
+    rng = np.random.default_rng(n_samples)
+    y = rng.standard_normal((n_samples, 5, 2)) * np.exp(rng.standard_normal((n_samples, 5, 1)))
+    batch = cumulative_simpson(y, 0.01)
+    for b in range(5):
+        for i in range(2):
+            assert np.array_equal(batch[:, b, i], cumulative_simpson(y[:, b, i], 0.01))
+    # the same stack stored node-major, as the solver keeps it
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(y, 1, 0)), 1, 0)
+    assert np.array_equal(cumulative_simpson(view, 0.01), batch)
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 4, 9, 10, 130, 801])
+@pytest.mark.parametrize("n_comp", [1, 2])
+def test_composite_simpson_node_major_stack_equals_nodes(n_samples, n_comp):
+    # outer integrals of a chunk: a (B, T, n) array viewed as (T, B, n)
+    rng = np.random.default_rng(n_samples * n_comp)
+    y = rng.standard_normal((4, n_samples, n_comp)) * np.exp(
+        rng.standard_normal((4, n_samples, 1)))
+    batch = composite_simpson(np.moveaxis(y, 1, 0), 0.01)
+    for b in range(4):
+        assert np.array_equal(batch[b], composite_simpson(y[b], 0.01))
