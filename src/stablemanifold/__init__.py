@@ -10,7 +10,7 @@ from .errors import (BlowupError, ConfigError, ContractionError, ConvergenceErro
                      TailBoundError)
 from .expr import ExpressionError, compile_expression
 from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson
-from .linalg import rk4_propagate, spectral_norm
+from .linalg import rk4_propagate, rk4_step, spectral_norm
 from .rates import (BUILTIN_FAMILIES, AxiomReport, GrowthRate, builtin_rate,
                     check_growth_axioms, expression_rate)
 from .dichotomy import (DichotomyCertificate, DichotomyParams, LinearSystem,
@@ -25,7 +25,8 @@ from .admissibility import (BetaFunction, LimitCheck, MonotonicityCheck, TailBou
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, apply_phi_operator,
                        cubic_perturbation, eval_phi, eval_phi_many,
                        expression_perturbation, graph_metric_distance, inner_trajectory,
-                       nonlinear_flow, outer_contraction_factor, solve_manifold)
+                       nonlinear_flow, nonlinear_flow_many, outer_contraction_factor,
+                       solve_manifold)
 from .verify import (DecayReport, InvarianceReport, PerturbationBoundReport,
                      PerturbationDistance, check_decay, check_invariance,
                      check_perturbation_bound, default_perturbation_samples,
@@ -55,9 +56,9 @@ __all__ = [
     "delta_max_bounds", "eval_phi", "eval_phi_many", "expression_perturbation",
     "expression_rate", "fundamental_identity_residual", "graph_metric_distance",
     "improper_rate_integral", "inner_trajectory", "load_config", "matrix_system",
-    "nonlinear_flow", "outer_contraction_factor", "pair_grid",
+    "nonlinear_flow", "nonlinear_flow_many", "outer_contraction_factor", "pair_grid",
     "perturbation_distance", "random_decay_pairs", "random_invariance_samples",
-    "rate_power_system", "resolve_config", "rk4_propagate",
+    "rate_power_system", "resolve_config", "rk4_propagate", "rk4_step",
     "sharp_oscillating_system", "sharpness_probe", "small_ball_radius",
     "solve_manifold", "spectral_norm", "stability_constant", "tail_integral",
     "transition", "transition_inverse", "verify_dichotomy", "__version__",

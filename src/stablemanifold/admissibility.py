@@ -266,9 +266,13 @@ def tail_integral(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float
 
 
 def beta_value(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float, s: float,
-               rel_tol: float = 1e-8) -> float:
-    """beta(s) = mu(s)^a / (nu(s)^(eps(1+1/q)) I(s)^(1/q)), via the quadrature I(s)."""
-    integral = tail_integral(mu, nu, a, eps, q, s, rel_tol)
+               rel_tol: float = 1e-8, integral: float | None = None) -> float:
+    """beta(s) = mu(s)^a / (nu(s)^(eps(1+1/q)) I(s)^(1/q)), via the quadrature I(s).
+
+    ``integral`` is I(s) when the caller already has it.
+    """
+    if integral is None:
+        integral = tail_integral(mu, nu, a, eps, q, s, rel_tol)
     log_beta = (a * float(mu.log_eval(s)) - eps * (1.0 + 1.0 / q) * float(nu.log_eval(s))
                 - math.log(integral) / q)
     return math.exp(log_beta)
@@ -321,9 +325,10 @@ def closed_form_beta(mu: GrowthRate, nu: GrowthRate, a: float, eps: float,
 class BetaFunction:
     """Cached radius function beta and its companion beta_tilde = beta * nu^-eps.
 
-    Values come from the quadrature route.  ``closed_form`` is a label naming
-    the matching analytic formula when one exists (kept for cross-checks and
-    horizon extrapolation, not used to produce values here).
+    Values come from the quadrature route: the tail integral I(s) is computed
+    once per s and shared by ``integral`` and ``beta``.  ``closed_form`` is a
+    label naming the matching analytic formula when one exists (kept for
+    cross-checks and horizon extrapolation, not used to produce values here).
     """
 
     def __init__(self, mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float,
@@ -338,12 +343,21 @@ class BetaFunction:
         self.closed_form = cf[0] if cf else None
         self._closed_fn = cf[1] if cf else None
         self._cache: dict[float, float] = {}
+        self._integrals: dict[float, float] = {}
+
+    def integral(self, s: float) -> float:
+        """I(s) = integral_s^inf mu^(a q) nu^eps, one quadrature per s."""
+        s = float(s)
+        if s not in self._integrals:
+            self._integrals[s] = tail_integral(self.mu, self.nu, self.a, self.eps, self.q, s,
+                                               self.rel_tol)
+        return self._integrals[s]
 
     def beta(self, s: float) -> float:
         s = float(s)
         if s not in self._cache:
             self._cache[s] = beta_value(self.mu, self.nu, self.a, self.eps, self.q, s,
-                                        self.rel_tol)
+                                        self.rel_tol, self.integral(s))
         return self._cache[s]
 
     def beta_tilde(self, s: float) -> float:
@@ -357,20 +371,23 @@ class BetaFunction:
 
 
 def fundamental_identity_residual(mu: GrowthRate, nu: GrowthRate, a: float, eps: float,
-                                  q: float, s: float, rel_tol: float = 1e-8) -> float:
+                                  q: float, s: float, rel_tol: float = 1e-8,
+                                  integral: float | None = None) -> float:
     """|mu(s)^(-aq) nu(s)^(eps(q+1)) beta(s)^q I(s) - 1|.
 
     The relation is algebraically exact, so with beta taken from the closed
     form (when the rate pair has one) the residual isolates the quadrature
     error of I(s).  Without a closed form both factors share the quadrature
-    value and the residual only reflects round-off.
+    value and the residual only reflects round-off.  ``integral`` is I(s)
+    when the caller already has it.
     """
+    if integral is None:
+        integral = tail_integral(mu, nu, a, eps, q, s, rel_tol)
     cf = closed_form_beta(mu, nu, a, eps, q)
     if cf is not None:
         beta_s = cf[1](s)
     else:
-        beta_s = beta_value(mu, nu, a, eps, q, s, rel_tol)
-    integral = tail_integral(mu, nu, a, eps, q, s, rel_tol)
+        beta_s = beta_value(mu, nu, a, eps, q, s, rel_tol, integral)
     log_term = (-a * q * float(mu.log_eval(s)) + eps * (q + 1.0) * float(nu.log_eval(s))
                 + q * math.log(beta_s) + math.log(integral))
     return abs(math.expm1(log_term))
@@ -389,15 +406,20 @@ class MonotonicityCheck:
 
 def check_monotonicity(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float,
                        grid: Sequence[float], rel_tol: float = 1e-8,
-                       slack: float = 1e-9) -> MonotonicityCheck:
+                       slack: float = 1e-9, beta: BetaFunction | None = None
+                       ) -> MonotonicityCheck:
     """Check that beta and mu^a/beta are nonincreasing along ``grid``.
 
     ``slack`` absorbs relative quadrature noise between neighboring values.
+    ``beta``, a BetaFunction of the same (mu, nu, a, eps, q, rel_tol), serves
+    the values from its cache instead of new quadratures.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("monotonicity grid must be increasing with at least two points")
-    betas = np.array([beta_value(mu, nu, a, eps, q, float(s), rel_tol) for s in grid])
+    if beta is None:
+        beta = BetaFunction(mu, nu, a, eps, q, rel_tol)
+    betas = np.array([beta.beta(s) for s in grid])
     ratios = np.array([math.exp(a * float(mu.log_eval(s)) - math.log(bv))
                        for s, bv in zip(grid, betas)])
 

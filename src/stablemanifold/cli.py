@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .admissibility import (BetaFunction, check_limit_condition, check_monotonicity,
                             default_capacity, delta_max, delta_max_bounds,
-                            fundamental_identity_residual, tail_integral)
+                            fundamental_identity_residual)
 from .config import (build_comparison, build_params, build_perturbation, build_rates,
                      build_solver_config, build_system, load_run_input, resolve_config,
                      scale_tolerances)
@@ -77,13 +77,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 class Runner:
     """Shared state for one CLI invocation (solved graphs are reused by `all`)."""
 
-    def __init__(self, resolved: dict, out_dir: str, seed: int, tol_scale: float,
-                 threads: int):
+    def __init__(self, resolved: dict, out_dir: str, seed: int, tol_scale: float):
         self.resolved = resolved
         self.out = out_dir
         self.seed = seed
         self.tol_scale = tol_scale
-        self.threads = threads
         self.mu, self.nu = build_rates(resolved)
         self.params = build_params(resolved)
         self.system = build_system(resolved, self.mu, self.nu)
@@ -175,10 +173,10 @@ class Runner:
         for s in s_values:
             s = float(s)
             b_quad = beta.beta(s)
-            integral = tail_integral(self.mu, self.nu, a, eps, q, s,
-                                     self.resolved["solver"]["quad_rel_tol"])
+            integral = beta.integral(s)
             resid = fundamental_identity_residual(self.mu, self.nu, a, eps, q, s,
-                                                  self.resolved["solver"]["quad_rel_tol"])
+                                                  self.resolved["solver"]["quad_rel_tol"],
+                                                  integral)
             worst_resid = max(worst_resid, resid)
             b_closed = beta.closed_form_value(s)
             if b_closed is not None:
@@ -192,7 +190,8 @@ class Runner:
         mono = check_monotonicity(self.mu, self.nu, a, eps, q,
                                   np.linspace(0.0, ch["beta_s_max"],
                                               ch["monotonicity_points"]),
-                                  rel_tol=self.resolved["solver"]["quad_rel_tol"])
+                                  rel_tol=self.resolved["solver"]["quad_rel_tol"],
+                                  beta=beta)
         cap = self.cfg.C if self.cfg.C is not None else default_capacity(d["D"])
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])
         certified = delta_max(self.pert.c, q, cap, d["D"], self.cfg.delta_cap)
@@ -279,8 +278,10 @@ class Runner:
 
     def perturb_compare(self) -> tuple[bool, dict]:
         pert_bar = build_comparison(self.resolved, self.system.n)
+        # reuses the base solve only if an earlier stage of this run made it
         rep = check_perturbation_bound(self.system, self.mu, self.nu, self.params,
-                                       self.pert, pert_bar, self.cfg, rng=self.rng(2))
+                                       self.pert, pert_bar, self.cfg, rng=self.rng(2),
+                                       solved=self._solved)
         _write_csv(self.path("compare.csv"),
                    ["graph_distance", "f_distance", "stability_constant", "quotient",
                     "delta"],
@@ -336,8 +337,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(or a manifest.json from a previous run)")
     parser.add_argument("--out", default=None, help="artifact directory "
                         "(default: output.dir from the config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; execution is sequential, recorded in the manifest")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed for verification sampling")
     parser.add_argument("--tol-scale", type=float, default=None,
@@ -369,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         scaled = scale_tolerances(resolved, tol_scale)
         out_dir = args.out if args.out is not None else resolved["output"]["dir"]
         os.makedirs(out_dir, exist_ok=True)
-        runner = Runner(scaled, out_dir, seed, tol_scale, max(1, args.threads))
+        runner = Runner(scaled, out_dir, seed, tol_scale)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -377,8 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = {
         "package": {"name": "stablemanifold", "version": __version__},
         "command": args.command,
-        "cli": {"seed": seed, "tol_scale": tol_scale,
-                "threads": max(1, args.threads), "out": out_dir},
+        "cli": {"seed": seed, "tol_scale": tol_scale, "out": out_dir},
         "config": resolved,
     }
     _write_json(runner.path("manifest.json"), manifest)

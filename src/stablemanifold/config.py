@@ -367,8 +367,12 @@ def build_system(resolved: dict, mu: GrowthRate, nu: GrowthRate) -> LinearSystem
                for row in node["coeff"]]
     n = len(entries)
 
-    def coeff(t: float) -> np.ndarray:
-        return np.array([[float(fn(t=t)) for fn in row] for row in entries])
+    def coeff(t) -> np.ndarray:
+        """A(t): (n, n) at a scalar t, (B, n, n) at times t of shape (B,)."""
+        if not (isinstance(t, np.ndarray) and t.ndim):
+            return np.array([[float(fn(t=t)) for fn in row] for row in entries])
+        return np.stack([np.stack([np.broadcast_to(np.asarray(fn(t=t), dtype=float), t.shape)
+                                   for fn in row], axis=-1) for row in entries], axis=-2)
 
     return matrix_system(coeff, n, node["n_stable"], label="matrix")
 

@@ -59,6 +59,14 @@ def coordinate_projection(n: int, n_stable: int) -> Callable[[float], np.ndarray
     return projection
 
 
+def _diagonal(*entries) -> np.ndarray:
+    """diag(entries): (n, n) for scalar entries, (B, n, n) for entries of shape (B,)."""
+    d = np.stack(entries, axis=-1)
+    out = np.zeros(d.shape + d.shape[-1:])
+    out[..., range(len(entries)), range(len(entries))] = d
+    return out
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """A linear nonautonomous system split along a projection-valued curve P(t).
@@ -67,6 +75,11 @@ class LinearSystem:
     closed-form scalar factors (U, V) on the blocks, or the coefficient
     matrix A(t).  ``meta`` carries builder-specific structure (used by the
     sharpness probe and by solvers that can exploit scalar blocks).
+
+    ``A`` maps a scalar t to an (n, n) matrix and times t of shape (B,) to
+    either (B, n, n), one matrix per time, or a constant (n, n); the batched
+    nonlinear flow evaluates it on arrays.  ``U`` and ``V`` broadcast over
+    array arguments the same way.
     """
 
     n: int
@@ -103,7 +116,7 @@ def rate_power_system(mu: GrowthRate, a: float, b: float) -> LinearSystem:
     if mu.has_derivative:
         def coeff(t, _mu=mu):  # noqa: F811 - deliberate rebind
             r = _mu.deriv(t) / _mu(t)
-            return np.diag([a * r, b * r])
+            return _diagonal(a * r, b * r)
 
     return LinearSystem(2, 1, coordinate_projection(2, 1), A=coeff, U=u_factor, V=v_factor,
                         label=f"rate_power(a={a:g}, b={b:g}, mu={mu.label})",
@@ -141,7 +154,7 @@ def sharp_oscillating_system(mu: GrowthRate, nu: GrowthRate, a: float, b: float,
 
         def coeff(t):  # noqa: F811 - deliberate rebind
             r = mu.deriv(t) / mu(t)
-            return np.diag([a * r + osc_deriv(t), b * r - osc_deriv(t)])
+            return _diagonal(a * r + osc_deriv(t), b * r - osc_deriv(t))
 
     return LinearSystem(2, 1, coordinate_projection(2, 1), A=coeff, U=u_factor, V=v_factor,
                         label=f"sharp_oscillating(a={a:g}, b={b:g}, eps={eps:g})",
@@ -151,7 +164,10 @@ def sharp_oscillating_system(mu: GrowthRate, nu: GrowthRate, a: float, b: float,
 
 def matrix_system(coeff: Callable[[float], np.ndarray], n: int, n_stable: int,
                   label: str = "matrix") -> LinearSystem:
-    """System given by a coefficient matrix A(t) with coordinate projections."""
+    """System given by a coefficient matrix A(t) with coordinate projections.
+
+    ``coeff`` must also accept times of shape (B,); see ``LinearSystem``.
+    """
     return LinearSystem(n, n_stable, coordinate_projection(n, n_stable), A=coeff,
                         label=label, meta={"kind": "matrix"})
 

@@ -1,8 +1,9 @@
 """Small dense linear-algebra and ODE-stepping helpers.
 
 Spectral norms are computed without any external eigensolver: closed form for
-1x1 and 2x2, power iteration on M^T M above that.  The 4th-order Runge-Kutta
-steppers are shared by the transition-matrix propagator and the nonlinear flow.
+1x1 and 2x2, power iteration on M^T M above that.  One 4th-order Runge-Kutta
+step, ``rk4_step``, serves every integrator of the package: the transition-matrix
+propagator here, the solver's inner-grid stepper and the nonlinear flow.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["spectral_norm", "rk4_propagate"]
+__all__ = ["spectral_norm", "rk4_step", "rk4_propagate"]
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -48,6 +49,23 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
+def rk4_step(deriv: Callable, t, y: np.ndarray, dt):
+    """One classical 4th-order step of y' = deriv(t, y) from t to t + dt.
+
+    ``t`` and ``dt`` are scalars, or arrays of shape (B,) that step a batch
+    ``y`` of shape (B, ...) row by row; ``deriv`` then receives times (B,).
+    """
+    half = 0.5 * dt
+    step = dt
+    if isinstance(dt, np.ndarray):  # one step size per row of y
+        step = dt.reshape(dt.shape + (1,) * (y.ndim - dt.ndim))
+    k1 = deriv(t, y)
+    k2 = deriv(t + half, y + 0.5 * step * k1)
+    k3 = deriv(t + half, y + 0.5 * step * k2)
+    k4 = deriv(t + dt, y + step * k3)
+    return y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_propagate(deriv: Callable[[float, np.ndarray], np.ndarray], t0: float,
                   y0: np.ndarray, t1: float, h: float) -> np.ndarray:
     """Integrate y' = deriv(t, y) from t0 to t1 with fixed 4th-order steps.
@@ -63,10 +81,6 @@ def rk4_propagate(deriv: Callable[[float, np.ndarray], np.ndarray], t0: float,
     t = t0
     y = np.array(y0, dtype=float, copy=True)
     for _ in range(n_steps):
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = deriv(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(deriv, t, y, dt)
         t += dt
     return y

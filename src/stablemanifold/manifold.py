@@ -27,6 +27,11 @@ ball takes the boundary value along the ray).  Beyond the last slice the last
 values are reused with the radius continued by the closed-form beta shape when
 one exists, log-linearly otherwise.
 
+``nonlinear_flow_many`` integrates the full nonlinear system for a batch of
+samples at once, each with its own start time and duration; ``nonlinear_flow``
+is its one-sample form.  It, the inner-grid stepper and ``linalg.rk4_propagate``
+share one RK4 step, ``linalg.rk4_step``.
+
 Norms on state blocks are sum norms.
 """
 
@@ -43,14 +48,15 @@ from .dichotomy import DichotomyParams, LinearSystem
 from .errors import (BlowupError, ContractionError, ConvergenceError, DecayBoundError,
                      DivergenceError, LipschitzError, NumericalError, TailBoundError)
 from .expr import compile_expression
+from .linalg import rk4_step
 from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson
 from .rates import GrowthRate
 
 __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
            "ManifoldGraph", "SolverConfig", "eval_phi", "eval_phi_many",
            "InnerTrajectory", "inner_trajectory", "apply_phi_operator",
-           "solve_manifold", "nonlinear_flow", "outer_contraction_factor",
-           "graph_metric_distance"]
+           "solve_manifold", "nonlinear_flow", "nonlinear_flow_many",
+           "outer_contraction_factor", "graph_metric_distance"]
 
 # inner-grid samples per chunk of nodes: bounds every (nodes, grid, state) array
 _CHUNK_SAMPLES = 4096
@@ -433,13 +439,7 @@ def _rk4_grid(deriv: Callable[[float, np.ndarray], np.ndarray], t_grid: np.ndarr
     out = np.empty((len(t_grid),) + y0.shape)
     y = out[0] = y0
     for j in range(len(t_grid) - 1):
-        t0 = t_grid[j]
-        dt = t_grid[j + 1] - t0
-        k1 = deriv(t0, y)
-        k2 = deriv(t0 + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = deriv(t0 + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = deriv(t0 + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(deriv, t_grid[j], y, t_grid[j + 1] - t_grid[j])
         if project is not None:
             project(y)
         out[j + 1] = y
@@ -680,56 +680,85 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
         history=history)
 
 
-def nonlinear_flow(system: LinearSystem, pert: Perturbation, s: float, v0, tau: float,
-                   h: float = 1e-3, blowup_factor: float = 1e8) -> tuple[float, np.ndarray]:
-    """Integrate the full nonlinear system from state v0 at time s for duration tau.
+def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
+                        h: float = 1e-3, blowup_factor: float = 1e8
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the full nonlinear system for B samples at once.
 
+    Sample b starts from v0[b] (B, n) at time s[b] and runs for tau[b] >= 0 in
+    ceil(tau[b] / h) equal steps (none when tau[b] = 0), accumulating its own
+    time t += dt; every row equals a one-sample ``nonlinear_flow`` bit for bit.
+    All samples step together and each leaves the batch after its last step.
     Closed-form systems step the transformed variable w = T(t0+dt', t0)^-1 v,
     whose derivative has no linear part, so the linear flow is reproduced
-    exactly; matrix systems use plain 4th-order steps on v' = A v + f.
-    Raises BlowupError when |v|_1 exceeds blowup_factor * max(1, |v0|_1).
+    exactly; matrix systems use plain 4th-order steps on v' = A(t) v + f, with
+    A evaluated on the batch's times.  A sample blows up, and leaves the batch,
+    when |v|_1 exceeds blowup_factor * max(1, |v0[b]|_1); BlowupError is then
+    raised for the lowest-index sample that blew up, with its t_blowup.
+    Returns the arrival times (B,) and states (B, n).
     """
-    if tau < 0.0:
+    s = np.asarray(s, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    v = np.array(v0, dtype=float)
+    if np.any(tau < 0.0):
         raise ValueError("tau must be nonnegative")
-    v = np.asarray(v0, dtype=float).copy()
-    if v.shape != (system.n,):
-        raise ValueError(f"state must have shape ({system.n},)")
-    limit = blowup_factor * max(1.0, float(np.abs(v).sum()))
-    if tau == 0.0:
-        return s, v
-    n_steps = max(1, int(math.ceil(tau / h)))
-    dt = tau / n_steps
+    if v.ndim != 2 or v.shape[1] != system.n or s.shape != (len(v),) or tau.shape != s.shape:
+        raise ValueError(f"states must have shape (B, {system.n}), s and tau shape (B,)")
+    n_steps = np.where(tau == 0.0, 0, np.maximum(1, np.ceil(tau / h))).astype(np.int64)
+    t = s.copy()
+    t_blowup = np.full(len(v), math.nan)
     n_e = system.n_stable
-    t = s
     closed = system.form == "closed_form"
-    for _ in range(n_steps):
+
+    def factors(tt: np.ndarray, t0: np.ndarray) -> np.ndarray:
+        # diagonal of T(tt, t0): U on the stable block, V on the unstable one
+        g = np.empty((len(tt), system.n))
+        g[:, :n_e] = np.asarray(system.U(tt, t0), dtype=float)[:, None]
+        g[:, n_e:] = np.asarray(system.V(tt, t0), dtype=float)[:, None]
+        return g
+
+    def deriv(tt: np.ndarray, vv: np.ndarray) -> np.ndarray:
+        return np.matmul(system.A(tt), vv[:, :, None])[:, :, 0] + pert.batch(tt, vv)
+
+    # the batch: sample indices and their limits, step sizes, steps left, times, states
+    idx = np.flatnonzero(n_steps)
+    limit = blowup_factor * np.maximum(1.0, np.abs(v[idx]).sum(axis=1))
+    dt = tau[idx] / n_steps[idx]
+    left, tb, vb = n_steps[idx], t[idx], v[idx]
+    while idx.size:
         if closed:
-            def factors(offset: float) -> np.ndarray:
-                out = np.empty(system.n)
-                out[:n_e] = float(system.U(t + offset, t))
-                out[n_e:] = float(system.V(t + offset, t))
-                return out
+            def deriv_w(tt: np.ndarray, w: np.ndarray, t0: np.ndarray = tb) -> np.ndarray:
+                g = factors(tt, t0)
+                return pert.batch(tt, g * w) / g
 
-            def deriv(offset: float, w: np.ndarray) -> np.ndarray:
-                g = factors(offset)
-                return pert.f(t + offset, g * w) / g
-
-            k1 = deriv(0.0, v)
-            k2 = deriv(0.5 * dt, v + 0.5 * dt * k1)
-            k3 = deriv(0.5 * dt, v + 0.5 * dt * k2)
-            k4 = deriv(dt, v + dt * k3)
-            v = factors(dt) * (v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            vb = factors(tb + dt, tb) * rk4_step(deriv_w, tb, vb, dt)
         else:
-            def deriv_m(tt: float, vv: np.ndarray) -> np.ndarray:
-                return system.A(tt) @ vv + pert.f(tt, vv)
-
-            k1 = deriv_m(t, v)
-            k2 = deriv_m(t + 0.5 * dt, v + 0.5 * dt * k1)
-            k3 = deriv_m(t + 0.5 * dt, v + 0.5 * dt * k2)
-            k4 = deriv_m(t + dt, v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        total = float(np.abs(v).sum())
-        if not np.isfinite(total) or total > limit:
-            raise BlowupError(f"trajectory left the trust region at t={t:g}", t_blowup=t)
+            vb = rk4_step(deriv, tb, vb, dt)
+        tb = tb + dt
+        left = left - 1
+        total = np.abs(vb).sum(axis=1)
+        blown = ~np.isfinite(total) | (total > limit)
+        leave = blown | (left == 0)
+        if leave.any():
+            t[idx[leave]] = tb[leave]
+            v[idx[leave]] = vb[leave]
+            t_blowup[idx[blown]] = tb[blown]
+            keep = ~leave
+            idx, limit, dt, left, tb, vb = (idx[keep], limit[keep], dt[keep], left[keep],
+                                            tb[keep], vb[keep])
+    first = np.flatnonzero(~np.isnan(t_blowup))
+    if first.size:
+        at = float(t_blowup[first[0]])
+        raise BlowupError(f"trajectory left the trust region at t={at:g}", t_blowup=at)
     return t, v
+
+
+def nonlinear_flow(system: LinearSystem, pert: Perturbation, s: float, v0, tau: float,
+                   h: float = 1e-3, blowup_factor: float = 1e8) -> tuple[float, np.ndarray]:
+    """Integrate the full nonlinear system from state v0 (n,) at time s for duration tau.
+
+    The one-sample form of ``nonlinear_flow_many``; returns the arrival time and state.
+    """
+    t, v = nonlinear_flow_many(system, pert, [s], np.asarray(v0, dtype=float)[None], [tau],
+                               h, blowup_factor)
+    return float(t[0]), v[0]

@@ -9,6 +9,12 @@ region the invariance statement covers.
 Decay: two manifold trajectories separate no faster than
 2 C (mu(t)/mu(s))^a nu(s)^eps |xi - xi_bar|.
 
+Each check validates all its samples first, then flows them in one batch
+(``nonlinear_flow_many``; every row equals a one-sample flow bit for bit) and
+evaluates the graph at all start and arrival points in one ``eval_phi_many``
+call each.  A blow-up raises for the first sample in sample order, as a
+sample-by-sample loop would.
+
 Perturbation stability: solving with f and f_bar at a common certified radius,
 the graph distance sup |phi - phi_bar|_1 / |xi|_1 is bounded by
 K * sup |f - f_bar|_1 / |u|_1^(q+1) with K = 4 * 3^(q+1) * C^(q+1) * D * delta^q.
@@ -28,8 +34,11 @@ import numpy as np
 
 from .admissibility import default_capacity, delta_max
 from .dichotomy import DichotomyParams, LinearSystem
-from .manifold import (ManifoldGraph, Perturbation, SolverConfig, eval_phi,
-                       graph_metric_distance, nonlinear_flow, solve_manifold)
+# nonlinear_flow (one sample) stays importable from this module, where
+# perfbench/tracer.py wraps it; the checks below flow their samples in one batch
+from .manifold import (ManifoldGraph, Perturbation, SolverConfig, eval_phi_many,
+                       graph_metric_distance, nonlinear_flow,  # noqa: F401
+                       nonlinear_flow_many, solve_manifold)
 from .rates import GrowthRate
 
 __all__ = ["InvarianceReport", "check_invariance", "DecayReport", "check_decay",
@@ -84,10 +93,10 @@ def random_decay_pairs(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyPa
 
 
 def _flow_from_graph(graph: ManifoldGraph, system: LinearSystem, pert: Perturbation,
-                     s: float, xi: np.ndarray, tau: float, h: float):
-    phi0 = eval_phi(graph, s, xi)
-    v0 = np.concatenate([np.atleast_1d(xi), phi0])
-    return nonlinear_flow(system, pert, s, v0, tau, h)
+                     s: np.ndarray, xi: np.ndarray, tau: np.ndarray, h: float):
+    """Flow the graph points (s[b], xi[b], phi(s[b], xi[b])) for tau[b], all in one batch."""
+    v0 = np.concatenate([xi, eval_phi_many(graph, s, xi)], axis=1)
+    return nonlinear_flow_many(system, pert, s, v0, tau, h)
 
 
 @dataclass(frozen=True)
@@ -110,23 +119,27 @@ def check_invariance(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
     |y(s+tau) - phi(s+tau, x(s+tau))|_1 / |x(s+tau)|_1 and the arrival must
     stay within the slice ball radius (1 + tol slack).
     """
-    rows = []
     n_e = graph.n_stable
-    for s, xi, tau in samples:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        xi_norm = float(np.abs(xi).sum())
+    xi_all = np.array([np.atleast_1d(np.asarray(xi, dtype=float)) for _, xi, _ in samples],
+                      dtype=float).reshape(len(samples), n_e)
+    xi_norms = [float(np.abs(xi).sum()) for xi in xi_all]
+    for (s, _, _), xi_norm in zip(samples, xi_norms):
         allowed = small_ball_radius(graph, nu, params, s)
         if xi_norm > allowed * (1.0 + 1e-9):
             raise ValueError(
                 f"sample (s={s:g}, |xi|={xi_norm:g}) outside the small ball {allowed:g}")
-        t1, v1 = _flow_from_graph(graph, system, pert, s, xi, tau, h)
-        x1, y1 = v1[:n_e], v1[n_e:]
-        x1_norm = float(np.abs(x1).sum())
-        off_graph = float(np.abs(y1 - eval_phi(graph, t1, x1)).sum())
+    t1, v1 = _flow_from_graph(graph, system, pert, np.array([s for s, _, _ in samples]),
+                              xi_all, np.array([tau for _, _, tau in samples]), h)
+    x1, y1 = v1[:, :n_e], v1[:, n_e:]
+    phi1 = eval_phi_many(graph, t1, x1)
+    rows = []
+    for b, (s, _, tau) in enumerate(samples):
+        x1_norm = float(np.abs(x1[b]).sum())
+        off_graph = float(np.abs(y1[b] - phi1[b]).sum())
         residual = off_graph / x1_norm if x1_norm > 0.0 else 0.0
-        within = x1_norm <= float(graph.radius_fn(np.asarray(t1, dtype=float))) * (1.0 + tol)
-        rows.append({"s": s, "xi_norm": xi_norm, "tau": tau, "residual": residual,
-                     "arrival_norm": x1_norm, "within_radius": within})
+        within = x1_norm <= float(graph.radius_fn(np.asarray(t1[b], dtype=float))) * (1.0 + tol)
+        rows.append({"s": s, "xi_norm": xi_norms[b], "tau": tau,
+                     "residual": residual, "arrival_norm": x1_norm, "within_radius": within})
     max_residual = max((r["residual"] for r in rows), default=0.0)
     all_within = all(r["within_radius"] for r in rows)
     return InvarianceReport(max_residual <= tol and all_within, max_residual, all_within,
@@ -146,18 +159,22 @@ def check_decay(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
                 pairs: Sequence[tuple[float, np.ndarray, np.ndarray, float]],
                 h: float = 1e-3, tol: float = 1e-3) -> DecayReport:
     """Check the two-trajectory separation bound 2C (mu(t)/mu(s))^a nu(s)^eps |xi - xi_bar|."""
-    rows = []
+    kept = []
     for s, xi, xi_bar, t in pairs:
         if t < s:
             raise ValueError("pair has t < s")
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
         seed_gap = float(np.abs(xi - xi_bar).sum())
-        if seed_gap == 0.0:
-            continue
-        tau = t - s
-        _, v1 = _flow_from_graph(graph, system, pert, s, xi, tau, h)
-        _, v2 = _flow_from_graph(graph, system, pert, s, xi_bar, tau, h)
+        if seed_gap != 0.0:
+            kept.append((s, t, xi, xi_bar, seed_gap))
+    # rows 2i and 2i+1 of the batch flow the two seeds of pair i
+    seeds = np.array([[xi, xi_bar] for _, _, xi, xi_bar, _ in kept],
+                     dtype=float).reshape(2 * len(kept), graph.n_stable)
+    _, v = _flow_from_graph(graph, system, pert, np.repeat([p[0] for p in kept], 2), seeds,
+                            np.repeat([t - s for s, t, *_ in kept], 2), h)
+    rows = []
+    for (s, t, _, _, seed_gap), v1, v2 in zip(kept, v[0::2], v[1::2]):
         observed = float(np.abs(v1 - v2).sum())
         bound = 2.0 * graph.C * math.exp(
             params.a * (float(mu.log_eval(t)) - float(mu.log_eval(s)))
@@ -249,12 +266,16 @@ def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRat
                              params: DichotomyParams, pert: Perturbation,
                              pert_bar: Perturbation, cfg: SolverConfig,
                              samples: Sequence[tuple[float, np.ndarray]] | None = None,
-                             rng: np.random.Generator | None = None
+                             rng: np.random.Generator | None = None,
+                             solved: tuple[ManifoldGraph, list[dict]] | None = None
                              ) -> PerturbationBoundReport:
     """Solve with f and f_bar at one common certified radius and compare graphs.
 
     Both solves share delta = min(requested, delta_max at c = max(c_f, c_fbar)),
     hence identical slice radii, so node values are directly comparable.
+    ``solved`` is an optional (graph, history) of ``pert`` already solved
+    under ``cfg``; it stands in for the f solve when its delta and C equal the
+    common ones, which is then exactly the solve it saves.
     """
     if pert.q != pert_bar.q:
         raise ValueError("perturbation orders q must match for the stability bound")
@@ -263,7 +284,10 @@ def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRat
     certified = delta_max(c_common, pert.q, cap, params.D, cfg.delta_cap)
     delta = certified if cfg.delta is None else min(cfg.delta, certified)
     common_cfg = replace(cfg, delta=delta, C=cap)
-    graph, hist = solve_manifold(system, mu, nu, params, pert, common_cfg)
+    if solved is not None and solved[0].delta == delta and solved[0].C == cap:
+        graph, hist = solved
+    else:
+        graph, hist = solve_manifold(system, mu, nu, params, pert, common_cfg)
     graph_bar, hist_bar = solve_manifold(system, mu, nu, params, pert_bar, common_cfg)
     gd = graph_metric_distance(graph.values, graph_bar.values, graph)
     if samples is None:

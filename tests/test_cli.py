@@ -50,12 +50,11 @@ def test_all_command_on_oracle(tmp_path):
 
 def test_manifest_records_run(tmp_path):
     out = str(tmp_path / "run")
-    assert main(["admissibility", "--config", ORACLE, "--out", out,
-                 "--seed", "3", "--threads", "2"]) == 0
+    assert main(["admissibility", "--config", ORACLE, "--out", out, "--seed", "3"]) == 0
     manifest = read_json(os.path.join(out, "manifest.json"))
     assert manifest["package"]["name"] == "stablemanifold"
     assert manifest["command"] == "admissibility"
-    assert manifest["cli"] == {"seed": 3, "tol_scale": 1.0, "threads": 2, "out": out}
+    assert manifest["cli"] == {"seed": 3, "tol_scale": 1.0, "out": out}
     # the embedded config is fully materialized, defaults included
     assert manifest["config"]["solver"]["max_outer"] == 30
     assert manifest["config"]["checks"]["beta_points"] == 10
@@ -74,6 +73,39 @@ def test_rerun_from_manifest_is_identical(tmp_path):
         if name == "manifest.json":
             continue  # differs only in cli.out
         assert t1[name] == t2[name], name
+
+
+def test_admissibility_runs_one_tail_quadrature_per_s(tmp_path, monkeypatch):
+    from stablemanifold import admissibility
+    keys = []
+    quadrature = admissibility.improper_rate_integral
+
+    def counting(mu, nu, p, eps, s, *rest):
+        keys.append((p, eps, s))
+        return quadrature(mu, nu, p, eps, s, *rest)
+
+    monkeypatch.setattr(admissibility, "improper_rate_integral", counting)
+    assert main(["admissibility", "--config", EXPONENTIAL, "--out", str(tmp_path)]) == 0
+    assert keys and len(keys) == len(set(keys))
+
+
+def test_manifest_recording_threads_still_replays(tmp_path):
+    # manifests written while --threads existed record it; replay ignores it
+    out1 = str(tmp_path / "a")
+    out2 = str(tmp_path / "b")
+    assert main(["admissibility", "--config", ORACLE, "--out", out1, "--seed", "3"]) == 0
+    manifest = os.path.join(out1, "manifest.json")
+    old = read_json(manifest)
+    old["cli"]["threads"] = 2
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(old, fh)
+    assert main(["admissibility", "--config", manifest, "--out", out2]) == 0
+    assert read_json(os.path.join(out2, "manifest.json"))["cli"] == {
+        "seed": 3, "tol_scale": 1.0, "out": out2}
+    t1, t2 = tree_bytes(out1), tree_bytes(out2)
+    for name in t1:
+        if name != "manifest.json":
+            assert t1[name] == t2[name], name
 
 
 def test_manifest_replays_recorded_flags(tmp_path):

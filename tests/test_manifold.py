@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablemanifold import manifold
-from stablemanifold.dichotomy import DichotomyParams, matrix_system, rate_power_system
+from stablemanifold.config import build_system
+from stablemanifold.dichotomy import (DichotomyParams, matrix_system, rate_power_system,
+                                      sharp_oscillating_system)
 from stablemanifold.errors import BlowupError, DecayBoundError
 from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbation,
                                      SolverConfig, cubic_perturbation, eval_phi, eval_phi_many,
                                      expression_perturbation, graph_metric_distance,
-                                     inner_trajectory, nonlinear_flow,
+                                     inner_trajectory, nonlinear_flow, nonlinear_flow_many,
                                      outer_contraction_factor, solve_manifold)
 from stablemanifold.quadrature import composite_simpson, cumulative_simpson
 from stablemanifold.rates import builtin_rate
@@ -204,6 +206,78 @@ def test_nonlinear_flow_validation(solved):
         nonlinear_flow(system, pert, 0.0, np.zeros(2), tau=-1.0)
     with pytest.raises(ValueError, match="shape"):
         nonlinear_flow(system, pert, 0.0, np.zeros(3), tau=1.0)
+
+
+# t-dependent, non-diagonal A(t) built from config expressions, with one constant row
+MATRIX_COEFF = [["-1 - 0.1*exp(-t)", "0.3*exp(-t)"], ["0", "1"]]
+
+
+def _config_matrix_system():
+    node = {"system": {"kind": "matrix", "coeff": MATRIX_COEFF, "n_stable": 1},
+            "dichotomy": {"a": -1.0, "b": 1.0, "eps": 0.0, "D": 1.0}}
+    return build_system(node, EXP, EXP)
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "matrix"])
+def test_nonlinear_flow_many_equals_one_sample_calls(kind):
+    system = rate_power_system(EXP, a=-1.0, b=1.0) if kind == "closed_form" \
+        else _config_matrix_system()
+    assert system.form == kind
+    pert = cubic_perturbation(1.0)
+    h = 0.01
+    # zero duration, durations that are not multiples of h, different step counts
+    s = np.array([0.3, 0.0, 1.25, 0.7, 2.0])
+    tau = np.array([0.0, 0.37, 1.0, 0.053, 0.2])
+    v0 = np.array([[0.01, -2.5e-7], [0.02, -2e-6], [-0.015, 8e-7], [0.005, 0.0],
+                   [0.012, -4e-7]])
+    t_b, v_b = nonlinear_flow_many(system, pert, s, v0, tau, h)
+    assert len({max(1, math.ceil(x / h)) for x in tau[1:]}) == 4
+    for b in range(len(s)):
+        t1, v1 = nonlinear_flow(system, pert, s[b], v0[b], tau[b], h)
+        assert t_b[b].tobytes() == np.float64(t1).tobytes()
+        assert v_b[b].tobytes() == v1.tobytes()
+    assert t_b[0] == s[0] and np.array_equal(v_b[0], v0[0])
+
+
+def test_nonlinear_flow_many_reports_lowest_blown_index(solved):
+    system, pert, _, _ = solved
+    # sample 2 blows up earlier than sample 1; the error names sample 1
+    s = np.array([0.0, 0.5, 0.0])
+    v0 = np.array([[0.001, 0.0], [0.0, 4.0], [0.0, 8.0]])
+    kw = dict(h=1e-2, blowup_factor=100.0)
+    t_seq = []
+    for b in (1, 2):
+        with pytest.raises(BlowupError) as one:
+            nonlinear_flow(system, pert, s[b], v0[b], 30.0, **kw)
+        t_seq.append(one.value.t_blowup)
+    assert t_seq[1] < t_seq[0]
+    with pytest.raises(BlowupError) as batch:
+        nonlinear_flow_many(system, pert, s, v0, np.array([1.0, 30.0, 30.0]), **kw)
+    assert batch.value.t_blowup == t_seq[0]
+
+
+def test_nonlinear_flow_many_validation(solved):
+    system, pert, _, _ = solved
+    with pytest.raises(ValueError, match="tau"):
+        nonlinear_flow_many(system, pert, [0.0, 0.0], np.zeros((2, 2)), [1.0, -1.0])
+    with pytest.raises(ValueError, match="shape"):
+        nonlinear_flow_many(system, pert, [0.0], np.zeros((2, 2)), [1.0, 1.0])
+
+
+def test_coefficient_matrices_broadcast_over_times():
+    t = np.array([0.0, 0.25, 1.0, 3.5, 10.0])
+    systems = [_config_matrix_system(),
+               build_system({"system": {"kind": "matrix", "n_stable": 2,
+                                        "coeff": [["-1", "0", "0"], ["0", "-1", "0"],
+                                                  ["0", "0", "1"]]},
+                             "dichotomy": {}}, EXP, EXP),
+               rate_power_system(EXP, a=-1.0, b=1.0),
+               sharp_oscillating_system(EXP, EXP, -1.0, 1.0, 0.2)]
+    for system in systems:
+        batch = system.A(t)
+        assert batch.shape == (len(t), system.n, system.n)
+        for b, tt in enumerate(t):
+            assert batch[b].tobytes() == system.A(float(tt)).tobytes()
 
 
 def test_solver_rejects_oversized_delta():

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stablemanifold import verify
 from stablemanifold.dichotomy import DichotomyParams, rate_power_system
 from stablemanifold.manifold import SolverConfig, cubic_perturbation, solve_manifold
 from stablemanifold.rates import builtin_rate
@@ -135,6 +137,31 @@ def test_perturbation_bound_on_oracle():
     assert report.quotient == pytest.approx(2e-4, rel=1e-4)
     assert report.graph_distance <= report.stability_k * report.f_distance.value
     assert report.notes
+
+
+def test_perturbation_bound_reuses_a_matching_base_solve(monkeypatch):
+    system = rate_power_system(EXP, a=-1.0, b=1.0)
+    cfg = SolverConfig(s_grid=tuple(np.linspace(0.0, 2.0, 5)), delta=0.02, C=2.0,
+                       nodes_per_axis=9, h=0.02)
+    f, g = cubic_perturbation(1.0), cubic_perturbation(1.05)
+    base = solve_manifold(system, EXP, EXP, PARAMS, f, cfg)
+    fresh = check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg)
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args[4].label)
+        return solve_manifold(*args)
+
+    monkeypatch.setattr(verify, "solve_manifold", counting_solve)
+    reused = check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg, solved=base)
+    assert reused == fresh
+    assert calls == [g.label]
+    # a base solve at another delta is not the common-radius solve: solve afresh
+    other = solve_manifold(system, EXP, EXP, PARAMS, f, replace(cfg, delta=0.01))
+    calls.clear()
+    assert check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg,
+                                    solved=other) == fresh
+    assert calls == [f.label, g.label]
 
 
 def test_perturbation_bound_rejects_mismatched_order():
