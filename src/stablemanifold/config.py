@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields
 from typing import Any
 
 import numpy as np
@@ -196,11 +197,9 @@ def _resolve_comparison(obj: Any, path: str) -> dict:
     return _resolve_perturbation(obj, path)
 
 
-_SOLVER_DEFAULTS = {
-    "nodes_per_axis": 41, "h": 0.01, "outer_tol": 1e-8, "max_outer": 30,
-    "picard_tol": 1e-10, "tail_abs_tol": 1e-12, "t_cut_max": 1e5,
-    "lipschitz_tol": 1e-3, "quad_rel_tol": 1e-8, "decay_slack": 1.05, "delta_cap": 1.0,
-}
+# s_grid has no default and delta, C default to None, written "auto" in a config
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)
+                    if f.default is not MISSING and f.default is not None}
 
 _CHECK_DEFAULTS = {
     "axiom_t_max": 50.0, "axiom_points": 201,
@@ -236,7 +235,7 @@ def _resolve_solver(obj: Any, path: str) -> dict:
         else:
             out[key] = _number(val, f"{path}.{key}", lo=0.0, strict_lo=True)
     for key, default in _SOLVER_DEFAULTS.items():
-        if key in ("nodes_per_axis", "max_outer"):
+        if isinstance(default, int):
             out[key] = _integer(obj.get(key, default), f"{path}.{key}", lo=1)
         else:
             out[key] = _number(obj.get(key, default), f"{path}.{key}", lo=0.0,
@@ -392,29 +391,14 @@ def build_comparison(resolved: dict, n: int) -> Perturbation:
     if base["kind"] == "cubic":
         return cubic_perturbation(base["coef"] * scale, n)
     inner = build_perturbation(base, n)
-
-    def f(t, v):
-        return scale * inner.f(t, v)
-
-    def f_batch(t, v):
-        return scale * inner.batch(t, v)
-
-    return Perturbation(f, c=inner.c * abs(scale), q=inner.q,
-                        label=f"{inner.label} x {scale:g}", f_batch=f_batch)
+    return Perturbation(lambda t, v: scale * inner.f(t, v), c=inner.c * abs(scale),
+                        q=inner.q, label=f"{inner.label} x {scale:g}")
 
 
 def build_solver_config(resolved: dict) -> SolverConfig:
     s = resolved["solver"]
-    return SolverConfig(
-        s_grid=tuple(s["s_grid"]),
-        delta=None if s["delta"] == "auto" else s["delta"],
-        C=None if s["C"] == "auto" else s["C"],
-        nodes_per_axis=s["nodes_per_axis"], h=s["h"], outer_tol=s["outer_tol"],
-        max_outer=s["max_outer"], picard_tol=s["picard_tol"],
-        tail_abs_tol=s["tail_abs_tol"], t_cut_max=s["t_cut_max"],
-        lipschitz_tol=s["lipschitz_tol"], quad_rel_tol=s["quad_rel_tol"],
-        decay_slack=s["decay_slack"], delta_cap=s["delta_cap"],
-    )
+    kw = {f.name: None if s[f.name] == "auto" else s[f.name] for f in fields(SolverConfig)}
+    return SolverConfig(**{**kw, "s_grid": tuple(s["s_grid"])})
 
 
 def scale_tolerances(resolved: dict, factor: float) -> dict:

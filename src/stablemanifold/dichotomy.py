@@ -2,7 +2,10 @@
 
 A system is either *closed form* (scalar propagators U, V on the stable and
 unstable coordinate blocks) or *matrix form* (a coefficient matrix A(t) whose
-transition matrix is obtained by fixed-step 4th-order propagation).
+transition matrix is obtained by fixed-step 4th-order propagation).  The
+diagonal of a closed-form T(t, s) is built in one place, ``closed_form_diagonal``,
+for scalar times and for batches; ``verify_dichotomy`` propagates each matrix
+pair forward once and inverts that same matrix.
 
 The dichotomy bounds checked here, for projections P(t) with complement Q(t),
 growth rates mu, nu and constants (D, a, b, eps)::
@@ -25,8 +28,8 @@ from .rates import GrowthRate
 
 __all__ = ["DichotomyParams", "LinearSystem", "DichotomyCertificate",
            "coordinate_projection", "rate_power_system", "sharp_oscillating_system",
-           "matrix_system", "transition", "transition_inverse", "verify_dichotomy",
-           "sharpness_probe", "pair_grid"]
+           "matrix_system", "closed_form_diagonal", "transition", "transition_inverse",
+           "verify_dichotomy", "sharpness_probe", "pair_grid"]
 
 
 @dataclass(frozen=True)
@@ -172,15 +175,19 @@ def matrix_system(coeff: Callable[[float], np.ndarray], n: int, n_stable: int,
                         label=label, meta={"kind": "matrix"})
 
 
-def _closed_form_transition(system: LinearSystem, t: float, s: float) -> np.ndarray:
-    m = np.zeros((system.n, system.n))
-    u = float(system.U(t, s))
-    v = float(system.V(t, s))
-    for i in range(system.n_stable):
-        m[i, i] = u
-    for i in range(system.n_stable, system.n):
-        m[i, i] = v
-    return m
+# condition number of T(t, s) above which its inverse comes from backward propagation
+_COND_LIMIT = 1e8
+
+
+def closed_form_diagonal(system: LinearSystem, t, s) -> np.ndarray:
+    """Diagonal of T(t, s) on a closed-form system: U(t, s) on the stable block, V(t, s)
+    on the unstable one.  Scalar t and s give shape (n,), times of shape (B,) give (B, n).
+    """
+    u = np.asarray(system.U(t, s), dtype=float)
+    g = np.empty(u.shape + (system.n,))
+    g[..., :system.n_stable] = u[..., None]
+    g[..., system.n_stable:] = np.asarray(system.V(t, s), dtype=float)[..., None]
+    return g
 
 
 def transition(system: LinearSystem, t: float, s: float, h: float = 1e-3) -> np.ndarray:
@@ -188,34 +195,14 @@ def transition(system: LinearSystem, t: float, s: float, h: float = 1e-3) -> np.
     if t < s:
         raise ValueError(f"transition requires t >= s, got t={t}, s={s}")
     if system.form == "closed_form":
-        return _closed_form_transition(system, t, s)
+        return np.diag(closed_form_diagonal(system, t, s))
     return rk4_propagate(lambda r, m: system.A(r) @ m, s, np.eye(system.n), t, h)
 
 
-def transition_inverse(system: LinearSystem, t: float, s: float, h: float = 1e-3,
-                       cond_limit: float = 1e8) -> tuple[np.ndarray, list[str]]:
-    """T(t, s)^-1 = T(s, t), with a conditioning-aware route for matrix systems.
-
-    Direct inversion is used while the (spectral) condition number stays below
-    ``cond_limit``; beyond it, or on a singular factor, the inverse is obtained
-    by propagating the system backward from t to s.  Returns (matrix, notes).
-    """
-    if t < s:
-        raise ValueError(f"transition_inverse requires t >= s, got t={t}, s={s}")
+def _invert_transition(system: LinearSystem, fwd: np.ndarray, t: float, s: float,
+                       h: float, cond_limit: float) -> tuple[np.ndarray, list[str]]:
+    """``transition_inverse`` of a matrix system whose T(t, s) = fwd is already known."""
     notes: list[str] = []
-    if system.form == "closed_form":
-        m = np.zeros((system.n, system.n))
-        u = float(system.U(t, s))
-        v = float(system.V(t, s))
-        if u == 0.0 or v == 0.0:
-            notes.append(f"singular closed-form factor at (t={t}, s={s})")
-            return np.full((system.n, system.n), np.nan), notes
-        for i in range(system.n_stable):
-            m[i, i] = 1.0 / u
-        for i in range(system.n_stable, system.n):
-            m[i, i] = 1.0 / v
-        return m, notes
-    fwd = transition(system, t, s, h)
     try:
         inv = np.linalg.inv(fwd)
         cond = spectral_norm(fwd) * spectral_norm(inv)
@@ -227,6 +214,25 @@ def transition_inverse(system: LinearSystem, t: float, s: float, h: float = 1e-3
         notes.append("transition matrix numerically singular; using backward propagation")
     back = rk4_propagate(lambda r, m: system.A(r) @ m, t, np.eye(system.n), s, h)
     return back, notes
+
+
+def transition_inverse(system: LinearSystem, t: float, s: float, h: float = 1e-3,
+                       cond_limit: float = _COND_LIMIT) -> tuple[np.ndarray, list[str]]:
+    """T(t, s)^-1 = T(s, t), with a conditioning-aware route for matrix systems.
+
+    Direct inversion is used while the (spectral) condition number stays below
+    ``cond_limit``; beyond it, or on a singular factor, the inverse is obtained
+    by propagating the system backward from t to s.  Returns (matrix, notes).
+    """
+    if t < s:
+        raise ValueError(f"transition_inverse requires t >= s, got t={t}, s={s}")
+    if system.form == "closed_form":
+        g = closed_form_diagonal(system, t, s)
+        if np.any(g == 0.0):
+            return (np.full((system.n, system.n), np.nan),
+                    [f"singular closed-form factor at (t={t}, s={s})"])
+        return np.diag(1.0 / g), []
+    return _invert_transition(system, transition(system, t, s, h), t, s, h, cond_limit)
 
 
 def pair_grid(t_max: float, n_pairs: int) -> list[tuple[float, float]]:
@@ -272,14 +278,14 @@ def verify_dichotomy(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
         stable_bound = params.D * np.exp(params.a * log_ratio + params.eps * nu.log_eval(s))
         unstable_bound = params.D * np.exp(-params.b * log_ratio + params.eps * nu.log_eval(t))
         if system.form == "closed_form":
-            u = abs(float(system.U(t, s)))
-            v = abs(float(system.V(t, s)))
+            g = np.abs(closed_form_diagonal(system, t, s))
+            u, v = float(g[0]), float(g[-1])
             stable_norm = u if system.n_stable > 0 else 0.0
             unstable_norm = (1.0 / v if v > 0.0 else np.inf) if system.n_unstable > 0 else 0.0
             commut = 0.0
         else:
             fwd = transition(system, t, s, h)
-            inv, inv_notes = transition_inverse(system, t, s, h)
+            inv, inv_notes = _invert_transition(system, fwd, t, s, h, _COND_LIMIT)
             notes.extend(inv_notes)
             p_s = system.P(s)
             p_t = system.P(t)

@@ -30,7 +30,9 @@ one exists, log-linearly otherwise.
 ``nonlinear_flow_many`` integrates the full nonlinear system for a batch of
 samples at once, each with its own start time and duration; ``nonlinear_flow``
 is its one-sample form.  It, the inner-grid stepper and ``linalg.rk4_propagate``
-share one RK4 step, ``linalg.rk4_step``.
+share one RK4 step, ``linalg.rk4_step``; on closed-form systems it reads the
+diagonal of T(t, s) from ``dichotomy.closed_form_diagonal``.  Every caller
+evaluates the perturbation on a batch of samples (see ``Perturbation``).
 
 Norms on state blocks are sum norms.
 """
@@ -44,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .admissibility import BetaFunction, analytic_tail_bound, default_capacity, delta_max
-from .dichotomy import DichotomyParams, LinearSystem
+from .dichotomy import DichotomyParams, LinearSystem, closed_form_diagonal
 from .errors import (BlowupError, ContractionError, ConvergenceError, DecayBoundError,
                      DivergenceError, LipschitzError, NumericalError, TailBoundError)
 from .expr import compile_expression
@@ -66,15 +68,15 @@ _CHUNK_SAMPLES = 4096
 class Perturbation:
     """Nonlinearity f(t, v) vanishing at v = 0 with |f(t,u)-f(t,v)| <= c|u-v|(|u|+|v|)^q.
 
-    ``f`` maps (t, v in R^n) -> R^n; ``batch`` (optional) evaluates a whole
-    time/state sample block at once and exists purely for speed.
+    ``f`` works on samples: times t of shape (B,) and states v of shape (B, n)
+    map to f-values of shape (B, n), row b being f(t[b], v[b]).  A single
+    sample is the batch B = 1.
     """
 
-    f: Callable[[float, np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     c: float
     q: float
     label: str = ""
-    f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.c > 0.0:
@@ -82,28 +84,18 @@ class Perturbation:
         if not self.q >= 1.0:
             raise ValueError(f"perturbation order q must be >= 1, got {self.q}")
 
-    def batch(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.f_batch is not None:
-            return self.f_batch(t, v)
-        return np.asarray([self.f(float(tt), vv) for tt, vv in zip(t, v)], dtype=float)
-
 
 def cubic_perturbation(coef: float, n: int = 2) -> Perturbation:
     """f(t, v) = (0, ..., 0, coef * v_1^3): order-3 forcing of the last component."""
     if n < 2:
         raise ValueError("cubic perturbation needs n >= 2")
 
-    def f(t: float, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(n)
-        out[-1] = coef * v[0] ** 3
-        return out
-
-    def f_batch(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
         out[:, -1] = coef * v[:, 0] ** 3
         return out
 
-    return Perturbation(f, c=abs(coef), q=2.0, label=f"cubic(coef={coef:g})", f_batch=f_batch)
+    return Perturbation(f, c=abs(coef), q=2.0, label=f"cubic(coef={coef:g})")
 
 
 def expression_perturbation(components: Sequence[str], c: float, q: float,
@@ -113,23 +105,14 @@ def expression_perturbation(components: Sequence[str], c: float, q: float,
     names = ("t",) + tuple(f"u{i + 1}" for i in range(n))
     fns = [compile_expression(text, variables=names) for text in components]
 
-    def env_for(t, v):
-        env = {"t": t}
-        for i in range(n):
-            env[f"u{i + 1}"] = v[..., i]
-        return env
-
-    def f(t: float, v: np.ndarray) -> np.ndarray:
-        env = env_for(t, np.asarray(v, dtype=float))
-        return np.array([float(fn(**env)) for fn in fns])
-
-    def f_batch(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        env = env_for(np.asarray(t, dtype=float), np.asarray(v, dtype=float))
+    def f(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        v = np.asarray(v, dtype=float)
+        env = {"t": t, **{f"u{i + 1}": v[:, i] for i in range(n)}}
         cols = [np.broadcast_to(np.asarray(fn(**env), dtype=float), t.shape) for fn in fns]
         return np.stack(cols, axis=1)
 
-    return Perturbation(f, c=c, q=q, label=label or f"expr({', '.join(components)})",
-                        f_batch=f_batch)
+    return Perturbation(f, c=c, q=q, label=label or f"expr({', '.join(components)})")
 
 
 def outer_contraction_factor(c: float, q: float, C: float, D: float, delta: float) -> float:
@@ -287,7 +270,7 @@ def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
     """f(t, x, phi(t, x)) along node paths x (B, T, n_E) on the grid t_grid (T,)."""
     t = np.tile(t_grid, len(x))
     flat = x.reshape(len(t), -1)
-    fv = pert.batch(t, _assemble_state(flat, eval_phi_many(graph, t, flat)))
+    fv = pert.f(t, _assemble_state(flat, eval_phi_many(graph, t, flat)))
     return fv.reshape(x.shape[:2] + (-1,))
 
 
@@ -308,7 +291,7 @@ def _node_paths(graph: ManifoldGraph, system: LinearSystem, pert: Perturbation,
             t = np.full(len(states), tt)
             stable = states[:, :n_e]
             full = _assemble_state(stable, eval_phi_many(graph, t, stable))
-            return states @ system.A(tt).T + pert.batch(t, full) @ proj_t
+            return states @ system.A(tt).T + pert.f(t, full) @ proj_t
 
         def project(states: np.ndarray) -> None:
             states[:, n_e:] = 0.0
@@ -554,7 +537,9 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
     their radially clamped targets, which keeps the interpolant consistent
     with the Lipschitz extension.  Every node path must respect its decay
     envelope up to ``cfg.decay_slack``; the worst ratio is returned in
-    ``meta["max_decay_ratio"]``.
+    ``meta["max_decay_ratio"]``.  The worst ratio of |Dphi|_1 to |Dxi|_1 over
+    adjacent in-ball nodes, bounded by 1 + ``cfg.lipschitz_tol``, is returned
+    in ``meta["max_lipschitz_ratio"]``.
     """
     if tables is None:
         tables = _slice_tables(graph, system, mu, nu, params, pert, cfg)
@@ -574,8 +559,9 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
                 integrand = np.einsum("rij,brj->bri", table.v_inv, fv)[..., n_e:]
             new_values[k, lo:lo + chunk] = -composite_simpson(np.moveaxis(integrand, 1, 0),
                                                               table.h)
-    _check_lipschitz(graph, new_values, cfg.lipschitz_tol)
-    return replace(graph, values=new_values, meta={**graph.meta, "max_decay_ratio": worst})
+    lipschitz = _check_lipschitz(graph, new_values, cfg.lipschitz_tol)
+    return replace(graph, values=new_values, meta={**graph.meta, "max_decay_ratio": worst,
+                                                   "max_lipschitz_ratio": lipschitz})
 
 
 def _make_radius_fn(s_grid: np.ndarray, radii: np.ndarray, beta_fn: BetaFunction):
@@ -618,10 +604,10 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     """Iterate the graph operator from phi = 0 until the node metric settles.
 
     Returns the converged graph and the iteration history
-    [{iteration, distance, ratio, max_decay_ratio}].  The measured contraction
-    ratio must stay within 10% of the certified factor; persistent excess
-    raises ContractionError, exhaustion of the budget raises ConvergenceError.
-    The slice tables are built once here and dropped on return.
+    [{iteration, distance, ratio, max_decay_ratio, max_lipschitz_ratio}].  The
+    measured contraction ratio must stay within 10% of the certified factor;
+    persistent excess raises ContractionError, exhaustion of the budget raises
+    ConvergenceError.  The slice tables are built once here and dropped on return.
     """
     n_e, n_f = system.n_stable, system.n_unstable
     cap = cfg.C if cfg.C is not None else default_capacity(params.D)
@@ -636,10 +622,11 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     s_grid = np.asarray(cfg.s_grid, dtype=float)
     if s_grid.size == 0 or np.any(np.diff(s_grid) <= 0.0):
         raise ValueError("s_grid must be strictly increasing and nonempty")
-    for s in s_grid:
-        probe = np.abs(np.asarray(pert.f(float(s), np.zeros(system.n)))).max()
-        if probe != 0.0:
-            raise ValueError(f"perturbation must vanish at the origin; f({s:g}, 0) != 0")
+    at_origin = np.abs(pert.f(s_grid, np.zeros((len(s_grid), system.n)))).max(axis=1)
+    bad = np.flatnonzero(at_origin != 0.0)
+    if bad.size:
+        raise ValueError(f"perturbation must vanish at the origin; "
+                         f"f({s_grid[bad[0]]:g}, 0) != 0")
     beta_fn = BetaFunction(mu, nu, params.a, params.eps, pert.q, cfg.quad_rel_tol)
     radii = np.array([delta * beta_fn.beta(float(s)) for s in s_grid])
     lattice, in_ball, targets = _build_lattice(n_e, cfg.nodes_per_axis)
@@ -662,7 +649,8 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
         distance = graph_metric_distance(graph.values, new_graph.values, graph)
         ratio = (distance / prev_distance) if prev_distance else None
         history.append({"iteration": iteration, "distance": distance, "ratio": ratio,
-                        "max_decay_ratio": new_graph.meta["max_decay_ratio"]})
+                        "max_decay_ratio": new_graph.meta["max_decay_ratio"],
+                        "max_lipschitz_ratio": new_graph.meta["max_lipschitz_ratio"]})
         graph = new_graph
         if distance <= cfg.outer_tol:
             return graph, history
@@ -707,18 +695,10 @@ def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
     n_steps = np.where(tau == 0.0, 0, np.maximum(1, np.ceil(tau / h))).astype(np.int64)
     t = s.copy()
     t_blowup = np.full(len(v), math.nan)
-    n_e = system.n_stable
     closed = system.form == "closed_form"
 
-    def factors(tt: np.ndarray, t0: np.ndarray) -> np.ndarray:
-        # diagonal of T(tt, t0): U on the stable block, V on the unstable one
-        g = np.empty((len(tt), system.n))
-        g[:, :n_e] = np.asarray(system.U(tt, t0), dtype=float)[:, None]
-        g[:, n_e:] = np.asarray(system.V(tt, t0), dtype=float)[:, None]
-        return g
-
     def deriv(tt: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        return np.matmul(system.A(tt), vv[:, :, None])[:, :, 0] + pert.batch(tt, vv)
+        return np.matmul(system.A(tt), vv[:, :, None])[:, :, 0] + pert.f(tt, vv)
 
     # the batch: sample indices and their limits, step sizes, steps left, times, states
     idx = np.flatnonzero(n_steps)
@@ -728,10 +708,10 @@ def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
     while idx.size:
         if closed:
             def deriv_w(tt: np.ndarray, w: np.ndarray, t0: np.ndarray = tb) -> np.ndarray:
-                g = factors(tt, t0)
-                return pert.batch(tt, g * w) / g
+                g = closed_form_diagonal(system, tt, t0)
+                return pert.f(tt, g * w) / g
 
-            vb = factors(tb + dt, tb) * rk4_step(deriv_w, tb, vb, dt)
+            vb = closed_form_diagonal(system, tb + dt, tb) * rk4_step(deriv_w, tb, vb, dt)
         else:
             vb = rk4_step(deriv, tb, vb, dt)
         tb = tb + dt

@@ -225,23 +225,25 @@ def default_perturbation_samples(n: int, t_grid: Sequence[float],
 def perturbation_distance(f: Perturbation | Callable, f_bar: Perturbation | Callable,
                           q: float, samples: Sequence[tuple[float, np.ndarray]]
                           ) -> PerturbationDistance:
-    """Evaluate the order-(q+1) weighted sup distance on an explicit sample set."""
+    """Evaluate the order-(q+1) weighted sup distance on an explicit sample set.
+
+    ``f`` and ``f_bar`` are perturbations or callables with the same batch
+    contract; each is evaluated once on all samples with u != 0.
+    """
     if len(samples) == 0:
         raise ValueError("empty sample set")
     f_fn = f.f if isinstance(f, Perturbation) else f
     g_fn = f_bar.f if isinstance(f_bar, Perturbation) else f_bar
-    worst = 0.0
-    t_seen, d_seen, r_seen = set(), set(), set()
-    for t, u in samples:
-        u = np.asarray(u, dtype=float)
-        norm = float(np.abs(u).sum())
-        if norm == 0.0:
-            continue
-        gap = float(np.abs(np.asarray(f_fn(t, u)) - np.asarray(g_fn(t, u))).sum())
-        worst = max(worst, gap / norm ** (q + 1.0))
-        t_seen.add(round(t, 12))
-        r_seen.add(round(norm, 12))
-        d_seen.add(tuple(np.round(u / norm, 12)))
+    t = np.array([ts for ts, _ in samples], dtype=float)
+    u = np.array([np.asarray(us, dtype=float) for _, us in samples])
+    norms = np.abs(u).sum(axis=1)
+    keep = norms != 0.0
+    t, u, norms = t[keep], u[keep], norms[keep]
+    gap = np.abs(f_fn(t, u) - g_fn(t, u)).sum(axis=1)
+    worst = float((gap / norms ** (q + 1.0)).max(initial=0.0))
+    t_seen = {round(tt, 12) for tt in t.tolist()}
+    r_seen = {round(r, 12) for r in norms.tolist()}
+    d_seen = {tuple(d) for d in np.round(u / norms[:, None], 12).tolist()}
     return PerturbationDistance(worst, len(samples), len(t_seen), len(d_seen), len(r_seen))
 
 

@@ -8,6 +8,7 @@ from stablemanifold.config import (build_comparison, build_params, build_perturb
                                    build_rates, build_solver_config, build_system,
                                    load_config, resolve_config, scale_tolerances)
 from stablemanifold.errors import ConfigError
+from stablemanifold.manifold import SolverConfig
 
 
 def base_config():
@@ -160,7 +161,8 @@ def test_builders_produce_working_objects():
     assert comp.c == pytest.approx(1.05)
     import numpy as np
     v = np.array([0.1, 0.0])
-    assert comp.f(0.0, v)[1] == pytest.approx(1.05 * pert.f(0.0, v)[1])
+    t = np.zeros(1)
+    assert comp.f(t, v[None])[0, 1] == pytest.approx(1.05 * pert.f(t, v[None])[0, 1])
     cfg = build_solver_config(resolved)
     assert cfg.delta == 0.02 and cfg.C == 2.0 and cfg.s_grid == (0.0, 0.5, 1.0)
 
@@ -170,6 +172,14 @@ def test_auto_delta_maps_to_none():
     raw["solver"] = {"s_max": 1.0, "n_slices": 3}
     cfg = build_solver_config(resolve_config(raw))
     assert cfg.delta is None and cfg.C is None
+
+
+def test_minimal_solver_block_resolves_to_solver_config_defaults():
+    raw = base_config()
+    raw["solver"] = {"s_max": 1.0}
+    cfg = build_solver_config(resolve_config(raw))
+    assert len(cfg.s_grid) == 21
+    assert cfg == SolverConfig(s_grid=cfg.s_grid)
 
 
 def test_matrix_builder_evaluates_coefficients():

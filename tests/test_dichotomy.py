@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from stablemanifold.dichotomy import (DichotomyParams, coordinate_projection,
-                                      matrix_system, pair_grid, rate_power_system,
-                                      sharp_oscillating_system, sharpness_probe,
-                                      transition, transition_inverse, verify_dichotomy)
+from stablemanifold import dichotomy
+from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, closed_form_diagonal,
+                                      coordinate_projection, matrix_system, pair_grid,
+                                      rate_power_system, sharp_oscillating_system,
+                                      sharpness_probe, transition, transition_inverse,
+                                      verify_dichotomy)
+from stablemanifold.linalg import spectral_norm
 from stablemanifold.rates import builtin_rate
 
 EXP = builtin_rate("exponential")
@@ -77,6 +80,31 @@ def test_transition_inverse_fallback_when_ill_conditioned():
     assert np.allclose(inv, expected, rtol=1e-6)
 
 
+def _three_state_closed_form():
+    base = rate_power_system(POLY, a=-2.0, b=0.5)
+    return LinearSystem(3, 2, coordinate_projection(3, 2), U=base.U, V=base.V, label="diag3")
+
+
+@pytest.mark.parametrize("system", [
+    rate_power_system(POLY, a=-2.0, b=0.5),
+    rate_power_system(builtin_rate("loglog_poly", lam=1.5), a=-1.0, b=1.0),
+    sharp_oscillating_system(EXP, POLY, a=-1.0, b=1.0, eps=0.2),
+    _three_state_closed_form(),
+], ids=["polynomial", "loglog", "sharp", "three_state"])
+def test_closed_form_diagonal_batch_equals_scalar_calls(system):
+    pairs = pair_grid(30.0, 17)
+    t = np.array([t for t, _ in pairs])
+    s = np.array([s for _, s in pairs])
+    batch = closed_form_diagonal(system, t, s)
+    assert batch.shape == (len(pairs), system.n)
+    for row, (tt, ss) in zip(batch, pairs):
+        u, v = float(system.U(tt, ss)), float(system.V(tt, ss))
+        expected = np.array([u] * system.n_stable + [v] * system.n_unstable)
+        assert row.tobytes() == expected.tobytes()
+        assert closed_form_diagonal(system, tt, ss).tobytes() == expected.tobytes()
+        assert transition(system, tt, ss).tobytes() == np.diag(expected).tobytes()
+
+
 def test_verify_dichotomy_closed_form_exact():
     sys_ = rate_power_system(EXP, a=-1.0, b=1.0)
     params = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.0)
@@ -93,6 +121,34 @@ def test_verify_dichotomy_matrix_route():
     cert = verify_dichotomy(mat, EXP, EXP, params, pair_grid(5.0, 20), tol=1e-7, h=1e-3)
     assert cert.passed
     assert cert.max_commutation_residual <= 1e-7
+
+
+def test_verify_dichotomy_propagates_each_matrix_pair_once(monkeypatch):
+    # the last pair's forward map is ill conditioned: its inverse comes from
+    # one more, backward, propagation
+    mat = matrix_system(lambda t: np.array([[-1.0, 0.3], [0.0, 1.0]]), 2, 1)
+    params = DichotomyParams(D=2.0, a=-1.0, b=1.0, eps=0.0)
+    pairs = pair_grid(3.0, 6) + [(12.0, 0.0)]
+    h = 1e-2
+    calls = []
+    propagate = dichotomy.rk4_propagate
+
+    def counting(deriv, t0, y0, t1, step):
+        calls.append((t0, t1))
+        return propagate(deriv, t0, y0, t1, step)
+
+    monkeypatch.setattr(dichotomy, "rk4_propagate", counting)
+    cert = verify_dichotomy(mat, EXP, EXP, params, pairs, h=h)
+    assert calls == [(s, t) for t, s in pairs] + [(12.0, 0.0)]
+    assert len(cert.notes) == 1 and "backward" in cert.notes[0]
+    monkeypatch.setattr(dichotomy, "rk4_propagate", propagate)
+    for (t, s), row in zip(pairs, cert.rows):
+        fwd = transition(mat, t, s, h)
+        inv, _ = transition_inverse(mat, t, s, h)
+        q_t = np.eye(2) - mat.P(t)
+        unstable = spectral_norm(inv @ q_t) / (params.D * np.exp(-params.b * (t - s)))
+        stable = spectral_norm(fwd @ mat.P(s)) / (params.D * np.exp(params.a * (t - s)))
+        assert row[2:4] == (stable, unstable)
 
 
 def test_verify_dichotomy_rejects_overclaimed_rate():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from stablemanifold import manifold
 from stablemanifold.config import build_system
-from stablemanifold.dichotomy import (DichotomyParams, matrix_system, rate_power_system,
+from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, coordinate_projection,
+                                      matrix_system, rate_power_system,
                                       sharp_oscillating_system)
 from stablemanifold.errors import BlowupError, DecayBoundError
 from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbation,
@@ -47,9 +48,9 @@ def test_perturbation_validation():
 def test_cubic_perturbation_shape():
     pert = cubic_perturbation(2.0)
     assert pert.c == 2.0 and pert.q == 2.0
-    out = pert.f(0.0, np.array([0.5, 9.0]))
+    out = pert.f(np.zeros(1), np.array([[0.5, 9.0]]))[0]
     assert np.allclose(out, [0.0, 0.25])
-    batch = pert.batch(np.zeros(3), np.array([[0.5, 9.0], [1.0, 0.0], [-1.0, 3.0]]))
+    batch = pert.f(np.zeros(3), np.array([[0.5, 9.0], [1.0, 0.0], [-1.0, 3.0]]))
     assert np.allclose(batch, [[0.0, 0.25], [0.0, 2.0], [0.0, -2.0]])
     with pytest.raises(ValueError, match="n >= 2"):
         cubic_perturbation(1.0, n=1)
@@ -60,8 +61,9 @@ def test_expression_perturbation_matches_cubic():
     ref = cubic_perturbation(1.0)
     t = np.linspace(0.0, 1.0, 5)
     v = np.column_stack([np.linspace(-0.5, 0.5, 5), np.zeros(5)])
-    assert np.allclose(pert.batch(t, v), ref.batch(t, v))
-    assert np.allclose(pert.f(0.3, np.array([0.2, 1.0])), ref.f(0.3, np.array([0.2, 1.0])))
+    assert np.allclose(pert.f(t, v), ref.f(t, v))
+    one_t, one_v = np.array([0.3]), np.array([[0.2, 1.0]])
+    assert np.allclose(pert.f(one_t, one_v), ref.f(one_t, one_v))
 
 
 def test_outer_contraction_factor_value():
@@ -289,10 +291,20 @@ def test_solver_rejects_oversized_delta():
 
 def test_solver_rejects_nonvanishing_perturbation():
     system = rate_power_system(EXP, a=-1.0, b=1.0)
-    bad = Perturbation(lambda t, v: np.array([0.0, 1e-3 + v[0] ** 3]), c=1.0, q=2.0)
+    bad = Perturbation(lambda t, v: np.column_stack([np.zeros(len(t)), 1e-3 + v[:, 0] ** 3]),
+                       c=1.0, q=2.0)
     cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05)
     with pytest.raises(ValueError, match="vanish at the origin"):
         solve_manifold(system, EXP, EXP, PARAMS, bad, cfg)
+
+
+def test_nonvanishing_error_names_first_bad_slice():
+    system = rate_power_system(EXP, a=-1.0, b=1.0)
+    late = Perturbation(lambda t, v: np.column_stack(
+        [np.zeros(len(t)), np.where(t >= 0.5, 1e-3, 0.0) + v[:, 0] ** 3]), c=1.0, q=2.0)
+    cfg = SolverConfig(s_grid=(0.0, 0.5, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05)
+    with pytest.raises(ValueError, match=r"f\(0\.5, 0\) != 0"):
+        solve_manifold(system, EXP, EXP, PARAMS, late, cfg)
 
 
 def test_solver_rejects_bad_lattice():
@@ -322,6 +334,40 @@ def test_history_records_decay_ratio(solved):
     for row in history:
         assert row["max_decay_ratio"] == pytest.approx(0.5, rel=1e-12)
     assert graph.meta["max_decay_ratio"] == history[-1]["max_decay_ratio"]
+
+
+def _largest_adjacent_node_ratio(graph):
+    """Reference: max |Dphi|_1 / |Dxi|_1 over pairs of adjacent in-ball nodes."""
+    m, d = graph.nodes_per_axis, graph.n_stable
+    in_ball = graph.in_ball.reshape((m,) * d)
+    worst = 0.0
+    for k in range(graph.n_slices):
+        vals = graph.values[k].reshape((m,) * d + (graph.n_unstable,))
+        dxi = 2.0 * graph.radii[k] / (m - 1)
+        for axis in range(d):
+            pair_in_ball = (np.take(in_ball, range(m - 1), axis)
+                            & np.take(in_ball, range(1, m), axis))
+            diff = np.abs(np.diff(vals, axis=axis)).sum(axis=-1)
+            worst = max(worst, float((diff[pair_in_ball] / dxi).max()))
+    return worst
+
+
+def _stable_plane_oracle():
+    # u1' = -u1, u2' = -u2, v' = v + u1^3: a 2-D stable block with closed-form factors
+    base = rate_power_system(EXP, a=-1.0, b=1.0)
+    system = LinearSystem(3, 2, coordinate_projection(3, 2), U=base.U, V=base.V)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05)
+    return solve_manifold(system, EXP, EXP, PARAMS, cubic_perturbation(1.0, n=3), cfg)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_history_records_lipschitz_margin(solved, d):
+    graph, history = solved[2:] if d == 1 else _stable_plane_oracle()
+    assert graph.n_stable == d
+    assert history[-1]["max_lipschitz_ratio"] == _largest_adjacent_node_ratio(graph)
+    assert graph.meta["max_lipschitz_ratio"] == history[-1]["max_lipschitz_ratio"]
+    for row in history:
+        assert 0.0 < row["max_lipschitz_ratio"] <= 1.0 + CFG.lipschitz_tol
 
 
 def test_decay_slack_is_enforced():
@@ -386,7 +432,7 @@ def _node_loop_value(graph, pert, table, xi, picard_tol):
     n_e = graph.n_stable
 
     def forcing(x):
-        return pert.batch(t, np.concatenate([x, eval_phi_many(graph, t, x)], axis=1))
+        return pert.f(t, np.concatenate([x, eval_phi_many(graph, t, x)], axis=1))
 
     x = u * xi[None, :]
     for _ in range(80):

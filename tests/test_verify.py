@@ -6,7 +6,8 @@ import pytest
 
 from stablemanifold import verify
 from stablemanifold.dichotomy import DichotomyParams, rate_power_system
-from stablemanifold.manifold import SolverConfig, cubic_perturbation, solve_manifold
+from stablemanifold.manifold import (SolverConfig, cubic_perturbation, expression_perturbation,
+                                     solve_manifold)
 from stablemanifold.rates import builtin_rate
 from stablemanifold.verify import (check_decay, check_invariance, check_perturbation_bound,
                                    default_perturbation_samples, perturbation_distance,
@@ -97,6 +98,40 @@ def test_perturbation_distance_axis_attainment():
     assert dist.n_samples == len(samples)
     zero = perturbation_distance(f, f, 2.0, samples)
     assert zero.value == 0.0
+
+
+def _sample_loop_distance(f, g, q, samples):
+    """Reference: the distance and its distinct counts, one sample at a time."""
+    worst, t_seen, d_seen, r_seen = 0.0, set(), set(), set()
+    for t, u in samples:
+        one_t, one_u = np.array([t]), np.asarray(u, dtype=float)[None]
+        norm = np.abs(one_u).sum(axis=1)
+        if norm[0] == 0.0:
+            continue
+        gap = np.abs(f.f(one_t, one_u) - g.f(one_t, one_u)).sum(axis=1)
+        worst = max(worst, float((gap / norm ** (q + 1.0))[0]))
+        t_seen.add(round(t, 12))
+        r_seen.add(round(float(norm[0]), 12))
+        d_seen.add(tuple(np.round(one_u[0] / norm[0], 12)))
+    return worst, len(t_seen), len(d_seen), len(r_seen)
+
+
+@pytest.mark.parametrize("f, g", [
+    (cubic_perturbation(1.0), cubic_perturbation(1.05)),
+    (expression_perturbation(["exp(-t)*u1*u2^2", "u1^3 - u2^3"], c=3.0, q=2.0),
+     expression_perturbation(["exp(-2*t)*u1*u2^2", "1.1*u1^3 - u2^3"], c=3.3, q=2.0)),
+], ids=["cubic", "expression"])
+def test_perturbation_distance_matches_sample_loop(f, g):
+    rng = np.random.default_rng(3)
+    samples = default_perturbation_samples(2, [0.0, 0.7, 1.9], [0.25, 0.5, 1.0], rng)
+    samples.insert(5, (0.7, np.zeros(2)))
+    dist = perturbation_distance(f, g, 2.0, samples)
+    worst, t_count, d_count, r_count = _sample_loop_distance(f, g, 2.0, samples)
+    assert worst > 0.0
+    assert dist.value == worst
+    assert (dist.t_count, dist.direction_count, dist.radius_count) == (t_count, d_count,
+                                                                       r_count)
+    assert dist.n_samples == len(samples)
 
 
 def test_perturbation_distance_empty_samples():
