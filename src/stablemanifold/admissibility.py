@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DivergenceError, TailBoundError
 from .quadrature import adaptive_simpson
-from .rates import GrowthRate
+from .rates import GrowthRate, _l1, _l2
 
 __all__ = ["LimitCheck", "check_limit_condition", "TailBoundInfo", "analytic_tail_bound",
            "tail_integral", "improper_rate_integral", "beta_value", "BetaFunction",
@@ -82,14 +82,6 @@ class TailBoundInfo:
     fn: Callable[[float], float] | None
     exact: bool
     divergent: bool
-
-
-def _l1(t):
-    return 1.0 + np.log1p(t)
-
-
-def _l2(t):
-    return 1.0 + np.log(_l1(t))
 
 
 _TRIPLES = {
@@ -187,6 +179,14 @@ def analytic_tail_bound(mu: GrowthRate, nu: GrowthRate, p: float,
     return _poly_log_tail(alpha, beta, gamma)
 
 
+def _rate_integrand(mu: GrowthRate, nu: GrowthRate, p: float,
+                    eps: float) -> Callable[[float], float]:
+    """r -> mu(r)^p nu(r)^eps, evaluated in log space."""
+    def integrand(r: float) -> float:
+        return math.exp(p * float(mu.log_eval(r)) + eps * float(nu.log_eval(r)))
+    return integrand
+
+
 def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: float,
                            rel_tol: float = 1e-8, max_span: float = 1e30) -> float:
     """integral_s^inf mu(r)^p nu(r)^eps dr by windowed adaptive Simpson.
@@ -202,9 +202,7 @@ def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
     Raises DivergenceError when window masses refuse to decay and
     TailBoundError when no truncation can be certified within ``max_span``.
     """
-    def integrand(r: float) -> float:
-        return math.exp(p * float(mu.log_eval(r)) + eps * float(nu.log_eval(r)))
-
+    integrand = _rate_integrand(mu, nu, p, eps)
     info = analytic_tail_bound(mu, nu, p, eps)
     if info is not None and info.divergent:
         raise DivergenceError(

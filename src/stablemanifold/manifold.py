@@ -10,15 +10,20 @@ where x is the inner trajectory solving the variation-of-constants equation
 
     x(t) = U(t,s) xi + integral_s^t U(t,r) f_E(r, x(r), phi(r, x(r))) dr
 
-by Picard sweeps (cumulative Simpson on the integrand; the scalar cocycle
-U(t,r) = U(t,s)/U(r,s) of block-scalar systems makes a sweep O(N)); matrix
-systems step it in differential form with projected RK4.  The nodes of a slice
-are solved together in chunks of max(1, 4096 // len(t_grid)); a node leaves
-the sweep at its own tolerance, so its value matches a solve of that node
-alone bit for bit.  Each node path is checked against its decay envelope.
-The slice tables (truncation point, grid, propagator factors, envelope)
-depend only on the slice radii: ``solve_manifold`` builds them once and
-drops them when it returns.
+by Picard sweeps.  Since U(t,r) = T(t,r)P(r) = T(t,s)P(s) T(s,r), a sweep is
+one cumulative Simpson pass::
+
+    x(t) = T(t,s)P(s) [xi + integral_s^t P(s)T(s,r) f_E dr]
+
+and the outer integrand is Q(s)T(s,r) f.  The slice table supplies the three
+maps: on closed-form systems the scalars U(t,s) and 1/V(t,s), on matrix
+systems RK4 tables of the stable columns of T(t,s) and of T(s,r).  The nodes
+of a slice are solved together in chunks of max(1, 4096 // len(t_grid)); a
+node leaves the sweep at its own tolerance, so its value matches a solve of
+that node alone bit for bit.  Each node path is checked against its decay
+envelope.  The slice tables (truncation point, grid, propagator maps,
+envelope) depend only on the slice radii: ``solve_manifold`` builds them once
+and drops them when it returns.
 
 Graphs are stored per s-slice on a shared tensor lattice in normalized
 coordinates; evaluation is multilinear per slice, linear in s between slices,
@@ -45,7 +50,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import BetaFunction, analytic_tail_bound, default_capacity, delta_max
+from .admissibility import (BetaFunction, _rate_integrand, analytic_tail_bound,
+                            default_capacity, delta_max)
 from .dichotomy import DichotomyParams, LinearSystem, closed_form_diagonal
 from .errors import (BlowupError, ContractionError, ConvergenceError, DecayBoundError,
                      DivergenceError, LipschitzError, NumericalError, TailBoundError)
@@ -223,10 +229,6 @@ def eval_phi(graph: ManifoldGraph, s: float, xi) -> np.ndarray:
     return eval_phi_many(graph, np.array([float(s)]), xi_arr)[0]
 
 
-def _assemble_state(x: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
-    return np.concatenate([x, phi_vals], axis=1)
-
-
 @dataclass(frozen=True)
 class InnerTrajectory:
     t: np.ndarray
@@ -237,32 +239,64 @@ class InnerTrajectory:
 
 @dataclass(frozen=True)
 class _SliceTable:
-    """Inner grid and propagator tables of one s-slice, shared by its node paths."""
+    """Inner grid and propagator maps of one s-slice, shared by its node paths.
+
+    For stable vectors y (B, T, n_E) and f-values fv (B, T, n) along the grid,
+    ``stable(y)`` is T(t, s)P(s) y, and ``pull_stable(fv)`` and
+    ``pull_unstable(fv)`` are the stable coordinates of P(s)T(s, t) fv and the
+    unstable ones of Q(s)T(s, t) fv.
+    """
 
     s: float
     t: np.ndarray               # uniform grid from s to the truncation point
     h: float                    # its step
-    u: np.ndarray | None        # U(t, s) on closed-form systems
-    v_inv: np.ndarray | None    # V(t, s)^-1: scalars, or the (T, n, n) table Q(s) T(s, t)
     envelope: np.ndarray        # C (mu(t)/mu(s))^a nu(s)^eps: decay bound per unit |xi|_1
+    stable: Callable[[np.ndarray], np.ndarray]
+    pull_stable: Callable[[np.ndarray], np.ndarray]
+    pull_unstable: Callable[[np.ndarray], np.ndarray]
 
 
 def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
-                 params: DichotomyParams, C: float, s: float, t_max: float, h: float,
-                 outer: bool = True) -> _SliceTable:
+                 params: DichotomyParams, C: float, s: float, t_max: float,
+                 h: float) -> _SliceTable:
     n = max(2, int(math.ceil((t_max - s) / h)))
     h_eff = (t_max - s) / n
     t_grid = s + h_eff * np.arange(n + 1)
-    v_inv = _unstable_inverse_factors(system, s, t_grid) if outer else None
-    u = None
+    n_e = system.n_stable
     if system.form == "closed_form":
-        u = np.asarray(system.U(t_grid, s), dtype=float)
+        u = np.asarray(system.U(t_grid, s), dtype=float)[:, None]
         if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
             raise NumericalError("stable propagator under/overflowed on the inner grid; "
                                  "shorten the integration horizon")
+        v = np.asarray(system.V(t_grid, s), dtype=float)
+        v_inv = None if np.any(v == 0.0) or not np.all(np.isfinite(v)) else (1.0 / v)[:, None]
+
+        def stable(y):
+            return u * y
+
+        def pull_stable(fv):
+            return fv[..., :n_e] / u
+
+        def pull_unstable(fv):
+            if v_inv is None:
+                raise NumericalError("unstable propagator under/overflowed on the outer grid")
+            return v_inv * fv[..., n_e:]
+    else:
+        eye = np.eye(system.n)
+        fwd = _rk4_grid(lambda r, y: system.A(r) @ y, t_grid, eye[:, :n_e])[:, :n_e]
+        back = _rk4_grid(lambda r, w: -w @ system.A(r), t_grid, eye)  # T(s, r)
+
+        def stable(y):
+            return np.einsum("tij,btj->bti", fwd, y)
+
+        def pull_stable(fv):
+            return np.einsum("tij,btj->bti", back[:, :n_e], fv)
+
+        def pull_unstable(fv):
+            return np.einsum("tij,btj->bti", back[:, n_e:], fv)
     log_b = params.a * (np.asarray(mu.log_eval(t_grid), dtype=float) - float(mu.log_eval(s)))
     envelope = C * np.exp(log_b + params.eps * float(nu.log_eval(s)))
-    return _SliceTable(s, t_grid, h_eff, u, v_inv, envelope)
+    return _SliceTable(s, t_grid, h_eff, envelope, stable, pull_stable, pull_unstable)
 
 
 def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
@@ -270,48 +304,30 @@ def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
     """f(t, x, phi(t, x)) along node paths x (B, T, n_E) on the grid t_grid (T,)."""
     t = np.tile(t_grid, len(x))
     flat = x.reshape(len(t), -1)
-    fv = pert.f(t, _assemble_state(flat, eval_phi_many(graph, t, flat)))
+    fv = pert.f(t, np.concatenate([flat, eval_phi_many(graph, t, flat)], axis=1))
     return fv.reshape(x.shape[:2] + (-1,))
 
 
-def _node_paths(graph: ManifoldGraph, system: LinearSystem, pert: Perturbation,
-                table: _SliceTable, xi: np.ndarray, picard_tol: float,
+def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
+                xi: np.ndarray, picard_tol: float,
                 max_sweeps: int = 80) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inner paths x (B, T, n_E) of the nodes xi (B, n_E), f along them, sweeps per node.
 
-    Closed-form systems sweep the whole chunk; a node leaves once its own sweep
+    Every sweep updates the whole chunk; a node leaves once its own sweep
     distance is <= picard_tol and keeps that sweep's f-values if the sweep left
-    its path unchanged bit for bit.  Matrix systems step the chunk with RK4.
+    its path unchanged bit for bit.
     """
-    n_b, n_e = xi.shape
-    if system.form != "closed_form":
-        proj_t = system.P(table.s).T
-
-        def deriv(tt: float, states: np.ndarray) -> np.ndarray:
-            t = np.full(len(states), tt)
-            stable = states[:, :n_e]
-            full = _assemble_state(stable, eval_phi_many(graph, t, stable))
-            return states @ system.A(tt).T + pert.f(t, full) @ proj_t
-
-        def project(states: np.ndarray) -> None:
-            states[:, n_e:] = 0.0
-
-        start = np.zeros((n_b, system.n))
-        start[:, :n_e] = xi
-        paths = _rk4_grid(deriv, table.t, start, project)
-        x = np.ascontiguousarray(np.moveaxis(paths[..., :n_e], 1, 0))
-        return x, _forcing(graph, pert, table.t, x), np.ones(n_b, dtype=np.int64)
-    u = table.u[:, None]
-    x = u * xi[:, None, :]
-    fv = np.empty(x.shape[:2] + (system.n,))
+    n_b = len(xi)
+    x = table.stable(xi[:, None, :])
+    fv = np.empty(x.shape[:2] + (graph.n_stable + graph.n_unstable,))
     sweeps = np.zeros(n_b, dtype=np.int64)
     active = np.arange(n_b)
     stale: list[int] = []
     for sweep in range(1, max_sweeps + 1):
         x_old = x[active]
         fv_old = _forcing(graph, pert, table.t, x_old)
-        cum = cumulative_simpson(np.moveaxis(fv_old[..., :n_e] / u, 1, 0), table.h)
-        x_new = u * (xi[active, None, :] + np.moveaxis(cum, 1, 0))
+        cum = cumulative_simpson(np.moveaxis(table.pull_stable(fv_old), 1, 0), table.h)
+        x_new = table.stable(xi[active, None, :] + np.moveaxis(cum, 1, 0))
         done = np.abs(x_new - x_old).max(axis=(1, 2)) <= picard_tol
         same = (x_new.view(np.int64) == x_old.view(np.int64)).all(axis=(1, 2))
         x[active] = x_new
@@ -366,16 +382,10 @@ def inner_trajectory(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
         raise ValueError(f"|xi|={xi_norm:g} outside the slice ball of radius {rho_s:g}")
     if t_max <= s:
         raise ValueError("t_max must exceed s")
-    table = _slice_table(system, mu, nu, params, graph.C, s, t_max, h, outer=False)
-    x, _, sweeps = _node_paths(graph, system, pert, table, xi, picard_tol)
+    table = _slice_table(system, mu, nu, params, graph.C, s, t_max, h)
+    x, _, sweeps = _node_paths(graph, pert, table, xi, picard_tol)
     worst = _check_decay(table, x, xi, decay_slack)
     return InnerTrajectory(table.t, x[0], int(sweeps[0]), worst)
-
-
-def _rate_integrand(mu: GrowthRate, nu: GrowthRate, p: float, eps: float):
-    def w(r: float) -> float:
-        return math.exp(p * float(mu.log_eval(r)) + eps * float(nu.log_eval(r)))
-    return w
 
 
 def _truncation_point(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: float,
@@ -413,37 +423,13 @@ def _truncation_point(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: f
 
 
 def _rk4_grid(deriv: Callable[[float, np.ndarray], np.ndarray], t_grid: np.ndarray,
-              y0: np.ndarray, project: Callable[[np.ndarray], None] | None = None
-              ) -> np.ndarray:
-    """Classical 4th-order steps along ``t_grid``; the state at every grid point.
-
-    ``project``, when given, acts in place on each new state.
-    """
+              y0: np.ndarray) -> np.ndarray:
+    """Classical 4th-order steps along ``t_grid``; the state at every grid point."""
     out = np.empty((len(t_grid),) + y0.shape)
     y = out[0] = y0
     for j in range(len(t_grid) - 1):
-        y = rk4_step(deriv, t_grid[j], y, t_grid[j + 1] - t_grid[j])
-        if project is not None:
-            project(y)
-        out[j + 1] = y
+        y = out[j + 1] = rk4_step(deriv, t_grid[j], y, t_grid[j + 1] - t_grid[j])
     return out
-
-
-def _unstable_inverse_factors(system: LinearSystem, s: float,
-                              t_grid: np.ndarray) -> np.ndarray:
-    """V(r, s)^-1 along the grid: scalars for closed forms, else one backward sweep.
-
-    Matrix systems propagate W(r) = Q(s) T(s, r) forward in r via
-    W' = -W A(r), W(s) = Q(s); then V(r,s)^-1 f = W(r) f on the unstable block,
-    avoiding per-sample inversions entirely.
-    """
-    if system.form == "closed_form":
-        v = np.asarray(system.V(t_grid, s), dtype=float)
-        if np.any(v == 0.0) or not np.all(np.isfinite(v)):
-            raise NumericalError("unstable propagator under/overflowed on the outer grid")
-        return 1.0 / v
-    q_s = np.eye(system.n) - system.P(s)
-    return _rk4_grid(lambda r, w: -w @ system.A(r), t_grid, q_s)
 
 
 @dataclass(frozen=True)
@@ -543,7 +529,6 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
     """
     if tables is None:
         tables = _slice_tables(graph, system, mu, nu, params, pert, cfg)
-    n_e = graph.n_stable
     new_values = np.empty_like(graph.values)
     worst = 0.0
     for k, table in enumerate(tables):
@@ -551,14 +536,10 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
         chunk = max(1, _CHUNK_SAMPLES // len(table.t))
         for lo in range(0, len(targets), chunk):
             xi = targets[lo:lo + chunk]
-            x, fv, _ = _node_paths(graph, system, pert, table, xi, cfg.picard_tol)
+            x, fv, _ = _node_paths(graph, pert, table, xi, cfg.picard_tol)
             worst = max(worst, _check_decay(table, x, xi, cfg.decay_slack, lo))
-            if system.form == "closed_form":
-                integrand = table.v_inv[:, None] * fv[..., n_e:]
-            else:
-                integrand = np.einsum("rij,brj->bri", table.v_inv, fv)[..., n_e:]
-            new_values[k, lo:lo + chunk] = -composite_simpson(np.moveaxis(integrand, 1, 0),
-                                                              table.h)
+            integrand = np.moveaxis(table.pull_unstable(fv), 1, 0)
+            new_values[k, lo:lo + chunk] = -composite_simpson(integrand, table.h)
     lipschitz = _check_lipschitz(graph, new_values, cfg.lipschitz_tol)
     return replace(graph, values=new_values, meta={**graph.meta, "max_decay_ratio": worst,
                                                    "max_lipschitz_ratio": lipschitz})
@@ -573,26 +554,22 @@ def _make_radius_fn(s_grid: np.ndarray, radii: np.ndarray, beta_fn: BetaFunction
     if closed(s_max) is not None:
         ref = float(closed(s_max))
 
-        def radius(t):
-            t = np.asarray(t, dtype=float)
-            base = np.interp(t, s_grid, radii)
-            beyond = t > s_max
-            if np.any(beyond):
-                base = np.where(beyond, r_last * np.asarray(closed(t), dtype=float) / ref, base)
-            return base if base.ndim else float(base)
-
-        return radius
-    if len(s_grid) >= 2:
-        slope = (math.log(radii[-1]) - math.log(radii[-2])) / (s_grid[-1] - s_grid[-2])
+        def extend(t):
+            return r_last * np.asarray(closed(t), dtype=float) / ref
     else:
         slope = 0.0
+        if len(s_grid) >= 2:
+            slope = (math.log(radii[-1]) - math.log(radii[-2])) / (s_grid[-1] - s_grid[-2])
+
+        def extend(t):
+            return r_last * np.exp(slope * (t - s_max))
 
     def radius(t):
         t = np.asarray(t, dtype=float)
         base = np.interp(t, s_grid, radii)
         beyond = t > s_max
         if np.any(beyond):
-            base = np.where(beyond, r_last * np.exp(slope * (t - s_max)), base)
+            base = np.where(beyond, extend(t), base)
         return base if base.ndim else float(base)
 
     return radius

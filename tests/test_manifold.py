@@ -10,7 +10,7 @@ from stablemanifold.config import build_system
 from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, coordinate_projection,
                                       matrix_system, rate_power_system,
                                       sharp_oscillating_system)
-from stablemanifold.errors import BlowupError, DecayBoundError
+from stablemanifold.errors import BlowupError, DecayBoundError, NumericalError
 from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbation,
                                      SolverConfig, cubic_perturbation, eval_phi, eval_phi_many,
                                      expression_perturbation, graph_metric_distance,
@@ -382,13 +382,65 @@ def test_decay_slack_is_enforced():
 
 
 FEEDBACK = expression_perturbation(["u1*u2*u1 + u2^3", "u1^3 + u2*u1^2"], c=3, q=2)
+# the same feedback on a 2-D stable block: f reaches both stable coordinates
+FEEDBACK_D2 = expression_perturbation(["u2*u3*u1 + u3^3", "u1*u3*u2 + u3^3",
+                                       "u1^3 + u2^3 + u3*u1^2"], c=3, q=2)
+MATRIX_D1 = matrix_system(lambda t: np.diag([-1.0, 1.0]), 2, 1)
 
 
-@pytest.mark.parametrize("pert, delta, stale", [(cubic_perturbation(1.0), 0.02, False),
-                                                (FEEDBACK, None, True)],
-                         ids=["oracle", "feedback"])
-def test_chunked_slices_match_single_node_chunks(monkeypatch, pert, delta, stale):
-    system = rate_power_system(EXP, a=-1.0, b=1.0)
+@pytest.mark.parametrize("d", [1, 2])
+def test_matrix_route_matches_closed_form_under_feedback(d):
+    # the Picard sweep on RK4 propagator tables against exact U and V
+    base = rate_power_system(EXP, a=-1.0, b=1.0)
+    if d == 1:
+        closed, mat, pert, m = base, MATRIX_D1, FEEDBACK, 7
+    else:
+        closed = LinearSystem(3, 2, coordinate_projection(3, 2), U=base.U, V=base.V)
+        mat = matrix_system(lambda t: np.diag([-1.0, -1.0, 1.0]), 3, 2)
+        pert, m = FEEDBACK_D2, 5
+    cfg = SolverConfig(s_grid=(0.0, 0.5), delta=None, C=2.0, nodes_per_axis=m, h=0.05,
+                       tail_abs_tol=1e-9, outer_tol=1e-10)
+    ref, _ = solve_manifold(closed, EXP, EXP, PARAMS, pert, cfg)
+    graph, _ = solve_manifold(mat, EXP, EXP, PARAMS, pert, cfg)
+    assert graph.n_stable == d
+    for k in range(graph.n_slices):
+        xi_norm = np.abs(graph.node_points(k)).sum(axis=1)
+        mask = xi_norm > 0.0
+        err = np.abs(graph.values[k] - ref.values[k]).sum(axis=1)
+        assert (err[mask] / xi_norm[mask] ** 3).max() <= 1e-7
+
+
+def test_inner_trajectory_matrix_route_sweeps_like_closed_form(solved):
+    system, _, graph, _ = solved
+    runs = [inner_trajectory(graph, form, EXP, EXP, PARAMS, FEEDBACK,
+                             s=0.0, xi=0.02, t_max=3.0, h=0.01) for form in (system, MATRIX_D1)]
+    assert runs[0].sweeps == runs[1].sweeps > 1
+    assert np.abs(runs[0].x - runs[1].x).max() <= 1e-12
+
+
+def test_inner_trajectory_tolerates_unstable_overflow(solved):
+    # V(t, s) = e^(2(t-s)) overflows beyond t - s = 355 while U = e^-(t-s) stays finite;
+    # only the outer map reads V
+    _, pert, graph, _ = solved
+    base = rate_power_system(EXP, a=-1.0, b=1.0)
+    system = LinearSystem(2, 1, coordinate_projection(2, 1), U=base.U,
+                          V=lambda t, s: np.exp(2.0 * (np.asarray(t) - s)))
+    with np.errstate(over="ignore"):
+        traj = inner_trajectory(graph, system, EXP, EXP, PARAMS, pert,
+                                s=0.0, xi=0.02, t_max=400.0, h=0.5)
+        table = manifold._slice_table(system, EXP, EXP, PARAMS, graph.C, 0.0, 400.0, 0.5)
+    assert traj.t[-1] == 400.0 and traj.sweeps == 1
+    with pytest.raises(NumericalError, match="unstable propagator"):
+        table.pull_unstable(np.zeros((1, len(table.t), 2)))
+
+
+@pytest.mark.parametrize("system, pert, delta, stale",
+                         [(rate_power_system(EXP, a=-1.0, b=1.0), cubic_perturbation(1.0),
+                           0.02, False),
+                          (rate_power_system(EXP, a=-1.0, b=1.0), FEEDBACK, None, True),
+                          (MATRIX_D1, FEEDBACK, None, True)],
+                         ids=["oracle", "feedback", "matrix-feedback"])
+def test_chunked_slices_match_single_node_chunks(monkeypatch, system, pert, delta, stale):
     cfg = SolverConfig(s_grid=(0.0, 1.0), delta=delta, C=2.0, nodes_per_axis=41, h=0.01)
     calls = {"forcing": 0, "sweeps": 0}
     sweep_counts = []
@@ -426,9 +478,9 @@ def test_chunked_slices_match_single_node_chunks(monkeypatch, pert, delta, stale
     assert (calls["forcing"] > calls["sweeps"]) == stale
 
 
-def _node_loop_value(graph, pert, table, xi, picard_tol):
+def _node_loop_value(graph, system, pert, table, xi, picard_tol):
     """Reference: one node at a time, Picard sweeps and then the outer integral."""
-    t, h, u = table.t, table.h, table.u[:, None]
+    t, h, u = table.t, table.h, system.U(table.t, table.s)[:, None]
     n_e = graph.n_stable
 
     def forcing(x):
@@ -441,7 +493,8 @@ def _node_loop_value(graph, pert, table, xi, picard_tol):
         x = x_new
         if distance <= picard_tol:
             break
-    return -composite_simpson(table.v_inv[:, None] * forcing(x)[:, n_e:], h)
+    v_inv = 1.0 / system.V(t, table.s)
+    return -composite_simpson(v_inv[:, None] * forcing(x)[:, n_e:], h)
 
 
 def test_operator_matches_node_loop_reference():
@@ -452,7 +505,7 @@ def test_operator_matches_node_loop_reference():
     new = manifold.apply_phi_operator(graph, system, EXP, EXP, PARAMS, FEEDBACK, cfg, tables)
     for k, table in enumerate(tables):
         for j, xi in enumerate(graph.node_points(k)):
-            ref = _node_loop_value(graph, FEEDBACK, table, xi, cfg.picard_tol)
+            ref = _node_loop_value(graph, system, FEEDBACK, table, xi, cfg.picard_tol)
             assert np.array_equal(new.values[k, j], ref)
 
 
