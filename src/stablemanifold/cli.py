@@ -387,9 +387,11 @@ def main(argv: list[str] | None = None) -> int:
             passed, report = _DISPATCH[name](runner)
         except NumericalError as exc:
             print(f"{name}: FAIL: {type(exc).__name__}: {exc}", file=sys.stderr)
+            # the attributes the error holds (history, s, node, ratio, ...) are its context
+            context = {k: v for k, v in vars(exc).items() if not k.startswith("_")}
             _write_json(runner.path(f"report-{name}.json"),
                         {"passed": False, "error": {"type": type(exc).__name__,
-                                                    "message": str(exc)}})
+                                                    "message": str(exc), **context}})
             return 1
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

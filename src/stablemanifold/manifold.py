@@ -17,7 +17,11 @@ one cumulative Simpson pass::
 
 and the outer integrand is Q(s)T(s,r) f.  The slice table supplies the three
 maps: on closed-form systems the scalars U(t,s) and 1/V(t,s), on matrix
-systems RK4 tables of the stable columns of T(t,s) and of T(s,r).  The nodes
+systems RK4 tables of the stable columns of T(t,s) and of T(s,r).  Its grid is
+uniform in the rate clock rho = log mu(t), in which the dichotomy bounds are
+powers of mu(t)/mu(s); both pull-back maps carry the Jacobian dt/drho =
+mu/mu', so the Simpson sums run in rho.  For e^t the clock is t itself and the
+weight is 1; a rate without a derivative keeps a grid uniform in t.  The nodes
 of a slice are solved together in chunks of max(1, 4096 // len(t_grid)); a
 node leaves the sweep at its own tolerance, so its value matches a solve of
 that node alone bit for bit.  Each node path is checked against its decay
@@ -244,38 +248,57 @@ class _SliceTable:
     For stable vectors y (B, T, n_E) and f-values fv (B, T, n) along the grid,
     ``stable(y)`` is T(t, s)P(s) y, and ``pull_stable(fv)`` and
     ``pull_unstable(fv)`` are the stable coordinates of P(s)T(s, t) fv and the
-    unstable ones of Q(s)T(s, t) fv.
+    unstable ones of Q(s)T(s, t) fv, each times the weight dt/dclock, so that
+    Simpson sums with step ``h`` integrate them over t.
     """
 
     s: float
-    t: np.ndarray               # uniform grid from s to the truncation point
-    h: float                    # its step
+    t: np.ndarray               # grid from s to the truncation point, uniform in the clock
+    h: float                    # the clock step
+    weight: np.ndarray          # dt/dclock on the grid: mu/mu' for rho = log mu(t), 1 for t
     envelope: np.ndarray        # C (mu(t)/mu(s))^a nu(s)^eps: decay bound per unit |xi|_1
     stable: Callable[[np.ndarray], np.ndarray]
     pull_stable: Callable[[np.ndarray], np.ndarray]
     pull_unstable: Callable[[np.ndarray], np.ndarray]
 
 
+def _inner_grid(mu: GrowthRate, s: float, t_max: float,
+                h: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """Grid from s to t_max uniform in the clock rho = log mu(t), its rho step and dt/drho.
+
+    The step is about h in rho.  A rate without a derivative has no inverse
+    clock; its grid is uniform in t, at step about h in t, with weight 1.
+    The endpoints are exactly s and t_max.
+    """
+    clocked = mu.has_derivative
+    lo, hi = (float(mu.log_eval(s)), float(mu.log_eval(t_max))) if clocked else (s, t_max)
+    n = max(2, int(math.ceil((hi - lo) / h)))
+    h_eff = (hi - lo) / n
+    clock = lo + h_eff * np.arange(n + 1)
+    t_grid, weight = mu.log_inverse(clock) if clocked else (clock, np.ones(n + 1))
+    t_grid[0], t_grid[-1] = s, t_max
+    return t_grid, h_eff, weight
+
+
 def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
                  params: DichotomyParams, C: float, s: float, t_max: float,
                  h: float) -> _SliceTable:
-    n = max(2, int(math.ceil((t_max - s) / h)))
-    h_eff = (t_max - s) / n
-    t_grid = s + h_eff * np.arange(n + 1)
+    t_grid, h_eff, weight = _inner_grid(mu, s, t_max, h)
     n_e = system.n_stable
     if system.form == "closed_form":
         u = np.asarray(system.U(t_grid, s), dtype=float)[:, None]
         if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
             raise NumericalError("stable propagator under/overflowed on the inner grid; "
                                  "shorten the integration horizon")
+        u_pull = u / weight[:, None]
         v = np.asarray(system.V(t_grid, s), dtype=float)
-        v_inv = None if np.any(v == 0.0) or not np.all(np.isfinite(v)) else (1.0 / v)[:, None]
+        v_inv = None if np.any(v == 0.0) or not np.all(np.isfinite(v)) else (weight / v)[:, None]
 
         def stable(y):
             return u * y
 
         def pull_stable(fv):
-            return fv[..., :n_e] / u
+            return fv[..., :n_e] / u_pull
 
         def pull_unstable(fv):
             if v_inv is None:
@@ -285,6 +308,7 @@ def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
         eye = np.eye(system.n)
         fwd = _rk4_grid(lambda r, y: system.A(r) @ y, t_grid, eye[:, :n_e])[:, :n_e]
         back = _rk4_grid(lambda r, w: -w @ system.A(r), t_grid, eye)  # T(s, r)
+        back = back * weight[:, None, None]
 
         def stable(y):
             return np.einsum("tij,btj->bti", fwd, y)
@@ -296,7 +320,7 @@ def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
             return np.einsum("tij,btj->bti", back[:, n_e:], fv)
     log_b = params.a * (np.asarray(mu.log_eval(t_grid), dtype=float) - float(mu.log_eval(s)))
     envelope = C * np.exp(log_b + params.eps * float(nu.log_eval(s)))
-    return _SliceTable(s, t_grid, h_eff, envelope, stable, pull_stable, pull_unstable)
+    return _SliceTable(s, t_grid, h_eff, weight, envelope, stable, pull_stable, pull_unstable)
 
 
 def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
@@ -370,7 +394,8 @@ def inner_trajectory(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
                      decay_slack: float = 1.05) -> InnerTrajectory:
     """Trajectory through (s, xi) in the stable block, coupled to the current graph.
 
-    Requires |xi|_1 <= delta * beta(s) (the slice ball).  The accepted
+    Requires |xi|_1 <= delta * beta(s) (the slice ball).  ``h`` is the grid
+    step in rho = log mu(t), or in t when mu has no derivative.  The accepted
     trajectory must respect |x(t)|_1 <= C (mu(t)/mu(s))^a nu(s)^eps |xi|_1 up
     to ``decay_slack``; a violation raises DecayBoundError, which signals
     either an oversized delta or a bad graph iterate.
@@ -440,7 +465,7 @@ class SolverConfig:
     delta: float | None = None       # None: use the certified delta_max
     C: float | None = None           # None: default_capacity(D)
     nodes_per_axis: int = 41
-    h: float = 0.01
+    h: float = 0.01                  # inner-grid step in rho = log mu(t); in t without mu'
     outer_tol: float = 1e-8
     max_outer: int = 30
     picard_tol: float = 1e-10

@@ -14,6 +14,10 @@ The log families admit a slower companion rate (selected with
 
 Rates evaluate elementwise on numpy arrays.  ``log_eval`` gives log(mu(t))
 without overflow, which downstream quadrature relies on for large t.
+``log_inverse`` maps the rate clock rho = log(mu(t)) back to t, with the
+Jacobian dt/drho = mu(t)/mu'(t): in closed form for the exponential
+(identity) and polynomial (expm1) families, by one vectorized bisection for
+every other rate with a derivative.
 """
 
 from __future__ import annotations
@@ -33,7 +37,11 @@ BUILTIN_FAMILIES = ("exponential", "polynomial", "log_poly", "loglog_poly")
 
 @dataclass(frozen=True)
 class GrowthRate:
-    """A scalar growth rate with optional derivative and log-scale evaluator."""
+    """A scalar growth rate with optional derivative, log-scale evaluator and its inverse.
+
+    ``log_inv`` maps rho = log(mu(t)) to (t, dt/drho) in closed form; without
+    it, a rate with a derivative inverts ``log_eval`` numerically.
+    """
 
     label: str
     fn: Callable
@@ -41,6 +49,7 @@ class GrowthRate:
     log_fn: Callable | None = None
     family: str | None = None
     params: Mapping[str, float] = field(default_factory=dict)
+    log_inv: Callable | None = None
 
     def __call__(self, t):
         return self.fn(t)
@@ -51,9 +60,40 @@ class GrowthRate:
             return self.log_fn(t)
         return np.log(self.fn(t))
 
+    def log_inverse(self, rho):
+        """Times t >= 0 with log(mu(t)) = rho >= 0, and dt/drho = mu(t)/mu'(t) there.
+
+        Needs a derivative.  Returns new arrays.
+        """
+        if self.log_inv is not None:
+            return self.log_inv(rho)
+        if self.deriv is None:
+            raise ValueError(f"rate {self.label!r} has no derivative to invert log(mu) with")
+        t = _solve_log(self, np.asarray(rho, dtype=float))
+        return t, self.fn(t) / self.deriv(t)
+
     @property
     def has_derivative(self) -> bool:
         return self.deriv is not None
+
+
+def _solve_log(rate: GrowthRate, rho: np.ndarray) -> np.ndarray:
+    """Smallest t >= 0 with log(mu(t)) >= rho, elementwise.
+
+    Bisection on the bit patterns of nonnegative doubles, which are ordered
+    like the numbers, so it ends on adjacent doubles after at most 64 halvings
+    and never trusts log(mu) beyond its sign against rho.  The lower end
+    starts one pattern below 0.0, so rho <= 0 gives t = 0.
+    """
+    lo = np.full(rho.shape, -1, dtype=np.int64)
+    hi = np.full(rho.shape, np.float64(np.inf).view(np.int64))
+    with np.errstate(over="ignore"):
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            up = rate.log_eval(mid.view(np.float64)) >= rho
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+    return hi.view(np.float64)
 
 
 def _l1(t):
@@ -64,6 +104,11 @@ def _l2(t):
     return 1.0 + np.log(_l1(t))
 
 
+def _exp_clock(rho):
+    """The inverse of log(e^t) = t: the identity, with dt/drho = 1."""
+    return np.array(rho, dtype=float), np.ones(np.shape(rho))
+
+
 def builtin_rate(family: str, lam: float | None = None, nu_companion: bool = False) -> GrowthRate:
     """Construct a builtin rate; see the module docstring for the families.
 
@@ -72,15 +117,15 @@ def builtin_rate(family: str, lam: float | None = None, nu_companion: bool = Fal
     """
     if family not in BUILTIN_FAMILIES:
         raise ValueError(f"unknown rate family {family!r}; expected one of {BUILTIN_FAMILIES}")
-    if family in ("exponential", "polynomial"):
-        if nu_companion:
-            pass  # these families are their own companion
-        if family == "exponential":
-            return GrowthRate("exponential", np.exp, deriv=np.exp, log_fn=lambda t: np.asarray(t, dtype=float) + 0.0,
-                              family="exponential")
+    if family == "exponential":
+        return GrowthRate("exponential", np.exp, deriv=np.exp,
+                          log_fn=lambda t: np.asarray(t, dtype=float) + 0.0,
+                          family="exponential", log_inv=_exp_clock)
+    if family == "polynomial":
         return GrowthRate("polynomial", lambda t: 1.0 + np.asarray(t, dtype=float),
                           deriv=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                          log_fn=np.log1p, family="polynomial")
+                          log_fn=np.log1p, family="polynomial",
+                          log_inv=lambda rho: (np.expm1(rho), np.exp(rho)))
     if family == "log_poly":
         if nu_companion:
             return GrowthRate("log_plain", _l1, deriv=lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float)),

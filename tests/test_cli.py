@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from stablemanifold import cli
 from stablemanifold.cli import main
 
 CONFIG_DIR = resources.files("stablemanifold") / "configs"
@@ -174,6 +176,23 @@ def test_nonmonotone_rate_exits_one(tmp_path, capsys):
     report = read_json(os.path.join(out, "report-check-rates.json"))
     assert report["passed"] is False
     assert report["rates"]["mu"]["monotone_on_grid"] is False
+
+
+def test_numerical_failure_report_carries_error_context(tmp_path, monkeypatch, capsys):
+    # decay_slack >= 1 in configs; a slack below the ratio 0.5 at t = s forces the error
+    build = cli.build_solver_config
+    monkeypatch.setattr(cli, "build_solver_config",
+                        lambda resolved: replace(build(resolved), decay_slack=0.4))
+    out = str(tmp_path / "run")
+    assert main(["solve-manifold", "--config", ORACLE, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solve-manifold: FAIL: DecayBoundError: inner trajectory")
+    error = read_json(os.path.join(out, "report-solve-manifold.json"))["error"]
+    assert error["type"] == "DecayBoundError" and "node" in error["message"]
+    assert error["s"] == 0.0
+    assert error["ratio"] == pytest.approx(0.5, rel=1e-12)
+    assert 0 <= error["node"] < 41
 
 
 def test_bad_cli_values_exit_two(tmp_path, capsys):

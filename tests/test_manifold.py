@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablemanifold import manifold
@@ -17,9 +17,10 @@ from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbatio
                                      inner_trajectory, nonlinear_flow, nonlinear_flow_many,
                                      outer_contraction_factor, solve_manifold)
 from stablemanifold.quadrature import composite_simpson, cumulative_simpson
-from stablemanifold.rates import builtin_rate
+from stablemanifold.rates import builtin_rate, expression_rate
 
 EXP = builtin_rate("exponential")
+POLY = builtin_rate("polynomial")
 PARAMS = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.0)
 CFG = SolverConfig(s_grid=tuple(np.linspace(0.0, 2.0, 21)), delta=0.02, C=2.0,
                    nodes_per_axis=41, h=0.01)
@@ -434,6 +435,66 @@ def test_inner_trajectory_tolerates_unstable_overflow(solved):
         table.pull_unstable(np.zeros((1, len(table.t), 2)))
 
 
+@pytest.mark.parametrize("system", [rate_power_system(EXP, a=-1.0, b=1.0), MATRIX_D1],
+                         ids=["closed_form", "matrix"])
+def test_exponential_table_equals_uniform_t_table(system):
+    # e^t has the clock rho = t and weight 1; "exp(t)" has no derivative, so a t grid
+    exp_expr = expression_rate("exp(t)")
+    clocked = manifold._slice_table(system, EXP, EXP, PARAMS, 2.0, 0.3, 8.3, 0.07)
+    plain = manifold._slice_table(system, exp_expr, EXP, PARAMS, 2.0, 0.3, 8.3, 0.07)
+    assert clocked.t.tobytes() == plain.t.tobytes()
+    assert clocked.h == plain.h and np.all(clocked.weight == 1.0)
+    fv = np.random.default_rng(1).normal(size=(3, len(clocked.t), 2))
+    for name in ("pull_stable", "pull_unstable"):
+        assert getattr(clocked, name)(fv).tobytes() == getattr(plain, name)(fv).tobytes()
+
+
+@pytest.mark.parametrize("mu", [POLY, builtin_rate("log_poly", lam=4.0),
+                                builtin_rate("loglog_poly", lam=4.0)], ids=lambda r: r.label)
+def test_slice_table_grid_is_uniform_in_log_mu(mu):
+    system = rate_power_system(mu, a=-0.5, b=0.5)
+    table = manifold._slice_table(system, mu, mu, PARAMS, 2.0, 0.4, 300.0, 0.05)
+    assert table.t[0] == 0.4 and table.t[-1] == 300.0
+    rho = mu.log_eval(table.t)
+    assert table.h <= 0.05
+    assert np.allclose(np.diff(rho), table.h, rtol=0.0, atol=1e-12)
+    assert len(table.t) < 0.2 * (300.0 - 0.4) / 0.05  # far fewer points than a t grid
+    # dt/drho = mu/mu' on the grid, folded into both pull-back maps
+    assert np.allclose(table.weight, mu(table.t) / mu.deriv(table.t), rtol=1e-12, atol=0.0)
+    fv = np.ones((1, len(table.t), 2))
+    u = system.U(table.t, 0.4)
+    v = system.V(table.t, 0.4)
+    assert np.allclose(table.pull_stable(fv)[0, :, 0], table.weight / u, rtol=1e-14)
+    assert np.allclose(table.pull_unstable(fv)[0, :, 0], table.weight / v, rtol=1e-14)
+
+
+def test_expression_rate_keeps_uniform_t_grid():
+    mu = expression_rate("1 + t")
+    system = rate_power_system(POLY, a=-1.0, b=1.0)
+    table = manifold._slice_table(system, mu, mu, PARAMS, 2.0, 0.5, 20.0, 0.1)
+    assert table.t[0] == 0.5 and table.t[-1] == 20.0
+    assert len(table.t) == 196 and table.h == pytest.approx(0.1)
+    assert np.allclose(np.diff(table.t), table.h, rtol=1e-12)
+    assert np.all(table.weight == 1.0)
+
+
+def test_inner_trajectory_on_rate_clock_grid():
+    # u' = -u/(1+t), v' = v/(1+t) + u^3: the stable coordinate is U(t,s) xi = xi (1+s)/(1+t)
+    params = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.1)
+    system = rate_power_system(POLY, a=-1.0, b=1.0)
+    pert = cubic_perturbation(1.0)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), C=2.0, nodes_per_axis=5, h=0.05,
+                       tail_abs_tol=1e-9, t_cut_max=5000.0)
+    graph, _ = solve_manifold(system, POLY, POLY, params, pert, cfg)
+    xi = 0.5 * float(graph.radius_fn(0.5))
+    traj = inner_trajectory(graph, system, POLY, POLY, params, pert,
+                            s=0.5, xi=xi, t_max=200.0, h=0.05)
+    assert traj.t[0] == 0.5 and traj.t[-1] == 200.0
+    assert np.allclose(np.diff(np.log1p(traj.t)), np.log(201.0 / 1.5) / (len(traj.t) - 1))
+    assert np.abs(traj.x[:, 0] - xi * 1.5 / (1.0 + traj.t)).max() <= 1e-15 * xi
+    assert traj.sweeps <= 2 and traj.max_decay_ratio <= 1.05
+
+
 @pytest.mark.parametrize("system, pert, delta, stale",
                          [(rate_power_system(EXP, a=-1.0, b=1.0), cubic_perturbation(1.0),
                            0.02, False),
@@ -538,3 +599,20 @@ def test_eval_phi_many_matches_eval_phi(d, data):
     batch = eval_phi_many(graph, t, xi)
     rows = np.stack([eval_phi(graph, t[i], xi[i]) for i in range(n)])
     assert np.array_equal(batch, rows)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_clamping_is_radial_lipschitz_extension(d, data):
+    # outside the slice ball the graph takes its boundary value along the ray
+    graph = _random_graph(d, seed=d)
+    t = data.draw(st.floats(-0.5, 3.0))
+    direction = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    assume(np.abs(direction).sum() >= 1e-3)
+    rho = float(graph.radius_fn(t))
+    xi = direction * (rho * data.draw(st.floats(1.001, 100.0)) / np.abs(direction).sum())
+    edge = xi * (rho / np.abs(xi).sum())
+    outside = eval_phi_many(graph, np.array([t]), xi[None])
+    on_ray = eval_phi_many(graph, np.array([t]), edge[None])
+    np.testing.assert_allclose(outside, on_ray, rtol=1e-12, atol=1e-18)

@@ -140,3 +140,26 @@ def test_slow_companions_still_register_divergent():
 
 def test_builtin_families_tuple():
     assert BUILTIN_FAMILIES == ("exponential", "polynomial", "log_poly", "loglog_poly")
+
+
+@pytest.mark.parametrize("rate", ALL_BUILTINS, ids=lambda r: r.label)
+def test_log_inverse_recovers_times_and_jacobian(rate):
+    t_max = 500.0 if rate.family == "exponential" else 1e6  # e^t overflows beyond 709
+    t_true = np.concatenate([[0.0], np.geomspace(0.01, t_max, 200)])
+    t, weight = rate.log_inverse(rate.log_eval(t_true))
+    assert t[0] == 0.0
+    assert np.allclose(t, t_true, rtol=1e-12, atol=0.0)
+    # dt/drho = mu/mu'
+    assert np.allclose(weight, rate(t_true) / rate.deriv(t_true), rtol=1e-12, atol=0.0)
+
+
+def test_log_inverse_of_exponential_is_exact_identity():
+    rho = np.array([0.0, 0.3, 7.0, 1e3])
+    t, weight = builtin_rate("exponential").log_inverse(rho)
+    assert t.tobytes() == rho.tobytes() and t is not rho
+    assert np.all(weight == 1.0)
+
+
+def test_log_inverse_needs_a_derivative():
+    with pytest.raises(ValueError, match="no derivative"):
+        expression_rate("1 + t^2").log_inverse(np.array([0.5]))
