@@ -392,7 +392,8 @@ def build_comparison(resolved: dict, n: int) -> Perturbation:
         return cubic_perturbation(base["coef"] * scale, n)
     inner = build_perturbation(base, n)
     return Perturbation(lambda t, v: scale * inner.f(t, v), c=inner.c * abs(scale),
-                        q=inner.q, label=f"{inner.label} x {scale:g}")
+                        q=inner.q, label=f"{inner.label} x {scale:g}",
+                        autonomous=inner.autonomous)
 
 
 def build_solver_config(resolved: dict) -> SolverConfig:

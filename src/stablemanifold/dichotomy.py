@@ -83,6 +83,12 @@ class LinearSystem:
     either (B, n, n), one matrix per time, or a constant (n, n); the batched
     nonlinear flow evaluates it on arrays.  ``U`` and ``V`` broadcast over
     array arguments the same way.
+
+    ``clock`` is a rate mu such that T(t, s) depends on t and s only through
+    log mu(t) and log mu(s), as for ``rate_power_system``; the inner solver
+    may then step uniformly in log mu(t).  None, the default, means the
+    system has structure on the scale of t itself (an oscillation, a general
+    A(t)), so it is stepped in t.
     """
 
     n: int
@@ -93,6 +99,7 @@ class LinearSystem:
     V: Callable[[float, float], float] | None = None
     label: str = ""
     meta: dict = field(default_factory=dict)
+    clock: GrowthRate | None = None
 
     @property
     def form(self) -> str:
@@ -123,7 +130,7 @@ def rate_power_system(mu: GrowthRate, a: float, b: float) -> LinearSystem:
 
     return LinearSystem(2, 1, coordinate_projection(2, 1), A=coeff, U=u_factor, V=v_factor,
                         label=f"rate_power(a={a:g}, b={b:g}, mu={mu.label})",
-                        meta={"kind": "rate_power", "a": a, "b": b, "mu": mu})
+                        meta={"kind": "rate_power", "a": a, "b": b, "mu": mu}, clock=mu)
 
 
 def sharp_oscillating_system(mu: GrowthRate, nu: GrowthRate, a: float, b: float,

@@ -59,6 +59,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.variables = variables
+        self.used: set[str] = set()  # the variables the text refers to
         self.i = 0
 
     def peek(self):
@@ -136,6 +137,7 @@ class _Parser:
                 raise ExpressionError(
                     f"unknown variable {val!r} at position {at}; allowed: {sorted(self.variables)}"
                 )
+            self.used.add(val)
             return ("var", val)
         if kind == "op" and val == "(":
             node = self.expr()
@@ -158,10 +160,13 @@ def _evaluate(node, env):
 def compile_expression(text: str, variables: Iterable[str] = ("t",)) -> Callable:
     """Compile ``text`` into ``f(**vars) -> value`` broadcasting over numpy inputs.
 
+    The result carries ``expression`` (the text), ``variables`` (the allowed
+    names, sorted) and ``used`` (the names the text refers to, sorted).
     Raises :class:`ExpressionError` on malformed input or unknown names.
     """
     varset = frozenset(variables)
-    tree = _Parser(text, varset).parse()
+    parser = _Parser(text, varset)
+    tree = parser.parse()
 
     def evaluate(**env):
         missing = varset - env.keys()
@@ -171,4 +176,5 @@ def compile_expression(text: str, variables: Iterable[str] = ("t",)) -> Callable
 
     evaluate.expression = text  # type: ignore[attr-defined]
     evaluate.variables = tuple(sorted(varset))  # type: ignore[attr-defined]
+    evaluate.used = tuple(sorted(parser.used))  # type: ignore[attr-defined]
     return evaluate

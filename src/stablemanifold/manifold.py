@@ -18,16 +18,18 @@ one cumulative Simpson pass::
 and the outer integrand is Q(s)T(s,r) f.  The slice table supplies the three
 maps: on closed-form systems the scalars U(t,s) and 1/V(t,s), on matrix
 systems RK4 tables of the stable columns of T(t,s) and of T(s,r).  Its grid is
-uniform in the rate clock rho = log mu(t), in which the dichotomy bounds are
-powers of mu(t)/mu(s); both pull-back maps carry the Jacobian dt/drho =
-mu/mu', so the Simpson sums run in rho.  For e^t the clock is t itself and the
-weight is 1; a rate without a derivative keeps a grid uniform in t.  The nodes
-of a slice are solved together in chunks of max(1, 4096 // len(t_grid)); a
-node leaves the sweep at its own tolerance, so its value matches a solve of
-that node alone bit for bit.  Each node path is checked against its decay
-envelope.  The slice tables (truncation point, grid, propagator maps,
-envelope) depend only on the slice radii: ``solve_manifold`` builds them once
-and drops them when it returns.
+uniform in the system's clock rho = log mu(t) when T(t,s) depends on t only
+through rho (``LinearSystem.clock``, set by ``rate_power_system``), mu has a
+derivative and f does not depend on t; both pull-back maps then carry the
+Jacobian dt/drho = mu/mu', so the Simpson sums run in rho.  For e^t the clock
+is t itself and the weight is 1.  Every other inner problem (oscillating and
+matrix systems, time-dependent forcing, rates without a derivative) keeps a
+grid uniform in t.  The nodes of a slice are solved together in chunks of
+max(1, 4096 // len(t_grid)); a node leaves the sweep at its own tolerance, so
+its value matches a solve of that node alone bit for bit.  Each node path is
+checked against its decay envelope.  The slice tables (truncation point, grid,
+propagator maps, envelope) depend only on the slice radii: ``solve_manifold``
+builds them once and drops them when it returns.
 
 Graphs are stored per s-slice on a shared tensor lattice in normalized
 coordinates; evaluation is multilinear per slice, linear in s between slices,
@@ -80,13 +82,15 @@ class Perturbation:
 
     ``f`` works on samples: times t of shape (B,) and states v of shape (B, n)
     map to f-values of shape (B, n), row b being f(t[b], v[b]).  A single
-    sample is the batch B = 1.
+    sample is the batch B = 1.  ``autonomous`` declares that f does not
+    depend on t; only then may the inner grid follow a system's clock.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     c: float
     q: float
     label: str = ""
+    autonomous: bool = False
 
     def __post_init__(self):
         if not self.c > 0.0:
@@ -105,7 +109,7 @@ def cubic_perturbation(coef: float, n: int = 2) -> Perturbation:
         out[:, -1] = coef * v[:, 0] ** 3
         return out
 
-    return Perturbation(f, c=abs(coef), q=2.0, label=f"cubic(coef={coef:g})")
+    return Perturbation(f, c=abs(coef), q=2.0, label=f"cubic(coef={coef:g})", autonomous=True)
 
 
 def expression_perturbation(components: Sequence[str], c: float, q: float,
@@ -122,7 +126,8 @@ def expression_perturbation(components: Sequence[str], c: float, q: float,
         cols = [np.broadcast_to(np.asarray(fn(**env), dtype=float), t.shape) for fn in fns]
         return np.stack(cols, axis=1)
 
-    return Perturbation(f, c=c, q=q, label=label or f"expr({', '.join(components)})")
+    return Perturbation(f, c=c, q=q, label=label or f"expr({', '.join(components)})",
+                        autonomous=not any("t" in fn.used for fn in fns))
 
 
 def outer_contraction_factor(c: float, q: float, C: float, D: float, delta: float) -> float:
@@ -248,29 +253,31 @@ class _SliceTable:
     For stable vectors y (B, T, n_E) and f-values fv (B, T, n) along the grid,
     ``stable(y)`` is T(t, s)P(s) y, and ``pull_stable(fv)`` and
     ``pull_unstable(fv)`` are the stable coordinates of P(s)T(s, t) fv and the
-    unstable ones of Q(s)T(s, t) fv, each times the weight dt/dclock, so that
-    Simpson sums with step ``h`` integrate them over t.
+    unstable ones of Q(s)T(s, t) fv, each times the weight dt/dclock of
+    ``_inner_grid``, so that Simpson sums with step ``h`` integrate them over t.
     """
 
     s: float
     t: np.ndarray               # grid from s to the truncation point, uniform in the clock
-    h: float                    # the clock step
-    weight: np.ndarray          # dt/dclock on the grid: mu/mu' for rho = log mu(t), 1 for t
+    h: float                    # its step in the clock: rho = log mu(t), or t
     envelope: np.ndarray        # C (mu(t)/mu(s))^a nu(s)^eps: decay bound per unit |xi|_1
     stable: Callable[[np.ndarray], np.ndarray]
     pull_stable: Callable[[np.ndarray], np.ndarray]
     pull_unstable: Callable[[np.ndarray], np.ndarray]
 
 
-def _inner_grid(mu: GrowthRate, s: float, t_max: float,
+def _inner_grid(system: LinearSystem, pert: Perturbation, s: float, t_max: float,
                 h: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """Grid from s to t_max uniform in the clock rho = log mu(t), its rho step and dt/drho.
+    """Grid from s to t_max uniform in a clock, its step there and dt/dclock on it.
 
-    The step is about h in rho.  A rate without a derivative has no inverse
-    clock; its grid is uniform in t, at step about h in t, with weight 1.
-    The endpoints are exactly s and t_max.
+    The clock is rho = log mu(t) for the system's ``clock`` mu when mu has a
+    derivative and the perturbation is autonomous: then the propagators and
+    the forcing depend on t only through rho, and dt/drho = mu/mu'.  Otherwise
+    it is t itself, with weight 1.  The step is about h in the clock; the
+    endpoints are exactly s and t_max.
     """
-    clocked = mu.has_derivative
+    mu = system.clock if pert.autonomous else None
+    clocked = mu is not None and mu.has_derivative
     lo, hi = (float(mu.log_eval(s)), float(mu.log_eval(t_max))) if clocked else (s, t_max)
     n = max(2, int(math.ceil((hi - lo) / h)))
     h_eff = (hi - lo) / n
@@ -281,9 +288,9 @@ def _inner_grid(mu: GrowthRate, s: float, t_max: float,
 
 
 def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
-                 params: DichotomyParams, C: float, s: float, t_max: float,
-                 h: float) -> _SliceTable:
-    t_grid, h_eff, weight = _inner_grid(mu, s, t_max, h)
+                 params: DichotomyParams, pert: Perturbation, C: float, s: float,
+                 t_max: float, h: float) -> _SliceTable:
+    t_grid, h_eff, weight = _inner_grid(system, pert, s, t_max, h)
     n_e = system.n_stable
     if system.form == "closed_form":
         u = np.asarray(system.U(t_grid, s), dtype=float)[:, None]
@@ -320,7 +327,7 @@ def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
             return np.einsum("tij,btj->bti", back[:, n_e:], fv)
     log_b = params.a * (np.asarray(mu.log_eval(t_grid), dtype=float) - float(mu.log_eval(s)))
     envelope = C * np.exp(log_b + params.eps * float(nu.log_eval(s)))
-    return _SliceTable(s, t_grid, h_eff, weight, envelope, stable, pull_stable, pull_unstable)
+    return _SliceTable(s, t_grid, h_eff, envelope, stable, pull_stable, pull_unstable)
 
 
 def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
@@ -395,7 +402,8 @@ def inner_trajectory(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
     """Trajectory through (s, xi) in the stable block, coupled to the current graph.
 
     Requires |xi|_1 <= delta * beta(s) (the slice ball).  ``h`` is the grid
-    step in rho = log mu(t), or in t when mu has no derivative.  The accepted
+    step in the clock of ``_inner_grid``: rho = log mu(t) on a clocked system
+    under an autonomous perturbation, t otherwise.  The accepted
     trajectory must respect |x(t)|_1 <= C (mu(t)/mu(s))^a nu(s)^eps |xi|_1 up
     to ``decay_slack``; a violation raises DecayBoundError, which signals
     either an oversized delta or a bad graph iterate.
@@ -407,7 +415,7 @@ def inner_trajectory(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
         raise ValueError(f"|xi|={xi_norm:g} outside the slice ball of radius {rho_s:g}")
     if t_max <= s:
         raise ValueError("t_max must exceed s")
-    table = _slice_table(system, mu, nu, params, graph.C, s, t_max, h)
+    table = _slice_table(system, mu, nu, params, pert, graph.C, s, t_max, h)
     x, _, sweeps = _node_paths(graph, pert, table, xi, picard_tol)
     worst = _check_decay(table, x, xi, decay_slack)
     return InnerTrajectory(table.t, x[0], int(sweeps[0]), worst)
@@ -465,7 +473,7 @@ class SolverConfig:
     delta: float | None = None       # None: use the certified delta_max
     C: float | None = None           # None: default_capacity(D)
     nodes_per_axis: int = 41
-    h: float = 0.01                  # inner-grid step in rho = log mu(t); in t without mu'
+    h: float = 0.01                  # inner-grid step in the system's clock (see _inner_grid)
     outer_tol: float = 1e-8
     max_outer: int = 30
     picard_tol: float = 1e-10
@@ -533,7 +541,7 @@ def _slice_tables(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
                            + params.eps * (q + 1.0) * float(nu.log_eval(s))))
         t_cut = _truncation_point(mu, nu, (q + 1.0) * params.a - params.b, params.eps, s,
                                   cfg.tail_abs_tol / coef, cfg.t_cut_max)
-        tables.append(_slice_table(system, mu, nu, params, graph.C, s, t_cut, cfg.h))
+        tables.append(_slice_table(system, mu, nu, params, pert, graph.C, s, t_cut, cfg.h))
     return tables
 
 

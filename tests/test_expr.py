@@ -43,6 +43,9 @@ def test_compiled_metadata():
     f = compile_expression("1+t", variables=("t",))
     assert f.expression == "1+t"
     assert f.variables == ("t",)
+    assert f.used == ("t",)
+    g = compile_expression("exp(u2) * u1^3 - u2", variables=("t", "u1", "u2"))
+    assert g.variables == ("t", "u1", "u2") and g.used == ("u1", "u2")
 
 
 @pytest.mark.parametrize("bad,fragment", [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,8 @@ def test_expression_perturbation_matches_cubic():
     assert np.allclose(pert.f(t, v), ref.f(t, v))
     one_t, one_v = np.array([0.3]), np.array([[0.2, 1.0]])
     assert np.allclose(pert.f(one_t, one_v), ref.f(one_t, one_v))
+    assert pert.autonomous and ref.autonomous
+    assert not expression_perturbation(["0", "u1^3 * exp(-t)"], c=1.0, q=2.0).autonomous
 
 
 def test_outer_contraction_factor_value():
@@ -429,21 +432,23 @@ def test_inner_trajectory_tolerates_unstable_overflow(solved):
     with np.errstate(over="ignore"):
         traj = inner_trajectory(graph, system, EXP, EXP, PARAMS, pert,
                                 s=0.0, xi=0.02, t_max=400.0, h=0.5)
-        table = manifold._slice_table(system, EXP, EXP, PARAMS, graph.C, 0.0, 400.0, 0.5)
+        table = manifold._slice_table(system, EXP, EXP, PARAMS, pert, graph.C, 0.0, 400.0,
+                                      0.5)
     assert traj.t[-1] == 400.0 and traj.sweeps == 1
     with pytest.raises(NumericalError, match="unstable propagator"):
         table.pull_unstable(np.zeros((1, len(table.t), 2)))
 
 
-@pytest.mark.parametrize("system", [rate_power_system(EXP, a=-1.0, b=1.0), MATRIX_D1],
+@pytest.mark.parametrize("system", [rate_power_system(EXP, a=-1.0, b=1.0),
+                                    replace(MATRIX_D1, clock=EXP)],
                          ids=["closed_form", "matrix"])
 def test_exponential_table_equals_uniform_t_table(system):
-    # e^t has the clock rho = t and weight 1; "exp(t)" has no derivative, so a t grid
-    exp_expr = expression_rate("exp(t)")
-    clocked = manifold._slice_table(system, EXP, EXP, PARAMS, 2.0, 0.3, 8.3, 0.07)
-    plain = manifold._slice_table(system, exp_expr, EXP, PARAMS, 2.0, 0.3, 8.3, 0.07)
-    assert clocked.t.tobytes() == plain.t.tobytes()
-    assert clocked.h == plain.h and np.all(clocked.weight == 1.0)
+    # e^t has the clock rho = t and weight 1; a forcing that reads t keeps a t grid
+    pert = cubic_perturbation(1.0)
+    clocked = manifold._slice_table(system, EXP, EXP, PARAMS, pert, 2.0, 0.3, 8.3, 0.07)
+    plain = manifold._slice_table(system, EXP, EXP, PARAMS, replace(pert, autonomous=False),
+                                  2.0, 0.3, 8.3, 0.07)
+    assert clocked.t.tobytes() == plain.t.tobytes() and clocked.h == plain.h
     fv = np.random.default_rng(1).normal(size=(3, len(clocked.t), 2))
     for name in ("pull_stable", "pull_unstable"):
         assert getattr(clocked, name)(fv).tobytes() == getattr(plain, name)(fv).tobytes()
@@ -453,29 +458,70 @@ def test_exponential_table_equals_uniform_t_table(system):
                                 builtin_rate("loglog_poly", lam=4.0)], ids=lambda r: r.label)
 def test_slice_table_grid_is_uniform_in_log_mu(mu):
     system = rate_power_system(mu, a=-0.5, b=0.5)
-    table = manifold._slice_table(system, mu, mu, PARAMS, 2.0, 0.4, 300.0, 0.05)
+    table = manifold._slice_table(system, mu, mu, PARAMS, cubic_perturbation(1.0), 2.0,
+                                  0.4, 300.0, 0.05)
     assert table.t[0] == 0.4 and table.t[-1] == 300.0
     rho = mu.log_eval(table.t)
     assert table.h <= 0.05
     assert np.allclose(np.diff(rho), table.h, rtol=0.0, atol=1e-12)
     assert len(table.t) < 0.2 * (300.0 - 0.4) / 0.05  # far fewer points than a t grid
-    # dt/drho = mu/mu' on the grid, folded into both pull-back maps
-    assert np.allclose(table.weight, mu(table.t) / mu.deriv(table.t), rtol=1e-12, atol=0.0)
+    # both pull-back maps carry dt/drho = mu/mu'
+    weight = mu(table.t) / mu.deriv(table.t)
     fv = np.ones((1, len(table.t), 2))
     u = system.U(table.t, 0.4)
     v = system.V(table.t, 0.4)
-    assert np.allclose(table.pull_stable(fv)[0, :, 0], table.weight / u, rtol=1e-14)
-    assert np.allclose(table.pull_unstable(fv)[0, :, 0], table.weight / v, rtol=1e-14)
+    assert np.allclose(table.pull_stable(fv)[0, :, 0], weight / u, rtol=1e-12, atol=0.0)
+    assert np.allclose(table.pull_unstable(fv)[0, :, 0], weight / v, rtol=1e-12, atol=0.0)
 
 
-def test_expression_rate_keeps_uniform_t_grid():
-    mu = expression_rate("1 + t")
-    system = rate_power_system(POLY, a=-1.0, b=1.0)
-    table = manifold._slice_table(system, mu, mu, PARAMS, 2.0, 0.5, 20.0, 0.1)
+def _rotating_coeff(t):
+    """A(t) of u' = R u - u/(1+t), v' = v/(1+t), R the unit rotation generator."""
+    t = np.asarray(t, dtype=float)
+    a = np.zeros(t.shape + (3, 3))
+    a[..., 0, 0] = a[..., 1, 1] = -1.0 / (1.0 + t)
+    a[..., 0, 1], a[..., 1, 0] = 1.0, -1.0
+    a[..., 2, 2] = 1.0 / (1.0 + t)
+    return a
+
+
+ROTATING = matrix_system(_rotating_coeff, 3, 2, label="rotating")
+
+
+@pytest.mark.parametrize("system, pert", [
+    (rate_power_system(expression_rate("1 + t"), a=-1.0, b=1.0), cubic_perturbation(1.0)),
+    (rate_power_system(POLY, a=-1.0, b=1.0),
+     expression_perturbation(["0", "u1^3 * exp(-t)"], c=1.0, q=2.0)),
+    (sharp_oscillating_system(POLY, POLY, a=-1.0, b=1.0, eps=0.1), cubic_perturbation(1.0)),
+    (ROTATING, cubic_perturbation(1.0, n=3)),
+], ids=["expression-rate", "time-dependent-forcing", "sharp-oscillating", "matrix"])
+def test_unclocked_inner_problems_keep_uniform_t_grid(system, pert):
+    table = manifold._slice_table(system, POLY, POLY, PARAMS, pert, 2.0, 0.5, 20.0, 0.1)
     assert table.t[0] == 0.5 and table.t[-1] == 20.0
     assert len(table.t) == 196 and table.h == pytest.approx(0.1)
     assert np.allclose(np.diff(table.t), table.h, rtol=1e-12)
-    assert np.all(table.weight == 1.0)
+    if system.form == "closed_form":  # weight 1: the pull maps apply 1/U and 1/V
+        fv = np.ones((1, len(table.t), 2))
+        assert np.all(table.pull_stable(fv)[0, :, 0] == 1.0 / system.U(table.t, 0.5))
+
+
+def test_rotating_matrix_system_under_polynomial_rates():
+    # x(r) = (1+s)/(1+r) R(r-s) xi never sees the forcing, so the exact graph is
+    # phi(s, xi) = -(1+s)^4 integral_s^inf (1+r)^-4 (xi_1 cos(r-s) + xi_2 sin(r-s))^3 dr;
+    # the rotation has period 2 pi in t, far below the t step of a log(1+t) grid
+    params = DichotomyParams(D=1.5, a=-1.0, b=1.0, eps=0.0)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.01, C=2.0, nodes_per_axis=5, h=0.05,
+                       tail_abs_tol=1e-9, t_cut_max=5000.0)
+    graph, _ = solve_manifold(ROTATING, POLY, POLY, params, cubic_perturbation(1.0, n=3), cfg)
+    tau = np.linspace(0.0, 2000.0, 400001)  # the tail beyond 2000 is below 1e-9 of the value
+    for k, s in enumerate(graph.s_grid.tolist()):
+        gains = [composite_simpson(((1.0 + s) / (1.0 + s + tau)) ** 4 * np.cos(tau) ** j
+                                   * np.sin(tau) ** (3 - j), tau[1]) for j in range(4)]
+        xi = graph.node_points(k)
+        exact = -sum(math.comb(3, j) * xi[:, 0] ** j * xi[:, 1] ** (3 - j) * gains[j]
+                     for j in range(4))
+        err = np.abs(graph.values[k][:, 0] - exact)
+        # Simpson at t step 0.05 on the cos(3 tau) harmonic leaves about 3e-6
+        assert err.max() <= 1e-5 * np.abs(xi).sum(axis=1).max() ** 3
 
 
 def test_inner_trajectory_on_rate_clock_grid():
