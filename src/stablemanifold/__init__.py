@@ -9,7 +9,8 @@ from .errors import (BlowupError, ConfigError, ContractionError, ConvergenceErro
                      DecayBoundError, DivergenceError, LipschitzError, NumericalError,
                      TailBoundError)
 from .expr import ExpressionError, compile_expression
-from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson
+from .quadrature import (adaptive_simpson, adaptive_simpson_many, composite_simpson,
+                         cumulative_simpson)
 from .linalg import rk4_propagate, rk4_step, spectral_norm
 from .rates import (BUILTIN_FAMILIES, AxiomReport, GrowthRate, builtin_rate,
                     check_growth_axioms, expression_rate)
@@ -21,7 +22,7 @@ from .admissibility import (BetaFunction, LimitCheck, MonotonicityCheck, TailBou
                             analytic_tail_bound, beta_value, check_limit_condition,
                             check_monotonicity, closed_form_beta, default_capacity,
                             delta_max, delta_max_bounds, fundamental_identity_residual,
-                            improper_rate_integral, tail_integral)
+                            improper_rate_integral, improper_rate_integrals, tail_integral)
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, apply_phi_operator,
                        cubic_perturbation, eval_phi, eval_phi_many,
                        expression_perturbation, graph_metric_distance, inner_trajectory,
@@ -45,7 +46,8 @@ __all__ = [
     "GrowthRate", "InvarianceReport", "LimitCheck", "LinearSystem", "LipschitzError",
     "ManifoldGraph", "MonotonicityCheck", "NumericalError", "Perturbation",
     "PerturbationBoundReport", "PerturbationDistance", "SolverConfig", "TailBoundError",
-    "TailBoundInfo", "adaptive_simpson", "analytic_tail_bound", "apply_phi_operator",
+    "TailBoundInfo", "adaptive_simpson", "adaptive_simpson_many", "analytic_tail_bound",
+    "apply_phi_operator",
     "beta_value", "build_comparison", "build_params", "build_perturbation",
     "build_rate", "build_rates", "build_solver_config", "build_system",
     "builtin_rate", "check_decay", "check_growth_axioms", "check_invariance",
@@ -55,7 +57,8 @@ __all__ = [
     "default_capacity", "default_perturbation_samples", "delta_max",
     "delta_max_bounds", "eval_phi", "eval_phi_many", "expression_perturbation",
     "expression_rate", "fundamental_identity_residual", "graph_metric_distance",
-    "improper_rate_integral", "inner_trajectory", "load_config", "matrix_system",
+    "improper_rate_integral", "improper_rate_integrals", "inner_trajectory", "load_config",
+    "matrix_system",
     "nonlinear_flow", "nonlinear_flow_many", "outer_contraction_factor", "pair_grid",
     "perturbation_distance", "random_decay_pairs", "random_invariance_samples",
     "rate_power_system", "resolve_config", "rk4_propagate", "rk4_step",

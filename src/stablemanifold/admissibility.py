@@ -11,7 +11,8 @@ order q, the manifold construction is admissible when
 beta is computed from the tail integral by adaptive Simpson quadrature with a
 certified truncation point; closed forms for the builtin rate pairs are kept
 separately so they can serve as independent cross-checks and as cheap
-extrapolators, never as the quadrature's own shortcut.
+extrapolators, never as the quadrature's own shortcut.  The tail integrals of
+many s run in lockstep, each bit-identical to computing its s alone.
 
 All rate evaluations run in log space so large-t probes degrade to underflow
 instead of inf*0 artifacts.
@@ -25,14 +26,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, TailBoundError
-from .quadrature import adaptive_simpson
+from .errors import DivergenceError, NumericalError, TailBoundError
+# adaptive_simpson is not called here; perfbench/tracer.py wraps it in this namespace
+from .quadrature import adaptive_simpson, adaptive_simpson_many  # noqa: F401
 from .rates import GrowthRate, _l1, _l2
 
 __all__ = ["LimitCheck", "check_limit_condition", "TailBoundInfo", "analytic_tail_bound",
-           "tail_integral", "improper_rate_integral", "beta_value", "BetaFunction",
-           "closed_form_beta", "fundamental_identity_residual", "MonotonicityCheck",
-           "check_monotonicity", "delta_max", "delta_max_bounds", "default_capacity"]
+           "tail_integral", "improper_rate_integral", "improper_rate_integrals", "beta_value",
+           "BetaFunction", "closed_form_beta", "fundamental_identity_residual",
+           "MonotonicityCheck", "check_monotonicity", "delta_max", "delta_max_bounds",
+           "default_capacity"]
 
 _DEFAULT_LIMIT_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 
@@ -180,46 +183,31 @@ def analytic_tail_bound(mu: GrowthRate, nu: GrowthRate, p: float,
 
 
 def _rate_integrand(mu: GrowthRate, nu: GrowthRate, p: float,
-                    eps: float) -> Callable[[float], float]:
-    """r -> mu(r)^p nu(r)^eps, evaluated in log space."""
-    def integrand(r: float) -> float:
-        return math.exp(p * float(mu.log_eval(r)) + eps * float(nu.log_eval(r)))
+                    eps: float) -> Callable[[np.ndarray], np.ndarray]:
+    """r -> mu(r)^p nu(r)^eps elementwise, evaluated in log space.
+
+    math.exp per element: np.exp differs from it in the last bit on a few
+    percent of arguments, which would move every beta.
+    """
+    def integrand(r: np.ndarray) -> np.ndarray:
+        logs = np.ravel(p * np.asarray(mu.log_eval(r)) + eps * np.asarray(nu.log_eval(r)))
+        return np.fromiter(map(math.exp, logs.tolist()), float, logs.size)
     return integrand
 
 
-def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: float,
-                           rel_tol: float = 1e-8, max_span: float = 1e30) -> float:
-    """integral_s^inf mu(r)^p nu(r)^eps dr by windowed adaptive Simpson.
-
-    Windows double in span from s; truncation is certified by the analytic
-    tail bound when the family pair has one, otherwise by geometric
-    extrapolation of the window masses (conservative for power-law decay,
-    whose doubling-window masses shrink by an asymptotically constant ratio).
-    When the analytic tail is exact (not just an upper bound) and has fallen
-    below 1e-3 of the accumulated mass, it is added instead of walked down to
-    rel_tol, which keeps slowly decaying (logarithmic) tails reachable while
-    leaving >= 99.9% of the value to genuine quadrature.
-    Raises DivergenceError when window masses refuse to decay and
-    TailBoundError when no truncation can be certified within ``max_span``.
-    """
-    integrand = _rate_integrand(mu, nu, p, eps)
-    info = analytic_tail_bound(mu, nu, p, eps)
-    if info is not None and info.divergent:
-        raise DivergenceError(
-            f"integral of {mu.label}^{p:g} * {nu.label}^{eps:g} diverges (family analysis)")
+def _tail_walk(info: TailBoundInfo | None, s: float, scale: float, rel_tol: float,
+               max_span: float):
+    """Coroutine over the doubling windows from s: yields (lo, hi, tol), is sent
+    each window's mass and returns the integral once truncation is certified."""
     total = 0.0
     deltas: list[float] = []
     lo = s
     hi = s + 1.0
-    w0 = integrand(s)
-    if w0 == 0.0 and integrand(s + 1.0) == 0.0 and integrand(s + 100.0) == 0.0:
-        return 0.0  # integrand below float range throughout
-    scale = max(w0, integrand(hi)) * 1.0
     first_ref = scale * (hi - lo)
     while True:
         ref = total if total > 0.0 else first_ref
         tol = 0.01 * rel_tol * ref
-        delta = adaptive_simpson(integrand, lo, hi, max(tol, 5e-324))
+        delta = yield lo, hi, max(tol, 5e-324)
         if not math.isfinite(delta):
             raise DivergenceError(
                 f"window [{lo:g}, {hi:g}] mass overflows the float range")
@@ -252,9 +240,68 @@ def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
                 "partial integrals not Cauchy")
         if hi - s > max_span:
             raise TailBoundError(
-                f"no truncation certifying rel_tol={rel_tol:g} within span {max_span:g}")
+                f"no truncation certifying rel_tol={rel_tol:g} within span {max_span:g}", s=s)
         lo = hi
         hi = s + 2.0 * (hi - s)
+
+
+def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
+                            s_values: Sequence[float], rel_tol: float = 1e-8,
+                            max_span: float = 1e30) -> np.ndarray:
+    """integral_s^inf mu(r)^p nu(r)^eps dr at every s, by windowed adaptive Simpson.
+
+    Windows double in span from s; truncation is certified by the analytic
+    tail bound when the family pair has one, otherwise by geometric
+    extrapolation of the window masses (conservative for power-law decay,
+    whose doubling-window masses shrink by an asymptotically constant ratio).
+    When the analytic tail is exact (not just an upper bound) and has fallen
+    below 1e-3 of the accumulated mass, it is added instead of walked down to
+    rel_tol, which keeps slowly decaying (logarithmic) tails reachable while
+    leaving >= 99.9% of the value to genuine quadrature.
+    Raises DivergenceError when window masses refuse to decay and
+    TailBoundError when no truncation can be certified within ``max_span``.
+
+    Each round integrates the current window of every unfinished s in one
+    ``adaptive_simpson_many`` call; the rules are applied per s, so each value
+    equals a one-element call, and the error raised is that of the first
+    failing s in ``s_values``.
+    """
+    integrand = _rate_integrand(mu, nu, p, eps)
+    info = analytic_tail_bound(mu, nu, p, eps)
+    if info is not None and info.divergent:
+        raise DivergenceError(
+            f"integral of {mu.label}^{p:g} * {nu.label}^{eps:g} diverges (family analysis)")
+    s_values = np.array(s_values, dtype=float).ravel()
+    out = np.zeros(s_values.size)
+    w0, w1 = np.split(integrand(np.concatenate([s_values, s_values + 1.0])), 2)
+    zero = np.flatnonzero((w0 == 0.0) & (w1 == 0.0))
+    below = zero[integrand(s_values[zero] + 100.0) == 0.0]  # below float range: 0.0
+    walks = {i: _tail_walk(info, s, max(x0, x1), rel_tol, max_span)
+             for i, (s, x0, x1) in enumerate(zip(s_values.tolist(), w0.tolist(), w1.tolist()))
+             if i not in below}
+    windows = {i: next(walk) for i, walk in walks.items()}  # ascending in i
+    failed = None
+    while windows:
+        masses = adaptive_simpson_many(integrand, *np.array(list(windows.values())).T)
+        for i, mass in zip(list(windows), masses.tolist()):
+            try:
+                windows[i] = walks[i].send(mass)
+            except StopIteration as done:
+                out[i] = done.value
+                del windows[i]
+            except NumericalError as exc:
+                failed = exc  # only an earlier s can still fail before this one
+                windows = {j: w for j, w in windows.items() if j < i}
+                break
+    if failed is not None:
+        raise failed
+    return out
+
+
+def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: float,
+                           rel_tol: float = 1e-8, max_span: float = 1e30) -> float:
+    """integral_s^inf mu(r)^p nu(r)^eps dr; the one-element ``improper_rate_integrals``."""
+    return float(improper_rate_integrals(mu, nu, p, eps, [s], rel_tol, max_span)[0])
 
 
 def tail_integral(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float, s: float,
@@ -267,10 +314,14 @@ def beta_value(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float, s
                rel_tol: float = 1e-8, integral: float | None = None) -> float:
     """beta(s) = mu(s)^a / (nu(s)^(eps(1+1/q)) I(s)^(1/q)), via the quadrature I(s).
 
-    ``integral`` is I(s) when the caller already has it.
+    ``integral`` is I(s) when the caller already has it.  Raises TailBoundError
+    when I(s) has underflowed to 0.0, since beta(s) then has no float value.
     """
     if integral is None:
         integral = tail_integral(mu, nu, a, eps, q, s, rel_tol)
+    if not integral > 0.0:
+        raise TailBoundError(f"tail integral I(s) underflows to {integral:g} at s={s:g}; "
+                             "beta(s) needs log I(s)", s=s)
     log_beta = (a * float(mu.log_eval(s)) - eps * (1.0 + 1.0 / q) * float(nu.log_eval(s))
                 - math.log(integral) / q)
     return math.exp(log_beta)
@@ -324,9 +375,10 @@ class BetaFunction:
     """Cached radius function beta and its companion beta_tilde = beta * nu^-eps.
 
     Values come from the quadrature route: the tail integral I(s) is computed
-    once per s and shared by ``integral`` and ``beta``.  ``closed_form`` is a
-    label naming the matching analytic formula when one exists (kept for
-    cross-checks and horizon extrapolation, not used to produce values here).
+    once per s and shared by ``integrals`` and ``beta``; ``integrals`` computes
+    the missing ones of a grid in one batch.  ``closed_form`` is a label naming
+    the matching analytic formula when one exists (kept for cross-checks and
+    horizon extrapolation, not used to produce values here).
     """
 
     def __init__(self, mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float,
@@ -343,19 +395,21 @@ class BetaFunction:
         self._cache: dict[float, float] = {}
         self._integrals: dict[float, float] = {}
 
-    def integral(self, s: float) -> float:
-        """I(s) = integral_s^inf mu^(a q) nu^eps, one quadrature per s."""
-        s = float(s)
-        if s not in self._integrals:
-            self._integrals[s] = tail_integral(self.mu, self.nu, self.a, self.eps, self.q, s,
-                                               self.rel_tol)
-        return self._integrals[s]
+    def integrals(self, s_values: Sequence[float]) -> np.ndarray:
+        """I(s) = integral_s^inf mu^(a q) nu^eps at every s; one batch for the missing s."""
+        keys = [float(s) for s in np.ravel(s_values)]
+        missing = list(dict.fromkeys(s for s in keys if s not in self._integrals))
+        if missing:
+            values = improper_rate_integrals(self.mu, self.nu, self.a * self.q, self.eps,
+                                             missing, self.rel_tol)
+            self._integrals.update(zip(missing, values.tolist()))
+        return np.array([self._integrals[s] for s in keys])
 
     def beta(self, s: float) -> float:
         s = float(s)
         if s not in self._cache:
             self._cache[s] = beta_value(self.mu, self.nu, self.a, self.eps, self.q, s,
-                                        self.rel_tol, self.integral(s))
+                                        self.rel_tol, self.integrals([s])[0])
         return self._cache[s]
 
     def beta_tilde(self, s: float) -> float:

@@ -167,13 +167,13 @@ class Runner:
         beta = BetaFunction(self.mu, self.nu, a, eps, q,
                             rel_tol=self.resolved["solver"]["quad_rel_tol"])
         s_values = np.linspace(0.0, ch["beta_s_max"], ch["beta_points"])
+        mono_grid = np.linspace(0.0, ch["beta_s_max"], ch["monotonicity_points"])
+        integrals = beta.integrals(np.concatenate([s_values, mono_grid]))
         rows = []
         worst_resid = 0.0
         worst_match = 0.0
-        for s in s_values:
-            s = float(s)
+        for s, integral in zip(s_values.tolist(), integrals.tolist()):
             b_quad = beta.beta(s)
-            integral = beta.integral(s)
             resid = fundamental_identity_residual(self.mu, self.nu, a, eps, q, s,
                                                   self.resolved["solver"]["quad_rel_tol"],
                                                   integral)
@@ -188,9 +188,7 @@ class Runner:
                    ["s", "beta_quadrature", "beta_closed_form", "beta_tilde",
                     "mu_pow_a_over_beta", "tail_integral", "identity_residual"], rows)
         mono = check_monotonicity(self.mu, self.nu, a, eps, q,
-                                  np.linspace(0.0, ch["beta_s_max"],
-                                              ch["monotonicity_points"]),
-                                  rel_tol=self.resolved["solver"]["quad_rel_tol"],
+                                  mono_grid, rel_tol=self.resolved["solver"]["quad_rel_tol"],
                                   beta=beta)
         cap = self.cfg.C if self.cfg.C is not None else default_capacity(d["D"])
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])

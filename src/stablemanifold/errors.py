@@ -10,7 +10,11 @@ class DivergenceError(NumericalError):
 
 
 class TailBoundError(NumericalError):
-    """A truncation point certifying the requested tail tolerance could not be found."""
+    """A tail integral could not be certified, or underflowed where its log is needed."""
+
+    def __init__(self, message, s=None):
+        super().__init__(message)
+        self.s = s
 
 
 class ContractionError(NumericalError):

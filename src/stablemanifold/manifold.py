@@ -436,7 +436,7 @@ def _truncation_point(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: f
                 return s + span
             span *= 2.0
         raise TailBoundError(
-            f"analytic tail bound stays above {target:.3e} within span {t_cut_max:g}")
+            f"analytic tail bound stays above {target:.3e} within span {t_cut_max:g}", s=s)
     w = _rate_integrand(mu, nu, p, eps)
     lo = s
     deltas: list[float] = []
@@ -452,7 +452,7 @@ def _truncation_point(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: f
         lo = hi
         span *= 2.0
     raise TailBoundError(
-        f"no truncation certifying tail <= {target:.3e} within span {t_cut_max:g}")
+        f"no truncation certifying tail <= {target:.3e} within span {t_cut_max:g}", s=s)
 
 
 def _rk4_grid(deriv: Callable[[float, np.ndarray], np.ndarray], t_grid: np.ndarray,
@@ -638,6 +638,7 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
         raise ValueError(f"perturbation must vanish at the origin; "
                          f"f({s_grid[bad[0]]:g}, 0) != 0")
     beta_fn = BetaFunction(mu, nu, params.a, params.eps, pert.q, cfg.quad_rel_tol)
+    beta_fn.integrals(s_grid)
     radii = np.array([delta * beta_fn.beta(float(s)) for s in s_grid])
     lattice, in_ball, targets = _build_lattice(n_e, cfg.nodes_per_axis)
     graph = ManifoldGraph(

@@ -2,6 +2,8 @@
 
 The adaptive rule is the classic bisection scheme with Richardson error control
 (accept when the two-panel refinement moves the estimate by less than 15*tol).
+Many intervals are integrated at once, level by level, each result equal bit
+for bit to the depth-first recursion on its interval alone.
 The cumulative rule returns prefix integrals at every sample point of a uniform
 grid; odd-index prefixes use the half-panel three-point rule so the whole table
 retains O(h^4) accuracy.
@@ -13,38 +15,65 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["adaptive_simpson", "composite_simpson", "cumulative_simpson"]
+from .errors import ConvergenceError
+
+__all__ = ["adaptive_simpson", "adaptive_simpson_many", "composite_simpson",
+           "cumulative_simpson"]
 
 
-def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    # non-finite estimates cannot improve under bisection; return them as the
-    # honest (overflowed) answer instead of recursing exponentially
-    if depth <= 0 or not np.isfinite(delta) or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adapt(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+def adaptive_simpson_many(f: Callable[[np.ndarray], np.ndarray], a, b, tol,
+                          max_depth: int = 52) -> np.ndarray:
+    """Integrate array-valued ``f`` over every [a_i, b_i] to absolute tolerance tol_i.
 
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float,
-                     max_depth: int = 52) -> float:
-    """Integrate scalar ``f`` over [a, b] to absolute tolerance ``tol``."""
-    if b == a:
-        return 0.0
-    fa = f(a)
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
+    The bisection trees of all intervals grow together, one call of ``f`` per
+    level on the quarter points of every node still splitting.  They are then
+    summed bottom-up in the recursion's order, so each result is bit-identical
+    to integrating its interval alone.  A level wider than 2^16 nodes, or 2^10
+    per interval, raises ConvergenceError: the tolerance is below round-off,
+    and the tree would grow toward 2^max_depth nodes.
+    """
+    a, b, tol = (np.array(x, dtype=float).ravel() for x in np.broadcast_arrays(a, b, tol))
+    out = np.zeros(a.shape)
+    live = np.flatnonzero(b != a)
+    if not live.size:
+        return out
+    a, b, tol = a[live], b[live], tol[live]
+    fa, fb, fm = np.split(f(np.concatenate([a, b, 0.5 * (a + b)])), 3)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adapt(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    levels = []  # per level: leaf mask and the leaves' values
+    depth = max_depth
+    with np.errstate(over="ignore", invalid="ignore"):
+        while a.size:
+            if a.size > max(1 << 16, 1024 * live.size):
+                raise ConvergenceError(f"adaptive Simpson level of {a.size} nodes: the "
+                                       "tolerance is below the integrand's round-off")
+            m = 0.5 * (a + b)
+            flm, frm = np.split(f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
+            left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+            right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+            delta = left + right - whole
+            # a non-finite estimate cannot improve under bisection: keep it as the answer
+            leaf = (depth <= 0) | ~np.isfinite(delta) | (np.abs(delta) <= 15.0 * tol)
+            levels.append((leaf, (left + right + delta / 15.0)[leaf]))
+            # children of the splitting nodes, each left half before its right half
+            a, b, fa, fm, fb, whole = np.stack([np.stack(half)[:, ~leaf] for half in (
+                (a, m, fa, flm, fm, left), (m, b, fm, frm, fb, right))], axis=2).reshape(6, -1)
+            tol = np.repeat(0.5 * tol[~leaf], 2)
+            depth -= 1
+        sums = np.empty(0)
+        for leaf, values in reversed(levels):
+            node = np.empty(leaf.shape)
+            node[leaf] = values
+            node[~leaf] = sums[0::2] + sums[1::2]
+            sums = node
+    out[live] = sums
+    return out
+
+
+def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float,
+                     max_depth: int = 52) -> float:
+    """Integrate array-valued ``f`` over [a, b] to absolute tolerance ``tol``."""
+    return float(adaptive_simpson_many(f, a, b, tol, max_depth)[0])
 
 
 def composite_simpson(y: np.ndarray, h: float):

@@ -223,7 +223,7 @@ def _cubic_gain(system, s: float) -> float:
     total.  The integrand is positive, so no window is skipped.
     """
     def f(r):
-        return float(system.U(r, s)) ** 3 / float(system.V(r, s))
+        return system.U(r, s) ** 3 / system.V(r, s)
 
     total, lo, span = 0.0, s, 1.0
     while True:

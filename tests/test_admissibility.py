@@ -7,8 +7,9 @@ from stablemanifold.admissibility import (BetaFunction, analytic_tail_bound, bet
                                           check_limit_condition, check_monotonicity,
                                           closed_form_beta, default_capacity, delta_max,
                                           delta_max_bounds, fundamental_identity_residual,
-                                          improper_rate_integral, tail_integral)
-from stablemanifold.errors import DivergenceError, TailBoundError
+                                          improper_rate_integral, improper_rate_integrals,
+                                          tail_integral)
+from stablemanifold.errors import DivergenceError, NumericalError, TailBoundError
 from stablemanifold.rates import builtin_rate, expression_rate
 
 EXP = builtin_rate("exponential")
@@ -232,3 +233,87 @@ def test_random_admissible_params_keep_identity_tight():
         eps = float(rng.uniform(0.0, min(0.5, -a * q - 0.1)))
         s = float(rng.uniform(0.0, 2.0))
         assert fundamental_identity_residual(EXP, EXP, a, eps, q, s) <= 1e-6
+
+
+BUILTIN_RATES = [EXP, POLY, LOG4, LOG_NU, LLOG4, LLOG_NU]
+S_BATCH = [0.0, 0.5, 3.0, 10.0, 40.0, 3.0]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_batch_equals_singles(mu, nu, p, eps, s_values, **kw):
+    singles = [_outcome(lambda: improper_rate_integral(mu, nu, p, eps, s, **kw))
+               for s in s_values]
+    batch = _outcome(lambda: improper_rate_integrals(mu, nu, p, eps, s_values, **kw).tolist())
+    failures = [o for o in singles if isinstance(o, tuple)]
+    # bit-identical values, or the error of the first failing s
+    assert batch == (failures[0] if failures else singles)
+
+
+@pytest.mark.parametrize("mu", BUILTIN_RATES, ids=lambda r: r.label)
+@pytest.mark.parametrize("nu", BUILTIN_RATES, ids=lambda r: r.label)
+def test_batched_tail_integrals_equal_one_element_calls(mu, nu):
+    _assert_batch_equals_singles(mu, nu, -2.0, 0.1, S_BATCH)
+
+
+@pytest.mark.parametrize("mu,nu,a,eps,q,expected", FAMILY_CASES,
+                         ids=["exp", "poly", "log", "loglog"])
+def test_batched_slow_tails_equal_one_element_calls(mu, nu, a, eps, q, expected):
+    # aq = -1 on the log pairs: the exact-tail shortcut after many windows
+    _assert_batch_equals_singles(mu, nu, a * q, eps, S_BATCH)
+
+
+def test_batched_expression_tails_equal_one_element_calls():
+    # no family, so truncation comes from geometric extrapolation of window masses
+    mu, nu = expression_rate("exp(t)"), expression_rate("1 + t")
+    assert analytic_tail_bound(mu, nu, -2.0, 0.5) is None
+    _assert_batch_equals_singles(mu, nu, -2.0, 0.5, S_BATCH)
+
+
+def test_batched_tail_raises_the_first_failing_s_in_order():
+    # (1+r)^8 e^-r rises until r = 7: from s <= 2 the windows grow (DivergenceError
+    # at the third window); from s >= 5 they shrink too slowly for a span of 8
+    # (TailBoundError at the fifth)
+    hump, one = expression_rate("(1 + t)^8 * exp(-t)"), builtin_rate("polynomial")
+    with pytest.raises(TailBoundError, match="span 8") as info:
+        improper_rate_integrals(hump, one, 1.0, 0.0, [20.0, 0.0, 5.0], max_span=8.0)
+    assert info.value.s == 20.0
+    with pytest.raises(DivergenceError, match="growing"):
+        improper_rate_integrals(hump, one, 1.0, 0.0, [2.0, 20.0, 0.0], max_span=8.0)
+    with pytest.raises(TailBoundError) as info:
+        improper_rate_integrals(hump, one, 1.0, 0.0, [10.0, 20.0], max_span=8.0)
+    assert info.value.s == 10.0
+    for s_values in ([20.0, 0.0, 5.0], [2.0, 20.0, 0.0], [10.0, 20.0], [5.0, 0.0]):
+        _assert_batch_equals_singles(hump, one, 1.0, 0.0, s_values, max_span=8.0)
+
+
+def test_beta_function_integrals_fill_the_cache_in_one_batch(monkeypatch):
+    from stablemanifold import admissibility
+    batches = []
+    quadrature = admissibility.improper_rate_integrals
+
+    def counting(mu, nu, p, eps, s_values, *rest):
+        batches.append(list(s_values))
+        return quadrature(mu, nu, p, eps, s_values, *rest)
+
+    monkeypatch.setattr(admissibility, "improper_rate_integrals", counting)
+    bf = BetaFunction(LOG4, LOG_NU, -0.5, 0.5, 2.0)
+    got = bf.integrals([0.0, 2.0, 0.0, 7.0])
+    assert batches == [[0.0, 2.0, 7.0]]
+    assert got[0] == got[2]
+    assert bf.integrals([7.0, 9.0])[0] == got[3] and bf.beta(2.0) > 0.0
+    assert batches == [[0.0, 2.0, 7.0], [9.0]]
+    assert got.tolist() == [tail_integral(LOG4, LOG_NU, -0.5, 0.5, 2.0, s)
+                            for s in (0.0, 2.0, 0.0, 7.0)]
+
+
+def test_beta_of_an_underflowed_tail_raises_with_s():
+    # e^(-1.9 r) integrates to e^(-1.9 s)/1.9, below the float range at s = 400
+    with pytest.raises(TailBoundError, match="underflows") as info:
+        beta_value(EXP, EXP, -1.0, 0.1, 2.0, 400.0)
+    assert info.value.s == 400.0

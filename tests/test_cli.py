@@ -80,13 +80,13 @@ def test_rerun_from_manifest_is_identical(tmp_path):
 def test_admissibility_runs_one_tail_quadrature_per_s(tmp_path, monkeypatch):
     from stablemanifold import admissibility
     keys = []
-    quadrature = admissibility.improper_rate_integral
+    quadrature = admissibility.improper_rate_integrals
 
-    def counting(mu, nu, p, eps, s, *rest):
-        keys.append((p, eps, s))
-        return quadrature(mu, nu, p, eps, s, *rest)
+    def counting(mu, nu, p, eps, s_values, *rest):
+        keys.extend((p, eps, float(s)) for s in s_values)
+        return quadrature(mu, nu, p, eps, s_values, *rest)
 
-    monkeypatch.setattr(admissibility, "improper_rate_integral", counting)
+    monkeypatch.setattr(admissibility, "improper_rate_integrals", counting)
     assert main(["admissibility", "--config", EXPONENTIAL, "--out", str(tmp_path)]) == 0
     assert keys and len(keys) == len(set(keys))
 
@@ -193,6 +193,21 @@ def test_numerical_failure_report_carries_error_context(tmp_path, monkeypatch, c
     assert error["s"] == 0.0
     assert error["ratio"] == pytest.approx(0.5, rel=1e-12)
     assert 0 <= error["node"] < 41
+
+
+def test_underflowed_tail_integral_exits_one_with_report(tmp_path, capsys):
+    # I(400) = e^(-760)/1.9 underflows to 0.0, so beta(400) has no float value
+    cfg_path = tmp_path / "far.json"
+    cfg = read_json(EXPONENTIAL)
+    cfg["checks"] = {"beta_s_max": 400}
+    cfg_path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "o")
+    assert main(["admissibility", "--config", cfg_path.as_posix(), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("admissibility: FAIL: TailBoundError: tail integral I(s) underflows")
+    assert err.count("\n") == 1
+    error = read_json(os.path.join(out, "report-admissibility.json"))["error"]
+    assert error["type"] == "TailBoundError" and error["s"] == 400.0
 
 
 def test_bad_cli_values_exit_two(tmp_path, capsys):

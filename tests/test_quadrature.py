@@ -1,7 +1,94 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stablemanifold.quadrature import adaptive_simpson, composite_simpson, cumulative_simpson
+from stablemanifold.errors import ConvergenceError
+from stablemanifold.quadrature import (adaptive_simpson, adaptive_simpson_many,
+                                       composite_simpson, cumulative_simpson)
+
+
+def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
+    """The depth-first recursion that adaptive_simpson_many must reproduce bit for bit."""
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if depth <= 0 or not np.isfinite(delta) or abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    return _adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adapt(
+        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+
+
+def _recursive_simpson(f, a, b, tol, max_depth=52):
+    if b == a:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fb, fm = f(a), f(b), f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _adapt(f, a, b, fa, fm, fb, whole, tol, max_depth)
+
+
+# integrands on arrays; the scalar oracle evaluates them on one-element arrays,
+# so both sides see the same float for the same point
+INTEGRANDS = {
+    "exp_decay": lambda x: np.exp(-x),
+    "oscillating": lambda x: np.sin(7.0 * x) * np.exp(-0.1 * x),
+    "spike": lambda x: np.exp(-((x - 0.3) / 0.01) ** 2),
+    "kink": lambda x: np.abs(x - 0.37),
+    "overflow": lambda x: np.where(x < 8.5, np.exp(-x), np.exp(1000.0 * x)),  # inf from 8.5
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(INTEGRANDS)),
+       intervals=st.lists(st.tuples(st.floats(-2.0, 9.0), st.floats(0.0, 4.0),
+                                    st.integers(-12, -3)), min_size=1, max_size=12),
+       max_depth=st.one_of(st.integers(0, 6), st.just(52)),
+       empty=st.booleans())
+@example(name="overflow", intervals=[(8.0, 1.0, -6), (6.0, 4.0, -9)], max_depth=52, empty=False)
+@example(name="spike", intervals=[(0.0, 1.0, -12), (0.2, 0.2, -12)], max_depth=3, empty=True)
+def test_adaptive_simpson_many_equals_recursion(name, intervals, max_depth, empty):
+    f = INTEGRANDS[name]
+    a = np.array([lo for lo, _, _ in intervals])
+    b = np.array([lo + width for lo, width, _ in intervals])
+    if empty:
+        b[0] = a[0]  # b == a integrates to 0.0 without a call
+    tol = np.array([10.0 ** k for _, _, k in intervals])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = adaptive_simpson_many(f, a, b, tol, max_depth)
+        want = [_recursive_simpson(lambda x: f(np.array([x]))[0], lo, hi, t, max_depth)
+                for lo, hi, t in zip(a.tolist(), b.tolist(), tol.tolist())]
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_adaptive_simpson_many_calls_the_integrand_once_per_level():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(x)
+
+    a = np.linspace(0.0, 3.0, 20)
+    adaptive_simpson_many(f, a, a + 1.0, 1e-10)
+    batch = len(calls)
+    singles = []
+    for lo in a:
+        calls.clear()
+        adaptive_simpson(f, lo, lo + 1.0, 1e-10)
+        singles.append(len(calls))
+    # the root points, then one call per tree level of the deepest interval
+    assert batch == max(singles)
+
+
+def test_tolerance_below_round_off_raises_instead_of_growing():
+    # e^64 at the right end: an absolute 1e-3 is a relative 1e-31
+    with pytest.raises(ConvergenceError, match="round-off"):
+        adaptive_simpson(lambda x: np.exp(x * (20.0 - x)), 0.0, 4.0, 1e-3)
 
 
 def test_adaptive_exact_on_cubic():
