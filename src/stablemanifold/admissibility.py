@@ -38,6 +38,7 @@ __all__ = ["LimitCheck", "check_limit_condition", "TailBoundInfo", "analytic_tai
            "default_capacity"]
 
 _DEFAULT_LIMIT_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+_LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 
 
 @dataclass(frozen=True)
@@ -184,14 +185,18 @@ def analytic_tail_bound(mu: GrowthRate, nu: GrowthRate, p: float,
 
 def _rate_integrand(mu: GrowthRate, nu: GrowthRate, p: float,
                     eps: float) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> mu(r)^p nu(r)^eps elementwise, evaluated in log space.
+    """r -> mu(r)^p nu(r)^eps elementwise, evaluated in log space; inf above the float range.
 
     math.exp per element: np.exp differs from it in the last bit on a few
     percent of arguments, which would move every beta.
     """
     def integrand(r: np.ndarray) -> np.ndarray:
         logs = np.ravel(p * np.asarray(mu.log_eval(r)) + eps * np.asarray(nu.log_eval(r)))
-        return np.fromiter(map(math.exp, logs.tolist()), float, logs.size)
+        try:
+            return np.fromiter(map(math.exp, logs.tolist()), float, logs.size)
+        except OverflowError:  # above the float range: inf
+            finite = np.minimum(logs, _LOG_MAX).tolist()
+            return np.where(logs > _LOG_MAX, math.inf, np.fromiter(map(math.exp, finite), float, logs.size))
     return integrand
 
 

@@ -364,16 +364,16 @@ def build_system(resolved: dict, mu: GrowthRate, nu: GrowthRate) -> LinearSystem
         return sharp_oscillating_system(mu, nu, d["a"], d["b"], d["eps"])
     entries = [[compile_expression(e, variables=("t",)) for e in row]
                for row in node["coeff"]]
-    n = len(entries)
 
-    def coeff(t) -> np.ndarray:
-        """A(t): (n, n) at a scalar t, (B, n, n) at times t of shape (B,)."""
-        if not (isinstance(t, np.ndarray) and t.ndim):
-            return np.array([[float(fn(t=t)) for fn in row] for row in entries])
-        return np.stack([np.stack([np.broadcast_to(np.asarray(fn(t=t), dtype=float), t.shape)
-                                   for fn in row], axis=-1) for row in entries], axis=-2)
+    def coeff(t: np.ndarray) -> np.ndarray:
+        """A(t): (B, n, n) at times t of shape (B,)."""
+        a = np.empty(t.shape + (len(entries),) * 2)
+        for i, row in enumerate(entries):
+            for j, fn in enumerate(row):
+                a[:, i, j] = fn(t=t)
+        return a
 
-    return matrix_system(coeff, n, node["n_stable"], label="matrix")
+    return matrix_system(coeff, len(entries), node["n_stable"], label="matrix")
 
 
 def build_perturbation(node: dict, n: int) -> Perturbation:

@@ -79,10 +79,8 @@ class LinearSystem:
     matrix A(t).  ``meta`` carries builder-specific structure (used by the
     sharpness probe and by solvers that can exploit scalar blocks).
 
-    ``A`` maps a scalar t to an (n, n) matrix and times t of shape (B,) to
-    either (B, n, n), one matrix per time, or a constant (n, n); the batched
-    nonlinear flow evaluates it on arrays.  ``U`` and ``V`` broadcast over
-    array arguments the same way.
+    ``A`` takes times t of shape (B,) only and gives (B, n, n), one matrix
+    per time, or a constant (n, n).  ``U`` and ``V`` take scalar or array times.
 
     ``clock`` is a rate mu such that T(t, s) depends on t and s only through
     log mu(t) and log mu(s), as for ``rate_power_system``; the inner solver
@@ -94,7 +92,7 @@ class LinearSystem:
     n: int
     n_stable: int
     P: Callable[[float], np.ndarray]
-    A: Callable[[float], np.ndarray] | None = None
+    A: Callable[[np.ndarray], np.ndarray] | None = None
     U: Callable[[float, float], float] | None = None
     V: Callable[[float, float], float] | None = None
     label: str = ""
@@ -172,12 +170,10 @@ def sharp_oscillating_system(mu: GrowthRate, nu: GrowthRate, a: float, b: float,
                               "mu": mu, "nu": nu})
 
 
-def matrix_system(coeff: Callable[[float], np.ndarray], n: int, n_stable: int,
+def matrix_system(coeff: Callable[[np.ndarray], np.ndarray], n: int, n_stable: int,
                   label: str = "matrix") -> LinearSystem:
-    """System given by a coefficient matrix A(t) with coordinate projections.
-
-    ``coeff`` must also accept times of shape (B,); see ``LinearSystem``.
-    """
+    """System given by a coefficient matrix A(t), batch-only as in ``LinearSystem``,
+    with coordinate projections."""
     return LinearSystem(n, n_stable, coordinate_projection(n, n_stable), A=coeff,
                         label=label, meta={"kind": "matrix"})
 
@@ -203,7 +199,14 @@ def transition(system: LinearSystem, t: float, s: float, h: float = 1e-3) -> np.
         raise ValueError(f"transition requires t >= s, got t={t}, s={s}")
     if system.form == "closed_form":
         return np.diag(closed_form_diagonal(system, t, s))
-    return rk4_propagate(lambda r, m: system.A(r) @ m, s, np.eye(system.n), t, h)
+    return _propagate(system, s, t, h)
+
+
+def _propagate(system: LinearSystem, t0: float, t1: float, h: float) -> np.ndarray:
+    """T(t1, t0) of a matrix system by equal RK4 steps of size at most h (t1 < t0 too)."""
+    n_steps = max(1, int(np.ceil(abs(t1 - t0) / h)))
+    dt = np.full(n_steps, (t1 - t0) / n_steps)
+    return rk4_propagate(system.A, np.add.accumulate(np.r_[t0, dt[1:]]), dt, np.eye(system.n))[-1]
 
 
 def _invert_transition(system: LinearSystem, fwd: np.ndarray, t: float, s: float,
@@ -219,8 +222,7 @@ def _invert_transition(system: LinearSystem, fwd: np.ndarray, t: float, s: float
                      "using backward propagation")
     except np.linalg.LinAlgError:
         notes.append("transition matrix numerically singular; using backward propagation")
-    back = rk4_propagate(lambda r, m: system.A(r) @ m, t, np.eye(system.n), s, h)
-    return back, notes
+    return _propagate(system, t, s, h), notes
 
 
 def transition_inverse(system: LinearSystem, t: float, s: float, h: float = 1e-3,
@@ -278,6 +280,8 @@ def verify_dichotomy(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     where the ratios are measured norm over claimed bound.  The certificate
     passes iff all ratios are <= 1 + tol and all residuals <= tol.
     """
+    if len(pairs) == 0:
+        raise ValueError("pairs must not be empty")
     rows = []
     notes: list[str] = []
     for t, s in pairs:
@@ -294,18 +298,13 @@ def verify_dichotomy(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
             fwd = transition(system, t, s, h)
             inv, inv_notes = _invert_transition(system, fwd, t, s, h, _COND_LIMIT)
             notes.extend(inv_notes)
-            p_s = system.P(s)
-            p_t = system.P(t)
-            q_t = np.eye(system.n) - p_t
+            p_s, p_t = system.P(s), system.P(t)
             stable_norm = spectral_norm(fwd @ p_s)
-            unstable_norm = spectral_norm(inv @ q_t)
+            unstable_norm = spectral_norm(inv @ (np.eye(system.n) - p_t))
             commut = spectral_norm(p_t @ fwd - fwd @ p_s)
         rows.append((float(t), float(s), float(stable_norm / stable_bound),
                      float(unstable_norm / unstable_bound), float(commut)))
-    arr = np.asarray(rows)
-    max_s = float(arr[:, 2].max())
-    max_u = float(arr[:, 3].max())
-    max_c = float(arr[:, 4].max())
+    max_s, max_u, max_c = np.asarray(rows)[:, 2:].max(axis=0).tolist()
     passed = bool(max_s <= 1.0 + tol and max_u <= 1.0 + tol and max_c <= tol)
     return DichotomyCertificate(passed, max_s, max_u, max_c, tol, len(rows),
                                 tuple(tuple(r) for r in rows), tuple(dict.fromkeys(notes)))

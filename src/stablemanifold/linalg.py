@@ -2,8 +2,8 @@
 
 Spectral norms are computed without any external eigensolver: closed form for
 1x1 and 2x2, power iteration on M^T M above that.  One 4th-order Runge-Kutta
-step, ``rk4_step``, serves every integrator of the package: the transition-matrix
-propagator here, the solver's inner-grid stepper and the nonlinear flow.
+step, ``rk4_step``, serves every integrator: the nonlinear flow and the linear
+propagator ``rk4_propagate``, which evaluates A(t) once on all its stage times.
 """
 
 from __future__ import annotations
@@ -66,21 +66,24 @@ def rk4_step(deriv: Callable, t, y: np.ndarray, dt):
     return y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_propagate(deriv: Callable[[float, np.ndarray], np.ndarray], t0: float,
-                  y0: np.ndarray, t1: float, h: float) -> np.ndarray:
-    """Integrate y' = deriv(t, y) from t0 to t1 with fixed 4th-order steps.
+def rk4_propagate(A: Callable[[np.ndarray], np.ndarray], t: np.ndarray, dt: np.ndarray,
+                  y0: np.ndarray, right: bool = False) -> np.ndarray:
+    """States of y' = A(t) y, or y' = y A(t) with ``right``, from y0 at t[0] and after
+    each ``rk4_step`` from t[j] to t[j] + dt[j]: shape (len(t) + 1,) + y0.shape.
 
-    The step count is chosen so the grid lands exactly on t1 with step size
-    at most ``h``; integration may run backward (t1 < t0).
+    ``A`` is called once, on the stage times t, t + 0.5 dt and t + dt of all
+    steps, computed as ``rk4_step`` computes them.
     """
-    span = t1 - t0
-    if span == 0.0:
-        return np.array(y0, dtype=float, copy=True)
-    n_steps = max(1, int(np.ceil(abs(span) / h)))
-    dt = span / n_steps
-    t = t0
-    y = np.array(y0, dtype=float, copy=True)
-    for _ in range(n_steps):
-        y = rk4_step(deriv, t, y, dt)
-        t += dt
-    return y
+    times = np.stack([t, t + 0.5 * dt, t + dt])
+    a = A(times.ravel())
+    a = np.broadcast_to(a, (times.size,) + a.shape[-2:]).reshape(times.shape + a.shape[-2:])
+
+    def deriv(r, m):
+        return m @ stage[r] if right else stage[r] @ m
+
+    out = np.empty((len(t) + 1,) + y0.shape)
+    y = out[0] = y0
+    for j in range(len(t)):
+        stage = dict(zip(times[:, j].tolist(), a[:, j]))
+        y = out[j + 1] = rk4_step(deriv, t[j], y, dt[j])
+    return out

@@ -40,10 +40,10 @@ one exists, log-linearly otherwise.
 
 ``nonlinear_flow_many`` integrates the full nonlinear system for a batch of
 samples at once, each with its own start time and duration; ``nonlinear_flow``
-is its one-sample form.  It, the inner-grid stepper and ``linalg.rk4_propagate``
-share one RK4 step, ``linalg.rk4_step``; on closed-form systems it reads the
-diagonal of T(t, s) from ``dichotomy.closed_form_diagonal``.  Every caller
-evaluates the perturbation on a batch of samples (see ``Perturbation``).
+is its one-sample form.  It and ``linalg.rk4_propagate``, which builds the
+matrix slice tables, share one RK4 step, ``linalg.rk4_step``; on closed-form
+systems it reads the diagonal of T(t, s) from ``dichotomy.closed_form_diagonal``.
+Every caller evaluates the perturbation on a batch of samples (see ``Perturbation``).
 
 Norms on state blocks are sum norms.
 """
@@ -62,7 +62,7 @@ from .dichotomy import DichotomyParams, LinearSystem, closed_form_diagonal
 from .errors import (BlowupError, ContractionError, ConvergenceError, DecayBoundError,
                      DivergenceError, LipschitzError, NumericalError, TailBoundError)
 from .expr import compile_expression
-from .linalg import rk4_step
+from .linalg import rk4_propagate, rk4_step
 from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson
 from .rates import GrowthRate
 
@@ -313,8 +313,9 @@ def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
             return v_inv * fv[..., n_e:]
     else:
         eye = np.eye(system.n)
-        fwd = _rk4_grid(lambda r, y: system.A(r) @ y, t_grid, eye[:, :n_e])[:, :n_e]
-        back = _rk4_grid(lambda r, w: -w @ system.A(r), t_grid, eye)  # T(s, r)
+        t0, dt = t_grid[:-1], np.diff(t_grid)
+        fwd = rk4_propagate(system.A, t0, dt, eye[:, :n_e])[:, :n_e]
+        back = rk4_propagate(lambda r: -system.A(r), t0, dt, eye, right=True)  # T(s, r)
         back = back * weight[:, None, None]
 
         def stable(y):
@@ -453,16 +454,6 @@ def _truncation_point(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: f
         span *= 2.0
     raise TailBoundError(
         f"no truncation certifying tail <= {target:.3e} within span {t_cut_max:g}", s=s)
-
-
-def _rk4_grid(deriv: Callable[[float, np.ndarray], np.ndarray], t_grid: np.ndarray,
-              y0: np.ndarray) -> np.ndarray:
-    """Classical 4th-order steps along ``t_grid``; the state at every grid point."""
-    out = np.empty((len(t_grid),) + y0.shape)
-    y = out[0] = y0
-    for j in range(len(t_grid) - 1):
-        y = out[j + 1] = rk4_step(deriv, t_grid[j], y, t_grid[j + 1] - t_grid[j])
-    return out
 
 
 @dataclass(frozen=True)

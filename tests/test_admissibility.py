@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stablemanifold.admissibility import (BetaFunction, analytic_tail_bound, beta_value,
-                                          check_limit_condition, check_monotonicity,
+from stablemanifold.admissibility import (BetaFunction, _rate_integrand, analytic_tail_bound,
+                                          beta_value, check_limit_condition, check_monotonicity,
                                           closed_form_beta, default_capacity, delta_max,
                                           delta_max_bounds, fundamental_identity_residual,
                                           improper_rate_integral, improper_rate_integrals,
@@ -107,6 +107,18 @@ def test_divergent_integral_heuristic_route():
     mu = expression_rate("exp(t)")
     with pytest.raises(DivergenceError):
         improper_rate_integral(mu, mu, 0.5, 0.0, 0.0)
+
+
+def test_integrand_above_float_range_reports_divergence():
+    # (1 + r)^120 is about 1e360 at r = 1000: inf there, math.exp everywhere else
+    rate = expression_rate("1 + t")
+    with pytest.raises(DivergenceError, match="overflows the float range"):
+        improper_rate_integral(rate, rate, 120.0, 0.0, 1000.0)
+    r = np.array([0.5, 1000.0, 300.0, 2.0])
+    got = _rate_integrand(rate, rate, 120.0, 0.0)(r)
+    logs = 120.0 * rate.log_eval(r) + 0.0 * rate.log_eval(r)
+    assert got[1] == math.inf
+    assert [got[i] for i in (0, 2, 3)] == [math.exp(logs[i]) for i in (0, 2, 3)]
 
 
 def test_heuristic_route_matches_analytic():

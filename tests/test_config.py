@@ -189,7 +189,7 @@ def test_matrix_builder_evaluates_coefficients():
     mu, nu = build_rates(resolved)
     system = build_system(resolved, mu, nu)
     import numpy as np
-    assert np.allclose(system.A(0.3), np.diag([-1.0, 1.0]))
+    assert np.allclose(system.A(np.array([0.3]))[0], np.diag([-1.0, 1.0]))
 
 
 def test_scale_tolerances():

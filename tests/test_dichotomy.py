@@ -7,7 +7,9 @@ from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, closed_form
                                       rate_power_system, sharp_oscillating_system,
                                       sharpness_probe, transition, transition_inverse,
                                       verify_dichotomy)
-from stablemanifold.linalg import spectral_norm
+from stablemanifold.config import build_system
+from stablemanifold.expr import compile_expression
+from stablemanifold.linalg import rk4_step, spectral_norm
 from stablemanifold.rates import builtin_rate
 
 EXP = builtin_rate("exponential")
@@ -133,13 +135,15 @@ def test_verify_dichotomy_propagates_each_matrix_pair_once(monkeypatch):
     calls = []
     propagate = dichotomy.rk4_propagate
 
-    def counting(deriv, t0, y0, t1, step):
-        calls.append((t0, t1))
-        return propagate(deriv, t0, y0, t1, step)
+    def counting(A, t, dt, y0):
+        calls.append((t[0], t[-1] + dt[-1]))
+        return propagate(A, t, dt, y0)
 
     monkeypatch.setattr(dichotomy, "rk4_propagate", counting)
     cert = verify_dichotomy(mat, EXP, EXP, params, pairs, h=h)
-    assert calls == [(s, t) for t, s in pairs] + [(12.0, 0.0)]
+    expected = [(s, t) for t, s in pairs] + [(12.0, 0.0)]
+    assert np.shape(calls) == np.shape(expected)
+    assert np.asarray(calls) == pytest.approx(np.asarray(expected), abs=1e-12)
     assert len(cert.notes) == 1 and "backward" in cert.notes[0]
     monkeypatch.setattr(dichotomy, "rk4_propagate", propagate)
     for (t, s), row in zip(pairs, cert.rows):
@@ -149,6 +153,64 @@ def test_verify_dichotomy_propagates_each_matrix_pair_once(monkeypatch):
         unstable = spectral_norm(inv @ q_t) / (params.D * np.exp(-params.b * (t - s)))
         stable = spectral_norm(fwd @ mat.P(s)) / (params.D * np.exp(params.a * (t - s)))
         assert row[2:4] == (stable, unstable)
+
+
+TIME_DEPENDENT = [["-1 - 0.5*exp(-t)", "0.3*exp(-t)", "0"],
+                  ["-0.3", "-1", "t/(1 + t)"],
+                  ["0", "0", "1 + 1/(1 + t)"]]
+
+
+def _per_stage_propagate(deriv, t0, y0, t1, h):
+    """Reference propagation: y' = deriv(t, y) by equal steps, one call per RK4 stage."""
+    span = t1 - t0
+    if span == 0.0:
+        return np.array(y0, dtype=float, copy=True)
+    n_steps = max(1, int(np.ceil(abs(span) / h)))
+    dt = span / n_steps
+    t = t0
+    y = np.array(y0, dtype=float, copy=True)
+    for _ in range(n_steps):
+        y = rk4_step(deriv, t, y, dt)
+        t += dt
+    return y
+
+
+def test_matrix_transitions_match_per_stage_reference():
+    # config-built A(t) against A evaluated entry by entry at every scalar stage time;
+    # (12, 0) is ill conditioned, so verify_dichotomy inverts it by backward propagation
+    system = build_system({"system": {"kind": "matrix", "coeff": TIME_DEPENDENT, "n_stable": 2},
+                           "dichotomy": {}}, EXP, EXP)
+    entries = [[compile_expression(e, variables=("t",)) for e in row] for row in TIME_DEPENDENT]
+
+    def deriv(r, m):
+        return np.array([[float(fn(t=r)) for fn in row] for row in entries]) @ m
+
+    params = DichotomyParams(D=3.0, a=-0.5, b=0.5, eps=0.0)
+    pairs = pair_grid(4.0, 6) + [(12.0, 0.0)]
+    h = 0.01
+    cert = verify_dichotomy(system, EXP, EXP, params, pairs, h=h)
+    assert len(cert.notes) == 1 and "backward" in cert.notes[0]
+    eye = np.eye(3)
+    p = system.P(0.0)
+    for (t, s), row in zip(pairs, cert.rows):
+        fwd = _per_stage_propagate(deriv, s, eye, t, h)
+        back = _per_stage_propagate(deriv, t, eye, s, h)
+        assert transition(system, t, s, h).tobytes() == fwd.tobytes()
+        assert transition_inverse(system, t, s, h, cond_limit=0.0)[0].tobytes() == back.tobytes()
+        inv = np.linalg.inv(fwd)
+        if spectral_norm(fwd) * spectral_norm(inv) > 1e8:
+            inv = back
+        assert transition_inverse(system, t, s, h)[0].tobytes() == inv.tobytes()
+        log_ratio = EXP.log_eval(t) - EXP.log_eval(s)
+        stable = spectral_norm(fwd @ p) / (params.D * np.exp(params.a * log_ratio))
+        unstable = spectral_norm(inv @ (eye - p)) / (params.D * np.exp(-params.b * log_ratio))
+        assert row == (t, s, stable, unstable, spectral_norm(p @ fwd - fwd @ p))
+
+
+def test_verify_dichotomy_rejects_empty_pairs():
+    params = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.0)
+    with pytest.raises(ValueError, match="pairs must not be empty"):
+        verify_dichotomy(rate_power_system(EXP, a=-1.0, b=1.0), EXP, EXP, params, [])
 
 
 def test_verify_dichotomy_rejects_overclaimed_rate():

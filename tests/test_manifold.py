@@ -12,11 +12,13 @@ from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, coordinate_
                                       matrix_system, rate_power_system,
                                       sharp_oscillating_system)
 from stablemanifold.errors import BlowupError, DecayBoundError, NumericalError
+from stablemanifold.expr import compile_expression
 from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbation,
                                      SolverConfig, cubic_perturbation, eval_phi, eval_phi_many,
                                      expression_perturbation, graph_metric_distance,
                                      inner_trajectory, nonlinear_flow, nonlinear_flow_many,
                                      outer_contraction_factor, solve_manifold)
+from stablemanifold.linalg import rk4_step
 from stablemanifold.quadrature import composite_simpson, cumulative_simpson
 from stablemanifold.rates import builtin_rate, expression_rate
 
@@ -272,18 +274,23 @@ def test_nonlinear_flow_many_validation(solved):
 
 def test_coefficient_matrices_broadcast_over_times():
     t = np.array([0.0, 0.25, 1.0, 3.5, 10.0])
-    systems = [_config_matrix_system(),
-               build_system({"system": {"kind": "matrix", "n_stable": 2,
-                                        "coeff": [["-1", "0", "0"], ["0", "-1", "0"],
-                                                  ["0", "0", "1"]]},
-                             "dichotomy": {}}, EXP, EXP),
-               rate_power_system(EXP, a=-1.0, b=1.0),
-               sharp_oscillating_system(EXP, EXP, -1.0, 1.0, 0.2)]
-    for system in systems:
+    diagonal = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]]
+    configs = [(_config_matrix_system(), MATRIX_COEFF),
+               (build_system({"system": {"kind": "matrix", "n_stable": 2, "coeff": diagonal},
+                              "dichotomy": {}}, EXP, EXP), diagonal)]
+    for system, coeff in configs:
         batch = system.A(t)
         assert batch.shape == (len(t), system.n, system.n)
-        for b, tt in enumerate(t):
-            assert batch[b].tobytes() == system.A(float(tt)).tobytes()
+        for b, tt in enumerate(t):  # each entry's expression at the scalar time
+            scalar = np.array([[float(compile_expression(e, variables=("t",))(t=float(tt)))
+                                for e in row] for row in coeff])
+            assert batch[b].tobytes() == scalar.tobytes()
+    for system in (rate_power_system(EXP, a=-1.0, b=1.0),
+                   sharp_oscillating_system(EXP, EXP, -1.0, 1.0, 0.2)):
+        batch = system.A(t)
+        assert batch.shape == (len(t), system.n, system.n)
+        for b in range(len(t)):
+            assert batch[b].tobytes() == system.A(t[b:b + 1])[0].tobytes()
 
 
 def test_solver_rejects_oversized_delta():
@@ -522,6 +529,49 @@ def test_rotating_matrix_system_under_polynomial_rates():
         err = np.abs(graph.values[k][:, 0] - exact)
         # Simpson at t step 0.05 on the cos(3 tau) harmonic leaves about 3e-6
         assert err.max() <= 1e-5 * np.abs(xi).sum(axis=1).max() ** 3
+
+
+def _per_stage_rk4_grid(deriv, t_grid, y0):
+    """Reference slice-table propagation: one call of ``deriv`` per RK4 stage."""
+    out = np.empty((len(t_grid),) + y0.shape)
+    y = out[0] = y0
+    for j in range(len(t_grid) - 1):
+        y = out[j + 1] = rk4_step(deriv, t_grid[j], y, t_grid[j + 1] - t_grid[j])
+    return out
+
+
+def test_matrix_slice_tables_match_per_stage_reference(monkeypatch):
+    # forward T(t, s)P(s) as y' = A y and backward T(s, r) as w' = -w A, with A(r) at
+    # every stage time; the tables, their maps and an inner trajectory are bit-identical
+    params = DichotomyParams(D=1.5, a=-1.0, b=1.0, eps=0.0)
+    pert = cubic_perturbation(1.0, n=3)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.01, C=2.0, nodes_per_axis=3, h=0.05,
+                       tail_abs_tol=1e-6, t_cut_max=200.0)
+    graph, _ = solve_manifold(ROTATING, POLY, POLY, params, pert, cfg)
+    xi = np.array([0.3, -0.2]) * float(graph.radius_fn(0.5))
+
+    def tables_and_trajectory():
+        rng = np.random.default_rng(5)
+        table = manifold._slice_table(ROTATING, POLY, POLY, params, pert, 2.0, 0.5, 30.0, 0.05)
+        y = rng.standard_normal((2, len(table.t), 2))
+        fv = rng.standard_normal((2, len(table.t), 3))
+        traj = inner_trajectory(graph, ROTATING, POLY, POLY, params, pert, s=0.5, xi=xi,
+                                t_max=30.0, h=0.05)
+        return table.t, table.stable(y), table.pull_stable(fv), table.pull_unstable(fv), traj.x
+
+    new = tables_and_trajectory()
+
+    def per_stage(A, t, dt, y0, right=False):
+        t_grid = np.append(t, t[-1] + dt[-1])
+        assert np.array_equal(np.diff(t_grid), dt)
+        if right:
+            return _per_stage_rk4_grid(lambda r, w: -w @ _rotating_coeff(r), t_grid, y0)
+        return _per_stage_rk4_grid(lambda r, y: _rotating_coeff(r) @ y, t_grid, y0)
+
+    monkeypatch.setattr(manifold, "rk4_propagate", per_stage)
+    ref = tables_and_trajectory()
+    for a, b in zip(new, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_inner_trajectory_on_rate_clock_grid():
