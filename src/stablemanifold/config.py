@@ -393,7 +393,7 @@ def build_comparison(resolved: dict, n: int) -> Perturbation:
     inner = build_perturbation(base, n)
     return Perturbation(lambda t, v: scale * inner.f(t, v), c=inner.c * abs(scale),
                         q=inner.q, label=f"{inner.label} x {scale:g}",
-                        autonomous=inner.autonomous)
+                        autonomous=inner.autonomous, reads=inner.reads)
 
 
 def build_solver_config(resolved: dict) -> SolverConfig:

@@ -26,10 +26,13 @@ is t itself and the weight is 1.  Every other inner problem (oscillating and
 matrix systems, time-dependent forcing, rates without a derivative) keeps a
 grid uniform in t.  The nodes of a slice are solved together in chunks of
 max(1, 4096 // len(t_grid)); a node leaves the sweep at its own tolerance, so
-its value matches a solve of that node alone bit for bit.  Each node path is
-checked against its decay envelope.  The slice tables (truncation point, grid,
-propagator maps, envelope) depend only on the slice radii: ``solve_manifold``
-builds them once and drops them when it returns.
+its value matches a solve of that node alone bit for bit.  When f reads no
+unstable component (``Perturbation.reads``, as for the cubic v' = v + u^3),
+phi never enters the inner problem: the sweeps hand f zeros in the unstable
+columns and do not evaluate the graph.  Each node path is checked against its
+decay envelope.  The slice tables (truncation point, grid, propagator maps,
+envelope) depend only on the slice radii: ``solve_manifold`` builds them once
+and drops them when it returns.
 
 Graphs are stored per s-slice on a shared tensor lattice in normalized
 coordinates; evaluation is multilinear per slice, linear in s between slices,
@@ -84,6 +87,9 @@ class Perturbation:
     map to f-values of shape (B, n), row b being f(t[b], v[b]).  A single
     sample is the batch B = 1.  ``autonomous`` declares that f does not
     depend on t; only then may the inner grid follow a system's clock.
+    ``reads`` names the state components f reads (None: all).  When it names
+    no unstable component, the solver hands f zeros there instead of the graph.
+    The builders derive both declarations; ``solve_manifold`` probes ``reads``.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -91,6 +97,7 @@ class Perturbation:
     q: float
     label: str = ""
     autonomous: bool = False
+    reads: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not self.c > 0.0:
@@ -100,16 +107,21 @@ class Perturbation:
 
 
 def cubic_perturbation(coef: float, n: int = 2) -> Perturbation:
-    """f(t, v) = (0, ..., 0, coef * v_1^3): order-3 forcing of the last component."""
+    """f(t, v) = (0, ..., 0, coef * v_1^3): order-3 forcing of the last component.
+
+    The cube is sign(v_1) |v_1|^3, so f is odd bit for bit and every element
+    takes numpy's vectorized pow (negative bases of ``v_1 ** 3`` do not).
+    """
     if n < 2:
         raise ValueError("cubic perturbation needs n >= 2")
 
     def f(t: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        out[:, -1] = coef * v[:, 0] ** 3
+        out[:, -1] = coef * np.copysign(np.abs(v[:, 0]) ** 3, v[:, 0])
         return out
 
-    return Perturbation(f, c=abs(coef), q=2.0, label=f"cubic(coef={coef:g})", autonomous=True)
+    return Perturbation(f, c=abs(coef), q=2.0, label=f"cubic(coef={coef:g})", autonomous=True,
+                        reads=(0,))
 
 
 def expression_perturbation(components: Sequence[str], c: float, q: float,
@@ -126,8 +138,10 @@ def expression_perturbation(components: Sequence[str], c: float, q: float,
         cols = [np.broadcast_to(np.asarray(fn(**env), dtype=float), t.shape) for fn in fns]
         return np.stack(cols, axis=1)
 
+    used = set().union(*(fn.used for fn in fns))
     return Perturbation(f, c=c, q=q, label=label or f"expr({', '.join(components)})",
-                        autonomous=not any("t" in fn.used for fn in fns))
+                        autonomous="t" not in used,
+                        reads=tuple(i for i in range(n) if f"u{i + 1}" in used))
 
 
 def outer_contraction_factor(c: float, q: float, C: float, D: float, delta: float) -> float:
@@ -333,11 +347,17 @@ def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
 
 def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
              x: np.ndarray) -> np.ndarray:
-    """f(t, x, phi(t, x)) along node paths x (B, T, n_E) on the grid t_grid (T,)."""
+    """f(t, x, phi(t, x)) along node paths x (B, T, n_E) on the grid t_grid (T,).
+
+    When f reads no unstable component the graph is not evaluated: f gets
+    zeros in the unstable columns, which it never reads.
+    """
     t = np.tile(t_grid, len(x))
-    flat = x.reshape(len(t), -1)
-    fv = pert.f(t, np.concatenate([flat, eval_phi_many(graph, t, flat)], axis=1))
-    return fv.reshape(x.shape[:2] + (-1,))
+    v = np.zeros((len(t), graph.n_stable + graph.n_unstable))
+    v[:, :graph.n_stable] = x.reshape(len(t), -1)
+    if pert.reads is None or max(pert.reads, default=-1) >= graph.n_stable:
+        v[:, graph.n_stable:] = eval_phi_many(graph, t, v[:, :graph.n_stable])
+    return pert.f(t, v).reshape(x.shape[:2] + (-1,))
 
 
 def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
@@ -599,6 +619,24 @@ def _make_radius_fn(s_grid: np.ndarray, radii: np.ndarray, beta_fn: BetaFunction
     return radius
 
 
+def _check_reads(pert: Perturbation, s_grid: np.ndarray, n: int):
+    """ValueError unless f on s_grid ignores the components left out of ``pert.reads``.
+
+    Compares f at the state of ones with f as those components are set to 0
+    one after another, and names the first one whose zero changes f.
+    """
+    outside = [i for i in pert.reads if not 0 <= i < n]
+    if outside:
+        raise ValueError(f"perturbation reads component {outside[0]}, outside [0, {n})")
+    probe = np.ones((len(s_grid), n))
+    base = pert.f(s_grid, probe)
+    for i in sorted(set(range(n)) - set(pert.reads)):
+        probe[:, i] = 0.0
+        if not np.array_equal(pert.f(s_grid, probe), base, equal_nan=True):
+            raise ValueError(f"perturbation declares reads={pert.reads} but f depends on "
+                             f"component {i} (u{i + 1})")
+
+
 def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
                    params: DichotomyParams, pert: Perturbation,
                    cfg: SolverConfig) -> tuple[ManifoldGraph, list[dict]]:
@@ -609,6 +647,8 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     measured contraction ratio must stay within 10% of the certified factor;
     persistent excess raises ContractionError, exhaustion of the budget raises
     ConvergenceError.  The slice tables are built once here and dropped on return.
+    ValueError rejects a perturbation that does not vanish at the origin or
+    whose ``reads`` f contradicts (see ``_check_reads``).
     """
     n_e, n_f = system.n_stable, system.n_unstable
     cap = cfg.C if cfg.C is not None else default_capacity(params.D)
@@ -628,6 +668,8 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     if bad.size:
         raise ValueError(f"perturbation must vanish at the origin; "
                          f"f({s_grid[bad[0]]:g}, 0) != 0")
+    if pert.reads is not None:
+        _check_reads(pert, s_grid, system.n)
     beta_fn = BetaFunction(mu, nu, params.a, params.eps, pert.q, cfg.quad_rel_tol)
     beta_fn.integrals(s_grid)
     radii = np.array([delta * beta_fn.beta(float(s)) for s in s_grid])
@@ -675,9 +717,9 @@ def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the full nonlinear system for B samples at once.
 
-    Sample b starts from v0[b] (B, n) at time s[b] and runs for tau[b] >= 0 in
-    ceil(tau[b] / h) equal steps (none when tau[b] = 0), accumulating its own
-    time t += dt; every row equals a one-sample ``nonlinear_flow`` bit for bit.
+    Sample b starts from v0[b] (B, n) at time s[b] and runs for a finite
+    tau[b] >= 0 in ceil(tau[b] / h) equal steps of a finite h > 0 (none when
+    tau[b] = 0), accumulating its own time t += dt; every row equals a one-sample ``nonlinear_flow`` bit for bit.
     All samples step together and each leaves the batch after its last step.
     Closed-form systems step the transformed variable w = T(t0+dt', t0)^-1 v,
     whose derivative has no linear part, so the linear flow is reproduced
@@ -690,8 +732,10 @@ def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
     s = np.asarray(s, dtype=float)
     tau = np.asarray(tau, dtype=float)
     v = np.array(v0, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("tau must be nonnegative")
+    if not np.all((tau >= 0.0) & (tau < math.inf)):
+        raise ValueError("tau must be finite and nonnegative")
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     if v.ndim != 2 or v.shape[1] != system.n or s.shape != (len(v),) or tau.shape != s.shape:
         raise ValueError(f"states must have shape (B, {system.n}), s and tau shape (B,)")
     n_steps = np.where(tau == 0.0, 0, np.maximum(1, np.ceil(tau / h))).astype(np.int64)

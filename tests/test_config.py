@@ -213,3 +213,18 @@ def test_sharp_oscillating_kind():
     system = build_system(resolved, mu, nu)
     assert system.meta["kind"] == "sharp_oscillating"
     assert float(system.U(2.0 * math.pi, math.pi)) > 0.0
+
+
+@pytest.mark.parametrize("components, reads, autonomous",
+                         [(["0", "u1^3"], (0,), True),
+                          (["0", "u1^3 * exp(-t)"], (0,), False),
+                          (["u1*u2*u1 + u2^3", "u1^3 + u2*u1^2"], (0, 1), True)])
+def test_scaled_comparison_keeps_the_declarations(components, reads, autonomous):
+    raw = base_config()
+    raw["perturbation"] = {"kind": "expr", "components": components, "c": 3.0, "q": 2.0}
+    resolved = resolve_config(raw)
+    pert = build_perturbation(resolved["perturbation"], 2)
+    comp = build_comparison(resolved, 2)
+    assert (pert.reads, pert.autonomous) == (reads, autonomous)
+    assert (comp.reads, comp.autonomous) == (reads, autonomous)
+    assert comp.label.endswith("x 1.05")

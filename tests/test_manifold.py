@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablemanifold import manifold
-from stablemanifold.config import build_system
+from stablemanifold.config import (build_params, build_perturbation, build_rates,
+                                   build_solver_config, build_system, load_config,
+                                   resolve_config)
 from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, coordinate_projection,
                                       matrix_system, rate_power_system,
                                       sharp_oscillating_system)
@@ -210,8 +213,12 @@ def test_nonlinear_flow_blowup(solved):
 
 def test_nonlinear_flow_validation(solved):
     system, pert, _, _ = solved
-    with pytest.raises(ValueError, match="tau"):
-        nonlinear_flow(system, pert, 0.0, np.zeros(2), tau=-1.0)
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            nonlinear_flow(system, pert, 0.0, np.array([1e-3, 0.0]), tau=tau)
+    for h in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            nonlinear_flow(system, pert, 0.0, np.array([1e-3, 0.0]), tau=1.0, h=h)
     with pytest.raises(ValueError, match="shape"):
         nonlinear_flow(system, pert, 0.0, np.zeros(3), tau=1.0)
 
@@ -266,8 +273,11 @@ def test_nonlinear_flow_many_reports_lowest_blown_index(solved):
 
 def test_nonlinear_flow_many_validation(solved):
     system, pert, _, _ = solved
-    with pytest.raises(ValueError, match="tau"):
-        nonlinear_flow_many(system, pert, [0.0, 0.0], np.zeros((2, 2)), [1.0, -1.0])
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            nonlinear_flow_many(system, pert, [0.0, 0.0], np.zeros((2, 2)), [1.0, tau])
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        nonlinear_flow_many(system, pert, [0.0, 0.0], np.zeros((2, 2)), [1.0, 0.5], h=math.nan)
     with pytest.raises(ValueError, match="shape"):
         nonlinear_flow_many(system, pert, [0.0], np.zeros((2, 2)), [1.0, 1.0])
 
@@ -712,3 +722,103 @@ def test_clamping_is_radial_lipschitz_extension(d, data):
     outside = eval_phi_many(graph, np.array([t]), xi[None])
     on_ray = eval_phi_many(graph, np.array([t]), edge[None])
     np.testing.assert_allclose(outside, on_ray, rtol=1e-12, atol=1e-18)
+
+
+def test_reads_are_derived_from_the_components():
+    assert cubic_perturbation(1.0).reads == (0,)
+    assert cubic_perturbation(1.0, n=3).reads == (0,)
+    assert expression_perturbation(["0", "u1^3"], c=1.0, q=2.0).reads == (0,)
+    assert FEEDBACK.reads == (0, 1)
+    assert FEEDBACK_D2.reads == (0, 1, 2)
+    assert expression_perturbation(["u2*t", "u2^3"], c=1.0, q=2.0).reads == (1,)
+    assert expression_perturbation(["0", "0"], c=1.0, q=2.0).reads == ()
+
+
+SKIP_CFG = SolverConfig(s_grid=(0.0, 0.5, 1.0), delta=None, C=2.0, nodes_per_axis=9, h=0.05,
+                        tail_abs_tol=1e-9)
+
+
+def test_skipping_the_graph_is_exact():
+    # f never reads the unstable column, so handing it zeros there changes no bit
+    system = rate_power_system(EXP, a=-1.0, b=1.0)
+    pert = cubic_perturbation(1.0)
+    skipped, skipped_history = solve_manifold(system, EXP, EXP, PARAMS, pert, SKIP_CFG)
+    full, full_history = solve_manifold(system, EXP, EXP, PARAMS, replace(pert, reads=None),
+                                        SKIP_CFG)
+    assert skipped.values.tobytes() == full.values.tobytes()
+    assert skipped_history == full_history
+
+
+@pytest.mark.parametrize("pert, evaluated",
+                         [(cubic_perturbation(1.0), False),
+                          (replace(cubic_perturbation(1.0), reads=None), True),
+                          (FEEDBACK, True)], ids=["cubic", "reads-all", "feedback"])
+def test_solver_evaluates_the_graph_only_when_f_reads_it(monkeypatch, pert, evaluated):
+    calls = []
+    original = manifold.eval_phi_many
+
+    def count(graph, t, xi):
+        calls.append(len(t))
+        return original(graph, t, xi)
+
+    monkeypatch.setattr(manifold, "eval_phi_many", count)
+    solve_manifold(rate_power_system(EXP, a=-1.0, b=1.0), EXP, EXP, PARAMS, pert, SKIP_CFG)
+    assert (len(calls) > 0) == evaluated
+
+
+def test_solver_rejects_wrong_reads():
+    system = rate_power_system(EXP, a=-1.0, b=1.0)
+    with pytest.raises(ValueError, match=r"depends on component 1 \(u2\)"):
+        solve_manifold(system, EXP, EXP, PARAMS, replace(FEEDBACK, reads=(0,)), SKIP_CFG)
+    with pytest.raises(ValueError, match=r"component 2, outside \[0, 2\)"):
+        solve_manifold(system, EXP, EXP, PARAMS, replace(cubic_perturbation(1.0),
+                                                         reads=(0, system.n)), SKIP_CFG)
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        solve_manifold(system, EXP, EXP, PARAMS, replace(FEEDBACK, reads=(-1, 0, 1)),
+                       SKIP_CFG)
+    # the feedback declared in full passes the probe
+    solve_manifold(system, EXP, EXP, PARAMS, replace(FEEDBACK, reads=(1, 0)), SKIP_CFG)
+
+
+def _cube_samples():
+    rng = np.random.default_rng(5)
+    u = np.concatenate([rng.uniform(-1.0, 1.0, 4000), rng.uniform(-1e-3, 1e-3, 4000),
+                        -np.logspace(-100, 100, 201), np.logspace(-100, 100, 201),
+                        [0.0, -0.0, 0.5, -0.5]])
+    return np.zeros(len(u)), np.column_stack([u, rng.uniform(-1.0, 1.0, len(u))])
+
+
+@pytest.mark.parametrize("coef", [1.0, -2.0, 1.05])
+def test_cubic_forcing_is_odd_bit_for_bit(coef):
+    f = cubic_perturbation(coef).f
+    t, v = _cube_samples()
+    assert (v[:, 0] < 0.0).sum() > 4000 and (v[:, 0] > 0.0).sum() > 4000
+    assert f(t, -v)[:, -1].tobytes() == (-f(t, v)[:, -1]).tobytes()
+    assert not f(t, v)[:, :-1].any()
+
+
+@pytest.mark.parametrize("coef", [1.0, -2.0, 0.5])
+def test_cubic_forcing_is_within_one_ulp_of_the_power(coef):
+    # power-of-two coefficients keep the product exact, so this compares the cubes
+    t, v = _cube_samples()
+    u = v[:, 0]
+    np.testing.assert_array_max_ulp(cubic_perturbation(coef).f(t, v)[:, -1], coef * u ** 3,
+                                    maxulp=1)
+
+
+@pytest.mark.parametrize("name", ["exponential", "loglog_example"])
+def test_bundled_graph_is_exactly_odd(name):
+    path = str(resources.files("stablemanifold") / "configs" / f"{name}.json")
+    resolved = resolve_config(load_config(path), label_default=name)
+    mu, nu = build_rates(resolved)
+    system = build_system(resolved, mu, nu)
+    pert = build_perturbation(resolved["perturbation"], system.n)
+    graph, _ = solve_manifold(system, mu, nu, build_params(resolved), pert,
+                              build_solver_config(resolved))
+    # linspace lattices are not exactly symmetric: compare the pairs that are
+    index = {(p + 0.0).tobytes(): j for j, p in enumerate(graph.targets_unit)}
+    pairs = [(j, index[key]) for j, p in enumerate(graph.targets_unit)
+             if (key := (-p + 0.0).tobytes()) in index and index[key] > j]
+    assert len(pairs) >= 2
+    lo, hi = np.array(pairs).T
+    assert np.array_equal(graph.values[:, hi], -graph.values[:, lo])
