@@ -3,7 +3,9 @@
 Spectral norms are computed without any external eigensolver: closed form for
 1x1 and 2x2, power iteration on M^T M above that.  One 4th-order Runge-Kutta
 step, ``rk4_step``, serves every integrator: the nonlinear flow and the linear
-propagator ``rk4_propagate``, which evaluates A(t) once on all its stage times.
+propagator ``rk4_propagate``.  The propagator evaluates A(t) once on all its
+stage times, gets every step's matrix from one batched ``rk4_step`` on
+identities and composes them by a prefix scan in log2(steps) rounds.
 """
 
 from __future__ import annotations
@@ -71,19 +73,27 @@ def rk4_propagate(A: Callable[[np.ndarray], np.ndarray], t: np.ndarray, dt: np.n
     """States of y' = A(t) y, or y' = y A(t) with ``right``, from y0 at t[0] and after
     each ``rk4_step`` from t[j] to t[j] + dt[j]: shape (len(t) + 1,) + y0.shape.
 
-    ``A`` is called once, on the stage times t, t + 0.5 dt and t + dt of all
-    steps, computed as ``rk4_step`` computes them.
+    The equation is linear, so step j is a matrix M_j: ``rk4_step`` applied to
+    the identity.  All M_j come from one batched ``rk4_step``, and ``A`` is
+    called once, on the stage times t, t + 0.5 dt and t + dt of all steps,
+    computed as ``rk4_step`` computes them.  The prefix products M_j...M_0
+    (M_0...M_j with ``right``) are formed by a Hillis-Steele scan in
+    ceil(log2 len(t)) batched products; row 0 is y0 itself.
     """
     times = np.stack([t, t + 0.5 * dt, t + dt])
     a = A(times.ravel())
     a = np.broadcast_to(a, (times.size,) + a.shape[-2:]).reshape(times.shape + a.shape[-2:])
+    stage = {r.tobytes(): m for r, m in zip(times, a)}  # rk4_step forms the same rows
 
     def deriv(r, m):
-        return m @ stage[r] if right else stage[r] @ m
+        return m @ stage[r.tobytes()] if right else stage[r.tobytes()] @ m
 
+    prod = rk4_step(deriv, times[0], np.broadcast_to(np.eye(a.shape[-1]), a.shape[1:]), dt)
+    k = 1
+    while k < len(prod):
+        prod[k:] = prod[:-k] @ prod[k:] if right else prod[k:] @ prod[:-k]
+        k *= 2
     out = np.empty((len(t) + 1,) + y0.shape)
-    y = out[0] = y0
-    for j in range(len(t)):
-        stage = dict(zip(times[:, j].tolist(), a[:, j]))
-        y = out[j + 1] = rk4_step(deriv, t[j], y, dt[j])
+    out[0] = y0
+    out[1:] = y0 @ prod if right else prod @ y0
     return out

@@ -44,8 +44,10 @@ one exists, log-linearly otherwise.
 ``nonlinear_flow_many`` integrates the full nonlinear system for a batch of
 samples at once, each with its own start time and duration; ``nonlinear_flow``
 is its one-sample form.  It and ``linalg.rk4_propagate``, which builds the
-matrix slice tables, share one RK4 step, ``linalg.rk4_step``; on closed-form
-systems it reads the diagonal of T(t, s) from ``dichotomy.closed_form_diagonal``.
+matrix slice tables from one call of A on all stage times, RK4 step matrices
+and their prefix products, share one RK4 step, ``linalg.rk4_step``; on
+closed-form systems it reads the diagonal of T(t, s) from
+``dichotomy.closed_form_diagonal``.
 Every caller evaluates the perturbation on a batch of samples (see ``Perturbation``).
 
 Norms on state blocks are sum norms.

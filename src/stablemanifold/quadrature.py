@@ -105,12 +105,10 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     if n == 1:
         out[1] = 0.5 * h * (y[0] + y[1])
         return out
-    pair = (h / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    out[2::2] = np.cumsum(pair, axis=0)
-    # odd prefixes: half-panel rule using the right neighbor when it exists
-    odd = np.arange(1, n + 1, 2)
-    jr = odd[odd < n]
-    out[jr] = out[jr - 1] + (h / 12.0) * (5.0 * y[jr - 1] + 8.0 * y[jr] - y[jr + 1])
+    np.cumsum((h / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]), axis=0, out=out[2::2])
+    # odd prefixes below m = n rounded down to even: half-panel rule with the right neighbor
+    m = n - n % 2
+    out[1:m:2] = out[0:m - 1:2] + (h / 12.0) * (5.0 * y[0:m - 1:2] + 8.0 * y[1:m:2] - y[2:m + 1:2])
     if n % 2 == 1:
         out[n] = out[n - 1] + (h / 12.0) * (-y[n - 2] + 8.0 * y[n - 1] + 5.0 * y[n])
     return out

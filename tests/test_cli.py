@@ -306,3 +306,16 @@ def test_console_script_entry(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "check-rates: PASS" in proc.stdout
+
+
+def test_package_runs_as_module(tmp_path):
+    # python -m stablemanifold, with the package found through PYTHONPATH alone
+    out = str(tmp_path / "run")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "stablemanifold", "check-rates",
+                           "--config", EXPONENTIAL, "--out", out],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "check-rates: PASS" in proc.stdout
+    assert read_json(os.path.join(out, "report-check-rates.json"))["passed"] is True

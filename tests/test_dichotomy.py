@@ -175,8 +175,14 @@ def _per_stage_propagate(deriv, t0, y0, t1, h):
     return y
 
 
+def _close(a, b, rel=1e-12):
+    """Max-norm relative distance of a from b within ``rel``."""
+    return np.shape(a) == np.shape(b) and np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
 def test_matrix_transitions_match_per_stage_reference():
-    # config-built A(t) against A evaluated entry by entry at every scalar stage time;
+    # config-built A(t) against A evaluated entry by entry at every scalar stage time,
+    # within 1e-12 (the propagator composes its step matrices in another order);
     # (12, 0) is ill conditioned, so verify_dichotomy inverts it by backward propagation
     system = build_system({"system": {"kind": "matrix", "coeff": TIME_DEPENDENT, "n_stable": 2},
                            "dichotomy": {}}, EXP, EXP)
@@ -193,10 +199,10 @@ def test_matrix_transitions_match_per_stage_reference():
     eye = np.eye(3)
     p = system.P(0.0)
     for (t, s), row in zip(pairs, cert.rows):
-        fwd = _per_stage_propagate(deriv, s, eye, t, h)
-        back = _per_stage_propagate(deriv, t, eye, s, h)
-        assert transition(system, t, s, h).tobytes() == fwd.tobytes()
-        assert transition_inverse(system, t, s, h, cond_limit=0.0)[0].tobytes() == back.tobytes()
+        fwd = transition(system, t, s, h)
+        back = transition_inverse(system, t, s, h, cond_limit=0.0)[0]
+        assert _close(fwd, _per_stage_propagate(deriv, s, eye, t, h))
+        assert _close(back, _per_stage_propagate(deriv, t, eye, s, h))
         inv = np.linalg.inv(fwd)
         if spectral_norm(fwd) * spectral_norm(inv) > 1e8:
             inv = back

@@ -81,8 +81,14 @@ def test_rk4_time_dependent_coefficient():
     assert y[0] == pytest.approx(np.e, rel=1e-10)
 
 
+def _close(a, b, rel=1e-12):
+    """Max-norm relative distance of a from b within ``rel``."""
+    return np.shape(a) == np.shape(b) and np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
 def test_rk4_propagate_calls_A_once_on_the_stage_times():
-    # uneven steps; every state equals rk4_step with A evaluated at the stage time
+    # uneven steps; every state is within 1e-12 of rk4_step with A evaluated at the
+    # stage time (the prefix products compose the step matrices in another order)
     def rotation(t):
         t = np.asarray(t, dtype=float)
         return np.stack([np.stack([np.zeros_like(t), -1.0 - t], -1),
@@ -106,5 +112,85 @@ def test_rk4_propagate_calls_A_once_on_the_stage_times():
     for j in range(len(t)):
         y = rk4_step(lambda r, m: rotation(r) @ m, t[j], y, dt[j])
         z = rk4_step(lambda r, m: m @ rotation(r), t[j], z, dt[j])
-        assert out[j + 1].tobytes() == y.tobytes()
-        assert right[j + 1].tobytes() == z.tobytes()
+        assert _close(out[j + 1], y)
+        assert _close(right[j + 1], z)
+
+
+# B = diag(rotation-contraction block, growth): exp(g B) has a closed form, and
+# A(t) = (1 + cos t) B commutes with itself at all times, so T(t, t0) = exp(g B)
+# with g = (t + sin t) - (t0 + sin t0)
+_B = np.array([[-0.1, -1.0, 0.0], [1.0, -0.1, 0.0], [0.0, 0.0, 0.2]])
+
+
+def _exp_b(g):
+    """exp(g B) for every g of a 1-D array: shape (len(g), 3, 3)."""
+    out = np.zeros(g.shape + (3, 3))
+    out[:, 0, 0] = out[:, 1, 1] = np.exp(-0.1 * g) * np.cos(g)
+    out[:, 1, 0] = np.exp(-0.1 * g) * np.sin(g)
+    out[:, 0, 1] = -out[:, 1, 0]
+    out[:, 2, 2] = np.exp(0.2 * g)
+    return out
+
+
+def _time_dependent_b(t):
+    return (1.0 + np.cos(t))[:, None, None] * _B
+
+
+def _sequential(A, t, dt, y0, right=False):
+    """Reference: one rk4_step per step, A evaluated at each scalar stage time."""
+    def deriv(r, m):
+        a = np.asarray(A(np.array([r])), dtype=float).reshape(-1, 3, 3)[0]
+        return m @ a if right else a @ m
+
+    out = [np.asarray(y0, dtype=float)]
+    for j in range(len(t)):
+        out.append(rk4_step(deriv, t[j], out[-1], dt[j]))
+    return np.stack(out)
+
+
+def _sheared_b(t):
+    """B plus a t-proportional shear that does not commute with B: order matters."""
+    return _B + t[:, None, None] * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3])
+@pytest.mark.parametrize("right", [False, True])
+def test_rk4_propagate_few_steps(steps, right):
+    dt = np.array([0.3, -0.2, 0.45])[:steps]
+    t = 0.7 + np.concatenate([[0.0], np.cumsum(dt)[:-1]])[:steps]
+    y0 = np.array([[1.0, -0.5, 0.25], [0.0, 2.0, 1.0]])
+    y0 = y0 if right else y0.T
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return _sheared_b(r)
+
+    out = rk4_propagate(counting, t, dt, y0, right=right)
+    assert len(calls) == 1 and calls[0].shape == (3 * steps,)
+    assert out.shape == (steps + 1,) + y0.shape
+    assert out[0].tobytes() == y0.tobytes()
+    assert _close(out, _sequential(_sheared_b, t, dt, y0, right))
+
+
+@pytest.mark.parametrize("right", [False, True])
+@pytest.mark.parametrize("coefficient", ["time-dependent", "constant"])
+def test_rk4_propagate_long_uneven_partly_backward_grid(right, coefficient):
+    # 2999 steps, not a power of two, of random sizes in [-0.004, 0.01)
+    rng = np.random.default_rng(17)
+    dt = rng.uniform(-0.004, 0.01, 2999)
+    assert np.any(dt < 0.0)
+    t = 0.5 + np.concatenate([[0.0], np.cumsum(dt)[:-1]])
+    grid = np.append(t, t[-1] + dt[-1])
+    if coefficient == "constant":
+        A, g = (lambda r: _B), grid - grid[0]
+    else:
+        A, g = _time_dependent_b, (grid + np.sin(grid)) - (grid[0] + np.sin(grid[0]))
+    y0 = np.array([0.3, -1.2, 0.8])
+    out = rk4_propagate(A, t, dt, y0, right=right)
+    assert out.shape == (3000, 3) and out[0].tobytes() == y0.tobytes()
+    assert _close(out, _sequential(A, t, dt, y0, right))
+    expm = _exp_b(g)
+    # RK4 at steps below 0.01 on coefficients of size 2: a global error near 1e-10
+    assert _close(out, y0 @ expm if right else expm @ y0, rel=1e-9)
+    assert _close(rk4_propagate(A, t, dt, np.eye(3), right=right), expm, rel=1e-9)

@@ -552,7 +552,8 @@ def _per_stage_rk4_grid(deriv, t_grid, y0):
 
 def test_matrix_slice_tables_match_per_stage_reference(monkeypatch):
     # forward T(t, s)P(s) as y' = A y and backward T(s, r) as w' = -w A, with A(r) at
-    # every stage time; the tables, their maps and an inner trajectory are bit-identical
+    # every stage time; the grids are bit-identical, the tables' maps and an inner
+    # trajectory agree within 1e-12 (the step matrices compose in another order)
     params = DichotomyParams(D=1.5, a=-1.0, b=1.0, eps=0.0)
     pert = cubic_perturbation(1.0, n=3)
     cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.01, C=2.0, nodes_per_axis=3, h=0.05,
@@ -580,8 +581,9 @@ def test_matrix_slice_tables_match_per_stage_reference(monkeypatch):
 
     monkeypatch.setattr(manifold, "rk4_propagate", per_stage)
     ref = tables_and_trajectory()
-    for a, b in zip(new, ref):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert new[0].tobytes() == ref[0].tobytes()
+    for a, b in zip(new[1:], ref[1:]):
+        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_inner_trajectory_on_rate_clock_grid():

@@ -207,3 +207,29 @@ def test_composite_simpson_node_major_stack_equals_nodes(n_samples, n_comp):
     batch = composite_simpson(np.moveaxis(y, 1, 0), 0.01)
     for b in range(4):
         assert np.array_equal(batch[b], composite_simpson(y[b], 0.01))
+
+
+def _cumulative_by_index(y, h):
+    """Reference prefix integrals: each odd prefix written out by its index."""
+    n = y.shape[0] - 1
+    out = np.zeros_like(y)
+    if n == 1:
+        out[1] = 0.5 * h * (y[0] + y[1])
+    if n < 2:
+        return out
+    out[2::2] = np.cumsum((h / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]), axis=0)
+    for j in range(1, n, 2):
+        out[j] = out[j - 1] + (h / 12.0) * (5.0 * y[j - 1] + 8.0 * y[j] - y[j + 1])
+    if n % 2 == 1:
+        out[n] = out[n - 1] + (h / 12.0) * (-y[n - 2] + 8.0 * y[n - 1] + 5.0 * y[n])
+    return out
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, 2, 3, 4, 5, 10, 11, 600, 601])
+def test_cumulative_simpson_equals_per_index_prefixes(n_samples):
+    # the strided odd prefixes are bit-identical to one prefix at a time, odd and even T
+    rng = np.random.default_rng(100 + n_samples)
+    y = rng.standard_normal((n_samples, 4, 3)) * np.exp(rng.standard_normal((n_samples, 4, 1)))
+    got = cumulative_simpson(y, 0.013)
+    assert got.shape == y.shape
+    assert got.tobytes() == _cumulative_by_index(y, 0.013).tobytes()
