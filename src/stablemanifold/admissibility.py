@@ -266,6 +266,11 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     Raises DivergenceError when window masses refuse to decay and
     TailBoundError when no truncation can be certified within ``max_span``.
 
+    Each window's absolute tolerance is 0.01 rel_tol times the mass before it,
+    raised to 0.01 rel_tol times the window's own 3-point Simpson estimate
+    when that is finite and larger (``rel_floor``), so a window that dwarfs
+    the mass before it is integrated to a reachable tolerance and the growth
+    rule can judge it.
     Each round integrates the current window of every unfinished s in one
     ``adaptive_simpson_many`` call; the rules are applied per s, so each value
     equals a one-element call, and the error raised is that of the first
@@ -287,7 +292,8 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     windows = {i: next(walk) for i, walk in walks.items()}  # ascending in i
     failed = None
     while windows:
-        masses = adaptive_simpson_many(integrand, *np.array(list(windows.values())).T)
+        masses = adaptive_simpson_many(integrand, *np.array(list(windows.values())).T,
+                                       rel_floor=0.01 * rel_tol)
         for i, mass in zip(list(windows), masses.tolist()):
             try:
                 windows[i] = walks[i].send(mass)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
@@ -28,7 +29,8 @@ from .config import (build_comparison, build_params, build_perturbation, build_r
                      scale_tolerances)
 from .dichotomy import pair_grid, sharpness_probe, verify_dichotomy
 from .errors import ConfigError, NumericalError
-from .manifold import outer_contraction_factor, solve_manifold
+from .manifold import (check_vanishes_at_origin, outer_contraction_factor, solve_manifold,
+                       solver_radius)
 from .rates import check_growth_axioms
 from .verify import (check_decay, check_invariance, check_perturbation_bound,
                      random_decay_pairs, random_invariance_samples)
@@ -88,6 +90,23 @@ class Runner:
         self.pert = build_perturbation(resolved["perturbation"], self.system.n)
         self.cfg = build_solver_config(resolved)
         self._solved = None
+        self._check_solver_inputs()
+
+    def _check_solver_inputs(self) -> None:
+        """ConfigError naming the key, before any stage runs, for inputs a solve rejects."""
+        s_grid, n, cfg = np.asarray(self.cfg.s_grid), self.system.n, self.cfg
+        checks = {
+            "solver.C": lambda: solver_radius(self.params, self.pert, replace(cfg, delta=None)),
+            "solver.delta": lambda: solver_radius(self.params, self.pert, cfg),
+            "perturbation.components": lambda: check_vanishes_at_origin(self.pert, s_grid, n),
+            "comparison.components": lambda: check_vanishes_at_origin(
+                build_comparison(self.resolved, n), s_grid, n),
+        }
+        for key, check in checks.items():
+            try:
+                check()
+            except ValueError as exc:
+                raise ConfigError(key, str(exc)) from exc
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)

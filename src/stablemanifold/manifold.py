@@ -61,20 +61,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import (BetaFunction, _rate_integrand, analytic_tail_bound,
-                            default_capacity, delta_max)
+from .admissibility import (BetaFunction, analytic_tail_bound, default_capacity, delta_max,
+                            improper_rate_integrals)
 from .dichotomy import DichotomyParams, LinearSystem, closed_form_diagonal
 from .errors import (BlowupError, ContractionError, ConvergenceError, DecayBoundError,
-                     DivergenceError, LipschitzError, NumericalError, TailBoundError)
+                     LipschitzError, NumericalError, TailBoundError)
 from .expr import compile_expression
 from .linalg import rk4_propagate, rk4_step
-from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson
+# adaptive_simpson is not called here; perfbench/tracer.py wraps it in this namespace
+from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson  # noqa: F401
 from .rates import GrowthRate
 
 __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
            "ManifoldGraph", "SolverConfig", "eval_phi", "eval_phi_many",
            "InnerTrajectory", "inner_trajectory", "apply_phi_operator",
-           "solve_manifold", "nonlinear_flow", "nonlinear_flow_many",
+           "solve_manifold", "solver_radius", "check_vanishes_at_origin",
+           "nonlinear_flow", "nonlinear_flow_many",
            "outer_contraction_factor", "graph_metric_distance"]
 
 # inner-grid samples per chunk of nodes: bounds every (nodes, grid, state) array
@@ -444,38 +446,31 @@ def inner_trajectory(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
     return InnerTrajectory(table.t, x[0], int(sweeps[0]), worst)
 
 
-def _truncation_point(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: float,
-                      target: float, t_cut_max: float) -> float:
-    """Smallest doubling span T with certified integral_T^inf mu^p nu^eps <= target."""
+def _truncation_points(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
+                       s_values: np.ndarray, targets: np.ndarray, t_cut_max: float) -> np.ndarray:
+    """Per s, the first T = s + 2^k, 2^k <= t_cut_max, with integral_T^inf mu^p nu^eps <= target.
+
+    The tail is the analytic bound if the pair has one, else the tail integral at rel_tol
+    1e-3 raised by 1e-3; one batch per k.  TailBoundError names the first s left uncut.
+    """
     info = analytic_tail_bound(mu, nu, p, eps)
-    if info is not None and info.divergent:
-        raise DivergenceError("outer integrand does not decay; dichotomy constants "
-                              "are inconsistent with the perturbation order")
+    cuts = np.empty(len(s_values))
+    todo = np.arange(len(s_values))
     span = 1.0
-    if info is not None and info.fn is not None:
-        while span <= t_cut_max:
-            bound = info.fn(s + span)
-            if math.isfinite(bound) and bound <= target:
-                return s + span
-            span *= 2.0
-        raise TailBoundError(
-            f"analytic tail bound stays above {target:.3e} within span {t_cut_max:g}", s=s)
-    w = _rate_integrand(mu, nu, p, eps)
-    lo = s
-    deltas: list[float] = []
-    while span <= t_cut_max:
-        hi = s + span
-        deltas.append(adaptive_simpson(w, lo, hi, max(0.01 * target, 5e-324)))
-        if deltas[-1] == 0.0:
-            return hi
-        if len(deltas) >= 2 and deltas[-2] > 0.0:
-            theta = deltas[-1] / deltas[-2]
-            if theta < 1.0 and deltas[-1] * theta / (1.0 - theta) <= target:
-                return hi
-        lo = hi
+    while todo.size and span <= t_cut_max:
+        ends = s_values[todo] + span
+        if info is not None and info.fn is not None:
+            tails = np.array([info.fn(end) for end in ends.tolist()])
+        else:
+            tails = improper_rate_integrals(mu, nu, p, eps, ends, 1e-3) * (1.0 + 1e-3)
+        done = np.isfinite(tails) & (tails <= targets[todo])
+        cuts[todo[done]] = ends[done]
+        todo = todo[~done]
         span *= 2.0
-    raise TailBoundError(
-        f"no truncation certifying tail <= {target:.3e} within span {t_cut_max:g}", s=s)
+    if todo.size:
+        raise TailBoundError(f"tail of the outer integrand stays above {targets[todo[0]]:.3e} "
+                             f"within span {t_cut_max:g}", s=float(s_values[todo[0]]))
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -543,19 +538,19 @@ def _slice_tables(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
                   cfg: SolverConfig) -> list[_SliceTable]:
     """Tables of every slice; they depend on the slice radii, not on the graph values.
 
-    Truncation points come from the decay-certified tail bound of the outer
-    integrand, per slice.
+    Slice s is cut where the certified tail of the outer integrand mu^((q+1)a-b) nu^eps
+    is at most tail_abs_tol / coef(s), every slice in one ``_truncation_points`` call.
     """
     q, c = pert.q, pert.c
-    tables = []
-    for s, rho in zip(graph.s_grid.tolist(), graph.radii.tolist()):
-        coef = (3.0 ** (q + 1.0) * c * graph.C ** (q + 1.0) * params.D * rho ** (q + 1.0)
-                * math.exp((params.b - (q + 1.0) * params.a) * float(mu.log_eval(s))
-                           + params.eps * (q + 1.0) * float(nu.log_eval(s))))
-        t_cut = _truncation_point(mu, nu, (q + 1.0) * params.a - params.b, params.eps, s,
-                                  cfg.tail_abs_tol / coef, cfg.t_cut_max)
-        tables.append(_slice_table(system, mu, nu, params, pert, graph.C, s, t_cut, cfg.h))
-    return tables
+    targets = np.array([cfg.tail_abs_tol / (
+        3.0 ** (q + 1.0) * c * graph.C ** (q + 1.0) * params.D * rho ** (q + 1.0)
+        * math.exp((params.b - (q + 1.0) * params.a) * float(mu.log_eval(s))
+                   + params.eps * (q + 1.0) * float(nu.log_eval(s))))
+        for s, rho in zip(graph.s_grid.tolist(), graph.radii.tolist())])
+    cuts = _truncation_points(mu, nu, (q + 1.0) * params.a - params.b, params.eps,
+                              graph.s_grid, targets, cfg.t_cut_max)
+    return [_slice_table(system, mu, nu, params, pert, graph.C, s, t_cut, cfg.h)
+            for s, t_cut in zip(graph.s_grid.tolist(), cuts.tolist())]
 
 
 def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
@@ -639,6 +634,34 @@ def _check_reads(pert: Perturbation, s_grid: np.ndarray, n: int):
                              f"component {i} (u{i + 1})")
 
 
+def solver_radius(params: DichotomyParams, pert: Perturbation,
+                  cfg: SolverConfig) -> tuple[float, float]:
+    """Capacity C and graph radius delta of a solve under ``cfg``.
+
+    ValueError unless C exceeds D and delta is positive and within the
+    certified delta_max (the default when ``cfg.delta`` is None).
+    """
+    cap = cfg.C if cfg.C is not None else default_capacity(params.D)
+    if not cap > params.D:
+        raise ValueError(f"capacity C={cap} must exceed D={params.D}")
+    certified = delta_max(pert.c, pert.q, cap, params.D, cfg.delta_cap)
+    delta = cfg.delta if cfg.delta is not None else certified
+    if delta > certified * (1.0 + 1e-12):
+        raise ValueError(f"delta={delta:g} exceeds the certified delta_max={certified:g}")
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    return cap, delta
+
+
+def check_vanishes_at_origin(pert: Perturbation, s_grid: np.ndarray, n: int):
+    """ValueError naming the first s of ``s_grid`` where f(s, 0) != 0."""
+    at_origin = np.abs(pert.f(s_grid, np.zeros((len(s_grid), n)))).max(axis=1)
+    bad = np.flatnonzero(at_origin != 0.0)
+    if bad.size:
+        raise ValueError(f"perturbation must vanish at the origin; "
+                         f"f({s_grid[bad[0]]:g}, 0) != 0")
+
+
 def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
                    params: DichotomyParams, pert: Perturbation,
                    cfg: SolverConfig) -> tuple[ManifoldGraph, list[dict]]:
@@ -653,23 +676,11 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     whose ``reads`` f contradicts (see ``_check_reads``).
     """
     n_e, n_f = system.n_stable, system.n_unstable
-    cap = cfg.C if cfg.C is not None else default_capacity(params.D)
-    if not cap > params.D:
-        raise ValueError(f"capacity C={cap} must exceed D={params.D}")
-    certified = delta_max(pert.c, pert.q, cap, params.D, cfg.delta_cap)
-    delta = cfg.delta if cfg.delta is not None else certified
-    if delta > certified * (1.0 + 1e-12):
-        raise ValueError(f"delta={delta:g} exceeds the certified delta_max={certified:g}")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    cap, delta = solver_radius(params, pert, cfg)
     s_grid = np.asarray(cfg.s_grid, dtype=float)
     if s_grid.size == 0 or np.any(np.diff(s_grid) <= 0.0):
         raise ValueError("s_grid must be strictly increasing and nonempty")
-    at_origin = np.abs(pert.f(s_grid, np.zeros((len(s_grid), system.n)))).max(axis=1)
-    bad = np.flatnonzero(at_origin != 0.0)
-    if bad.size:
-        raise ValueError(f"perturbation must vanish at the origin; "
-                         f"f({s_grid[bad[0]]:g}, 0) != 0")
+    check_vanishes_at_origin(pert, s_grid, system.n)
     if pert.reads is not None:
         _check_reads(pert, s_grid, system.n)
     beta_fn = BetaFunction(mu, nu, params.a, params.eps, pert.q, cfg.quad_rel_tol)

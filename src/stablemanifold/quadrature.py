@@ -22,8 +22,11 @@ __all__ = ["adaptive_simpson", "adaptive_simpson_many", "composite_simpson",
 
 
 def adaptive_simpson_many(f: Callable[[np.ndarray], np.ndarray], a, b, tol,
-                          max_depth: int = 52) -> np.ndarray:
+                          max_depth: int = 52, rel_floor: float = 0.0) -> np.ndarray:
     """Integrate array-valued ``f`` over every [a_i, b_i] to absolute tolerance tol_i.
+
+    A positive ``rel_floor`` raises each tol_i to rel_floor times the
+    interval's 3-point Simpson estimate, where that estimate is finite and larger.
 
     The bisection trees of all intervals grow together, one call of ``f`` per
     level on the quarter points of every node still splitting.  They are then
@@ -40,6 +43,8 @@ def adaptive_simpson_many(f: Callable[[np.ndarray], np.ndarray], a, b, tol,
     a, b, tol = a[live], b[live], tol[live]
     fa, fb, fm = np.split(f(np.concatenate([a, b, 0.5 * (a + b)])), 3)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    if rel_floor:
+        tol = np.where(np.isfinite(whole), np.maximum(tol, rel_floor * whole), tol)
     levels = []  # per level: leaf mask and the leaves' values
     depth = max_depth
     with np.errstate(over="ignore", invalid="ignore"):

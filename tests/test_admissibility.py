@@ -109,6 +109,15 @@ def test_divergent_integral_heuristic_route():
         improper_rate_integral(mu, mu, 0.5, 0.0, 0.0)
 
 
+def test_window_far_above_the_mass_before_it_reports_growth():
+    # exp(t (20 - t)) peaks at e^100: the window [2, 4] holds about e^61.5 against
+    # e^33 before it; its tolerance follows its own 3-point estimate, so the growth
+    # rule fires instead of a round-off ConvergenceError
+    mu, nu = expression_rate("exp(t*(20 - t))"), expression_rate("1 + t")
+    with pytest.raises(DivergenceError, match="growing"):
+        improper_rate_integral(mu, nu, 1.0, 0.0, 0.0)
+
+
 def test_integrand_above_float_range_reports_divergence():
     # (1 + r)^120 is about 1e360 at r = 1000: inf there, math.exp everywhere else
     rate = expression_rate("1 + t")

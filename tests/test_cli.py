@@ -165,6 +165,29 @@ def test_unknown_key_exits_two(tmp_path, capsys):
     assert "extra_section" in capsys.readouterr().err
 
 
+NOT_AT_ORIGIN = {"kind": "expr", "components": ["0", "u1^3 + 1e-3"], "c": 1.0, "q": 2.0}
+
+
+@pytest.mark.parametrize("section, value, key", [
+    ("solver", {"C": 0.5}, "solver.C"),                    # C must exceed D = 1
+    ("solver", {"delta": 0.5}, "solver.delta"),            # above the certified 0.029
+    (None, {"perturbation": NOT_AT_ORIGIN}, "perturbation.components"),
+    (None, {"comparison": NOT_AT_ORIGIN}, "comparison.components"),
+], ids=["capacity", "delta", "perturbation", "comparison"])
+def test_solver_input_mistakes_exit_two_before_any_stage(tmp_path, capsys, section, value,
+                                                         key):
+    bad = tmp_path / "bad.json"
+    cfg = read_json(ORACLE)
+    (cfg[section] if section else cfg).update(value)
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["all", "--config", str(bad), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key}: ") and captured.err.count("\n") == 1
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_nonmonotone_rate_exits_one(tmp_path, capsys):
     bad = tmp_path / "hump.json"
     cfg = read_json(ORACLE)

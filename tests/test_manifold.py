@@ -8,13 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablemanifold import manifold
+from stablemanifold.admissibility import analytic_tail_bound
 from stablemanifold.config import (build_params, build_perturbation, build_rates,
                                    build_solver_config, build_system, load_config,
                                    resolve_config)
 from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, coordinate_projection,
                                       matrix_system, rate_power_system,
                                       sharp_oscillating_system)
-from stablemanifold.errors import BlowupError, DecayBoundError, NumericalError
+from stablemanifold.errors import (BlowupError, DecayBoundError, DivergenceError, NumericalError,
+                                   TailBoundError)
 from stablemanifold.expr import compile_expression
 from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbation,
                                      SolverConfig, cubic_perturbation, eval_phi, eval_phi_many,
@@ -317,6 +319,39 @@ def test_solver_rejects_nonvanishing_perturbation():
     cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05)
     with pytest.raises(ValueError, match="vanish at the origin"):
         solve_manifold(system, EXP, EXP, PARAMS, bad, cfg)
+
+
+CUT_S = np.linspace(0.0, 2.0, 21)
+CUT_TARGETS = np.geomspace(1e-3, 1e-9, 21)
+
+
+def test_quadrature_cut_matches_the_analytic_cut():
+    # the expression pair has no analytic tail bound, so its cuts come from the tail
+    # integral; the polynomial pair's bound (1 + T)^-2.9 / 2.9 is exact
+    expr = expression_rate("1 + t")
+    assert analytic_tail_bound(expr, expr, -4.0, 0.1) is None
+    cuts = manifold._truncation_points(POLY, POLY, -4.0, 0.1, CUT_S, CUT_TARGETS, 5000.0)
+    got = manifold._truncation_points(expr, expr, -4.0, 0.1, CUT_S, CUT_TARGETS, 5000.0)
+    assert got.tobytes() == cuts.tobytes()
+    spans = cuts - CUT_S
+    assert np.all(np.log2(spans) == np.round(np.log2(spans)))
+    assert np.all((1.0 + cuts) ** -2.9 / 2.9 <= CUT_TARGETS)
+    assert np.all((1.0 + CUT_S + spans / 2.0) ** -2.9 / 2.9 > CUT_TARGETS)
+
+
+@pytest.mark.parametrize("rate", [POLY, expression_rate("1 + t")], ids=["analytic", "quadrature"])
+def test_cut_beyond_t_cut_max_names_the_first_failing_slice(rate):
+    # spans of 8 and 16 reach the first four targets; the fifth (s = 0.4) needs 32
+    with pytest.raises(TailBoundError, match="within span 16") as info:
+        manifold._truncation_points(rate, rate, -4.0, 0.1, CUT_S, CUT_TARGETS, 16.0)
+    assert info.value.s == CUT_S[4]
+
+
+@pytest.mark.parametrize("rate", [POLY, expression_rate("1 + t")], ids=["analytic", "quadrature"])
+def test_divergent_outer_integrand_raises_divergence(rate):
+    # (1 + r)^-0.9 has no finite tail
+    with pytest.raises(DivergenceError):
+        manifold._truncation_points(rate, rate, -1.0, 0.1, CUT_S, CUT_TARGETS, 5000.0)
 
 
 def test_nonvanishing_error_names_first_bad_slice():

@@ -91,6 +91,18 @@ def test_tolerance_below_round_off_raises_instead_of_growing():
         adaptive_simpson(lambda x: np.exp(x * (20.0 - x)), 0.0, 4.0, 1e-3)
 
 
+def test_rel_floor_raises_each_tolerance_to_its_three_point_estimate():
+    # the floor reads the 3-point estimate of each interval; an infinite one keeps tol
+    a, b = np.array([0.0, 0.0, 2.0, 0.0]), np.array([1.0, 10.0, 2.0, 800.0])
+    with np.errstate(over="ignore"):
+        whole = (b - a) / 6.0 * (np.exp(a) + 4.0 * np.exp(0.5 * (a + b)) + np.exp(b))
+        tol = np.where(np.isfinite(whole), np.maximum(1e-14, 1e-5 * whole), 1e-14)
+        got = adaptive_simpson_many(np.exp, a, b, 1e-14, rel_floor=1e-5)
+        assert got.tobytes() == adaptive_simpson_many(np.exp, a, b, tol).tobytes()
+        assert got[1] != adaptive_simpson_many(np.exp, a, b, 1e-14)[1]
+        assert abs(got[1] - np.expm1(10.0)) <= 1e-5 * np.expm1(10.0)
+
+
 def test_adaptive_exact_on_cubic():
     # Simpson integrates cubics exactly, so even one panel suffices
     val = adaptive_simpson(lambda x: x ** 3, 0.0, 1.0, 1e-3)
