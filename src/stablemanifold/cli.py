@@ -22,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .admissibility import (BetaFunction, check_limit_condition, check_monotonicity,
-                            default_capacity, delta_max, delta_max_bounds,
-                            fundamental_identity_residual)
+                            delta_max_bounds, fundamental_identity_residual)
 from .config import (build_comparison, build_params, build_perturbation, build_rates,
                      build_solver_config, build_system, load_run_input, resolve_config,
                      scale_tolerances)
@@ -209,9 +208,8 @@ class Runner:
         mono = check_monotonicity(self.mu, self.nu, a, eps, q,
                                   mono_grid, rel_tol=self.resolved["solver"]["quad_rel_tol"],
                                   beta=beta)
-        cap = self.cfg.C if self.cfg.C is not None else default_capacity(d["D"])
+        cap, certified = solver_radius(self.params, self.pert, replace(self.cfg, delta=None))
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])
-        certified = delta_max(self.pert.c, q, cap, d["D"], self.cfg.delta_cap)
         identity_ok = worst_resid <= ch["identity_tol"]
         match_ok = worst_match <= ch["beta_match_tol"] or beta.closed_form is None
         passed = bool(limit.passed and identity_ok and match_ok
@@ -378,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
                      else float(recorded_number("tol_scale", 1.0)))
         seed = (args.seed if args.seed is not None
                 else int(recorded_number("seed", resolved["seed"])))
-        if tol_scale <= 0.0:
-            raise ConfigError("--tol-scale", "must be positive")
+        if not 0.0 < tol_scale < math.inf:
+            raise ConfigError("--tol-scale", f"must be positive and finite, got {tol_scale!r}")
         if seed < 0:
             raise ConfigError("--seed", "must be >= 0")
         scaled = scale_tolerances(resolved, tol_scale)

@@ -212,17 +212,12 @@ def _propagate(system: LinearSystem, t0: float, t1: float, h: float) -> np.ndarr
 def _invert_transition(system: LinearSystem, fwd: np.ndarray, t: float, s: float,
                        h: float, cond_limit: float) -> tuple[np.ndarray, list[str]]:
     """``transition_inverse`` of a matrix system whose T(t, s) = fwd is already known."""
-    notes: list[str] = []
-    try:
-        inv = np.linalg.inv(fwd)
-        cond = spectral_norm(fwd) * spectral_norm(inv)
-        if cond <= cond_limit:
-            return inv, notes
-        notes.append(f"condition number {cond:.3e} above {cond_limit:.1e}; "
-                     "using backward propagation")
-    except np.linalg.LinAlgError:
-        notes.append("transition matrix numerically singular; using backward propagation")
-    return _propagate(system, t, s, h), notes
+    # inf for a singular fwd; nan for a non-finite one, which numpy's SVD rejects
+    cond = float(np.linalg.cond(fwd)) if np.isfinite(fwd).all() else np.nan
+    if cond <= cond_limit:
+        return np.linalg.inv(fwd), []
+    return _propagate(system, t, s, h), [f"condition number {cond:.3e} above "
+                                         f"{cond_limit:.1e}; using backward propagation"]
 
 
 def transition_inverse(system: LinearSystem, t: float, s: float, h: float = 1e-3,

@@ -1,11 +1,13 @@
 """Small dense linear-algebra and ODE-stepping helpers.
 
-Spectral norms are computed without any external eigensolver: closed form for
-1x1 and 2x2, power iteration on M^T M above that.  One 4th-order Runge-Kutta
-step, ``rk4_step``, serves every integrator: the nonlinear flow and the linear
-propagator ``rk4_propagate``.  The propagator evaluates A(t) once on all its
-stage times, gets every step's matrix from one batched ``rk4_step`` on
-identities and composes them by a prefix scan in log2(steps) rounds.
+Spectral norms, like the condition numbers of ``dichotomy``, come from numpy's
+SVD: a power iteration from a fixed start vector misses a top singular
+direction orthogonal to that start, and so would understate a norm that
+certifies a bound.  One 4th-order Runge-Kutta step, ``rk4_step``, serves every
+integrator: the nonlinear flow and the linear propagator ``rk4_propagate``.
+The propagator evaluates A(t) once on all its stage times, gets every step's
+matrix from one batched ``rk4_step`` on identities and composes them by a
+prefix scan in log2(steps) rounds.
 """
 
 from __future__ import annotations
@@ -18,37 +20,11 @@ __all__ = ["spectral_norm", "rk4_step", "rk4_propagate"]
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of a real matrix.
-
-    Exact formulas for sizes 1 and 2; otherwise power iteration on M^T M
-    (50 iterations or relative change below 1e-12, deterministic start).
-    """
+    """Largest singular value of a real 2-D matrix; nan if an entry is not finite."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    rows, cols = m.shape
-    if rows == 1 and cols == 1:
-        return abs(m[0, 0])
-    if rows == 2 and cols == 2:
-        gram_trace = float(np.sum(m * m))
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        disc = max(gram_trace * gram_trace - 4.0 * det * det, 0.0)
-        return float(np.sqrt(0.5 * (gram_trace + np.sqrt(disc))))
-    gram = m.T @ m
-    v = np.ones(cols) / np.sqrt(cols)
-    lam = 0.0
-    for _ in range(50):
-        w = gram @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (gram @ v))
-        if lam > 0.0 and abs(lam_new - lam) <= 1e-12 * lam:
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else np.nan
 
 
 def rk4_step(deriv: Callable, t, y: np.ndarray, dt):

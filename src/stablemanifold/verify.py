@@ -32,13 +32,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admissibility import default_capacity, delta_max
 from .dichotomy import DichotomyParams, LinearSystem
 # nonlinear_flow (one sample) stays importable from this module, where
 # perfbench/tracer.py wraps it; the checks below flow their samples in one batch
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, eval_phi_many,
                        graph_metric_distance, nonlinear_flow,  # noqa: F401
-                       nonlinear_flow_many, solve_manifold)
+                       nonlinear_flow_many, solve_manifold, solver_radius)
 from .rates import GrowthRate
 
 __all__ = ["InvarianceReport", "check_invariance", "DecayReport", "check_decay",
@@ -54,6 +53,18 @@ def small_ball_radius(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyPar
         -params.eps * float(nu.log_eval(s)))
 
 
+def _small_ball_point(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyParams,
+                      s: float, rng: np.random.Generator) -> np.ndarray:
+    """A point of the small ball at s: random direction, radius fraction in [0.05, 1)."""
+    direction = rng.standard_normal(graph.n_stable)
+    norm = np.abs(direction).sum()
+    if norm == 0.0:
+        direction = np.ones(graph.n_stable)
+        norm = float(graph.n_stable)
+    radius = small_ball_radius(graph, nu, params, s)
+    return direction / norm * radius * float(rng.uniform(0.05, 1.0))
+
+
 def random_invariance_samples(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyParams,
                               n: int, tau_max: float, rng: np.random.Generator
                               ) -> list[tuple[float, np.ndarray, float]]:
@@ -62,13 +73,7 @@ def random_invariance_samples(graph: ManifoldGraph, nu: GrowthRate, params: Dich
     out = []
     for _ in range(n):
         s = float(rng.uniform(s_lo, s_hi))
-        direction = rng.standard_normal(graph.n_stable)
-        norm = np.abs(direction).sum()
-        if norm == 0.0:
-            direction = np.ones(graph.n_stable)
-            norm = float(graph.n_stable)
-        radius = small_ball_radius(graph, nu, params, s)
-        xi = direction / norm * radius * float(rng.uniform(0.05, 1.0))
+        xi = _small_ball_point(graph, nu, params, s, rng)
         tau = float(rng.uniform(0.1, tau_max))
         out.append((s, xi, tau))
     return out
@@ -81,14 +86,7 @@ def random_decay_pairs(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyPa
     samples = random_invariance_samples(graph, nu, params, n, tau_max, rng)
     out = []
     for s, xi, tau in samples:
-        direction = rng.standard_normal(graph.n_stable)
-        norm = np.abs(direction).sum()
-        if norm == 0.0:
-            direction = np.ones(graph.n_stable)
-            norm = float(graph.n_stable)
-        radius = small_ball_radius(graph, nu, params, s)
-        xi_bar = direction / norm * radius * float(rng.uniform(0.05, 1.0))
-        out.append((s, xi, xi_bar, s + tau))
+        out.append((s, xi, _small_ball_point(graph, nu, params, s, rng), s + tau))
     return out
 
 
@@ -281,9 +279,8 @@ def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRat
     """
     if pert.q != pert_bar.q:
         raise ValueError("perturbation orders q must match for the stability bound")
-    cap = cfg.C if cfg.C is not None else default_capacity(params.D)
-    c_common = max(pert.c, pert_bar.c)
-    certified = delta_max(c_common, pert.q, cap, params.D, cfg.delta_cap)
+    cap, certified = solver_radius(params, max(pert, pert_bar, key=lambda p: p.c),
+                                   replace(cfg, delta=None))
     delta = certified if cfg.delta is None else min(cfg.delta, certified)
     common_cfg = replace(cfg, delta=delta, C=cap)
     if solved is not None and solved[0].delta == delta and solved[0].C == cap:

@@ -235,10 +235,47 @@ def test_underflowed_tail_integral_exits_one_with_report(tmp_path, capsys):
 
 def test_bad_cli_values_exit_two(tmp_path, capsys):
     out = str(tmp_path / "o")
-    assert main(["verify", "--config", ORACLE, "--out", out, "--tol-scale", "0"]) == 2
+    # an infinite scale would pass every check vacuously, nan would fail every stage
+    for scale in ("0", "inf", "nan"):
+        assert main(["verify", "--config", ORACLE, "--out", out, "--tol-scale", scale]) == 2
+        assert f"--tol-scale: must be positive and finite, got {float(scale)!r}" in (
+            capsys.readouterr().err)
     assert main(["verify", "--config", ORACLE, "--out", out, "--seed", "-2"]) == 2
-    err = capsys.readouterr().err
-    assert "--tol-scale" in err and "--seed" in err
+    assert "--seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_manifest_with_infinite_tol_scale_exits_two(tmp_path, capsys):
+    first = tmp_path / "a"
+    assert main(["check-rates", "--config", ORACLE, "--out", str(first)]) == 0
+    manifest = read_json(first / "manifest.json")
+    manifest["cli"]["tol_scale"] = math.inf
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert '"tol_scale": Infinity' in path.read_text()
+    out = tmp_path / "b"
+    assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
+    assert "--tol-scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_dichotomy_fails_an_overclaimed_coupled_block(tmp_path):
+    # the stable block [[-1, -0.5], [-0.5, -1]] decays like e^(-0.5 t), so a = -1.5
+    # is false; its top singular direction (1, -1, 0) is orthogonal to (1, 1, 1)
+    cfg = {"rates": {"mu": {"family": "exponential"}, "nu": {"family": "exponential"}},
+           "dichotomy": {"a": -1.5, "b": 1.0, "eps": 0.0, "D": 1.0},
+           "system": {"kind": "matrix", "n_stable": 2,
+                      "coeff": [["-1", "-0.5", "0"], ["-0.5", "-1", "0"], ["0", "0", "1"]]},
+           "perturbation": {"kind": "cubic", "coef": 1.0},
+           "solver": {"s_max": 1.0, "n_slices": 2, "delta": 0.02, "C": 2.0,
+                      "nodes_per_axis": 5, "h": 0.2},
+           "checks": {"dichotomy_pairs": 5}}
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["check-dichotomy", "--config", str(path), "--out", str(out)]) == 1
+    report = read_json(out / "report-check-dichotomy.json")
+    assert report["max_stable_ratio"] == pytest.approx(math.exp(3.0), rel=1e-6)
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
@@ -323,10 +360,12 @@ def test_bundled_configs_run_clean(tmp_path, name):
 
 
 def test_console_script_entry(tmp_path):
+    # the child imports the package under test, installed or not
     out = str(tmp_path / "run")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-m", "stablemanifold.cli", "check-rates",
                            "--config", ORACLE, "--out", out],
-                          capture_output=True, text=True)
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "check-rates: PASS" in proc.stdout
 

@@ -204,13 +204,40 @@ def test_matrix_transitions_match_per_stage_reference():
         assert _close(fwd, _per_stage_propagate(deriv, s, eye, t, h))
         assert _close(back, _per_stage_propagate(deriv, t, eye, s, h))
         inv = np.linalg.inv(fwd)
-        if spectral_norm(fwd) * spectral_norm(inv) > 1e8:
+        if np.linalg.cond(fwd) > 1e8:
             inv = back
         assert transition_inverse(system, t, s, h)[0].tobytes() == inv.tobytes()
         log_ratio = EXP.log_eval(t) - EXP.log_eval(s)
         stable = spectral_norm(fwd @ p) / (params.D * np.exp(params.a * log_ratio))
         unstable = spectral_norm(inv @ (eye - p)) / (params.D * np.exp(-params.b * log_ratio))
         assert row == (t, s, stable, unstable, spectral_norm(p @ fwd - fwd @ p))
+
+
+def test_verify_dichotomy_coupled_stable_block():
+    # the stable block [[-1, -0.5], [-0.5, -1]] decays like e^(-0.5 t): its
+    # top singular direction (1, -1, 0) is orthogonal to (1, 1, 1)
+    mat = matrix_system(lambda t: np.array([[-1.0, -0.5, 0.0], [-0.5, -1.0, 0.0],
+                                            [0.0, 0.0, 1.0]]), 3, 2)
+    pairs = pair_grid(10.0, 5)
+    false = verify_dichotomy(mat, EXP, EXP, DichotomyParams(D=1.0, a=-1.5, b=1.0, eps=0.0),
+                             pairs, tol=1e-7, h=1e-2)
+    assert not false.passed
+    assert false.max_stable_ratio == pytest.approx(np.exp(3.0), rel=1e-6)  # t - s = 3
+    true = verify_dichotomy(mat, EXP, EXP, DichotomyParams(D=1.0, a=-0.5, b=1.0, eps=0.0),
+                            pairs, tol=1e-7, h=1e-2)
+    assert true.passed
+
+
+def test_verify_dichotomy_fails_cleanly_on_a_non_finite_transition():
+    # the unstable factor e^((t^5 - s^5) / 5) overflows on the pairs (6, 3) and (8, 6);
+    # the stable ratio reads nan there and the certificate fails
+    mat = matrix_system(lambda t: np.diag([-1.0, 0.0])
+                        + np.multiply.outer(t ** 4, np.diag([0.0, 1.0])), 2, 1)
+    params = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = verify_dichotomy(mat, EXP, EXP, params, pair_grid(10.0, 5), h=1e-2)
+    assert not cert.passed
+    assert np.isnan(cert.max_stable_ratio)
 
 
 def test_verify_dichotomy_rejects_empty_pairs():

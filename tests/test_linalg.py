@@ -28,8 +28,11 @@ def test_spectral_norm_zero_matrix():
 
 def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(42)
-    for n in (2, 3, 5, 8):
-        M = rng.standard_normal((n, n))
+    # the last two have a top singular direction orthogonal to (1, ..., 1)
+    matrices = [rng.standard_normal((n, n)) for n in (2, 3, 5, 8)] + [
+        np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.1]]),
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, -1.0, 0.0]])]
+    for M in matrices:
         assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-8)
 
 
