@@ -76,7 +76,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 class Runner:
-    """Shared state for one CLI invocation (solved graphs are reused by `all`)."""
+    """Shared state for one CLI invocation (solved graphs are reused by `all`).
+
+    One ``BetaFunction`` serves the whole run: ``cfg.beta_fn`` carries it into
+    admissibility and every solve, so each tail integral I(s) is computed once.
+    """
 
     def __init__(self, resolved: dict, out_dir: str, seed: int, tol_scale: float):
         self.resolved = resolved
@@ -87,7 +91,10 @@ class Runner:
         self.params = build_params(resolved)
         self.system = build_system(resolved, self.mu, self.nu)
         self.pert = build_perturbation(resolved["perturbation"], self.system.n)
-        self.cfg = build_solver_config(resolved)
+        cfg = build_solver_config(resolved)
+        self.cfg = replace(cfg, beta_fn=BetaFunction(self.mu, self.nu, self.params.a,
+                                                     self.params.eps, self.pert.q,
+                                                     cfg.quad_rel_tol))
         self._solved = None
         self._check_solver_inputs()
 
@@ -182,8 +189,7 @@ class Runner:
         a, eps = d["a"], d["eps"]
         q = self.pert.q
         limit = check_limit_condition(self.mu, self.nu, a, d["b"], eps)
-        beta = BetaFunction(self.mu, self.nu, a, eps, q,
-                            rel_tol=self.resolved["solver"]["quad_rel_tol"])
+        beta = self.cfg.beta_fn
         s_values = np.linspace(0.0, ch["beta_s_max"], ch["beta_points"])
         mono_grid = np.linspace(0.0, ch["beta_s_max"], ch["monotonicity_points"])
         integrals = beta.integrals(np.concatenate([s_values, mono_grid]))
@@ -193,8 +199,7 @@ class Runner:
         for s, integral in zip(s_values.tolist(), integrals.tolist()):
             b_quad = beta.beta(s)
             resid = fundamental_identity_residual(self.mu, self.nu, a, eps, q, s,
-                                                  self.resolved["solver"]["quad_rel_tol"],
-                                                  integral)
+                                                  beta.rel_tol, integral)
             worst_resid = max(worst_resid, resid)
             b_closed = beta.closed_form_value(s)
             if b_closed is not None:
@@ -205,9 +210,8 @@ class Runner:
         _write_csv(self.path("beta.csv"),
                    ["s", "beta_quadrature", "beta_closed_form", "beta_tilde",
                     "mu_pow_a_over_beta", "tail_integral", "identity_residual"], rows)
-        mono = check_monotonicity(self.mu, self.nu, a, eps, q,
-                                  mono_grid, rel_tol=self.resolved["solver"]["quad_rel_tol"],
-                                  beta=beta)
+        mono = check_monotonicity(self.mu, self.nu, a, eps, q, mono_grid,
+                                  rel_tol=beta.rel_tol, beta=beta)
         cap, certified = solver_radius(self.params, self.pert, replace(self.cfg, delta=None))
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])
         identity_ok = worst_resid <= ch["identity_tol"]
@@ -375,7 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         tol_scale = (args.tol_scale if args.tol_scale is not None
                      else float(recorded_number("tol_scale", 1.0)))
         seed = (args.seed if args.seed is not None
-                else int(recorded_number("seed", resolved["seed"])))
+                else recorded_number("seed", resolved["seed"]))
+        if not isinstance(seed, int):
+            raise ConfigError("cli.seed", f"expected an integer, got {seed!r}")
         if not 0.0 < tol_scale < math.inf:
             raise ConfigError("--tol-scale", f"must be positive and finite, got {tol_scale!r}")
         if seed < 0:

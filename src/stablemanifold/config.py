@@ -197,7 +197,8 @@ def _resolve_comparison(obj: Any, path: str) -> dict:
     return _resolve_perturbation(obj, path)
 
 
-# s_grid has no default and delta, C default to None, written "auto" in a config
+# s_grid has no default and delta, C default to None, written "auto" in a config;
+# beta_fn, None by default too, is no config key
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)
                     if f.default is not MISSING and f.default is not None}
 
@@ -398,7 +399,8 @@ def build_comparison(resolved: dict, n: int) -> Perturbation:
 
 def build_solver_config(resolved: dict) -> SolverConfig:
     s = resolved["solver"]
-    kw = {f.name: None if s[f.name] == "auto" else s[f.name] for f in fields(SolverConfig)}
+    kw = {f.name: None if s[f.name] == "auto" else s[f.name] for f in fields(SolverConfig)
+          if f.name != "beta_fn"}
     return SolverConfig(**{**kw, "s_grid": tuple(s["s_grid"])})
 
 

@@ -29,10 +29,12 @@ max(1, 4096 // len(t_grid)); a node leaves the sweep at its own tolerance, so
 its value matches a solve of that node alone bit for bit.  When f reads no
 unstable component (``Perturbation.reads``, as for the cubic v' = v + u^3),
 phi never enters the inner problem: the sweeps hand f zeros in the unstable
-columns and do not evaluate the graph.  Each node path is checked against its
-decay envelope.  The slice tables (truncation point, grid, propagator maps,
-envelope) depend only on the slice radii: ``solve_manifold`` builds them once
-and drops them when it returns.
+columns and do not evaluate the graph.  The operator is then constant, so
+Phi(0) is its fixed point: ``solve_manifold`` applies it once and takes that
+graph as the second iterate instead of applying it again.  Each node path is
+checked against its decay envelope.  The slice tables (truncation point, grid,
+propagator maps, envelope) depend only on the slice radii: ``solve_manifold``
+builds them once and drops them when it returns.
 
 Graphs are stored per s-slice on a shared tensor lattice in normalized
 coordinates; evaluation is multilinear per slice, linear in s between slices,
@@ -349,6 +351,11 @@ def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     return _SliceTable(s, t_grid, h_eff, envelope, stable, pull_stable, pull_unstable)
 
 
+def _ignores_graph(pert: Perturbation, n_stable: int) -> bool:
+    """True when f reads no unstable component, so the graph operator ignores the graph."""
+    return pert.reads is not None and max(pert.reads, default=-1) < n_stable
+
+
 def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
              x: np.ndarray) -> np.ndarray:
     """f(t, x, phi(t, x)) along node paths x (B, T, n_E) on the grid t_grid (T,).
@@ -359,7 +366,7 @@ def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
     t = np.tile(t_grid, len(x))
     v = np.zeros((len(t), graph.n_stable + graph.n_unstable))
     v[:, :graph.n_stable] = x.reshape(len(t), -1)
-    if pert.reads is None or max(pert.reads, default=-1) >= graph.n_stable:
+    if not _ignores_graph(pert, graph.n_stable):
         v[:, graph.n_stable:] = eval_phi_many(graph, t, v[:, :graph.n_stable])
     return pert.f(t, v).reshape(x.shape[:2] + (-1,))
 
@@ -475,7 +482,12 @@ def _truncation_points(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Resolution and tolerance knobs of the manifold solver."""
+    """Resolution and tolerance knobs of the manifold solver.
+
+    ``beta_fn`` is no knob and no config key sets it: a ``BetaFunction`` of the
+    solve's (mu, nu, a, eps, q, quad_rel_tol) lets solves share its cached tail
+    integrals I(s); None gives each solve its own.
+    """
 
     s_grid: tuple[float, ...]
     delta: float | None = None       # None: use the certified delta_max
@@ -491,6 +503,7 @@ class SolverConfig:
     quad_rel_tol: float = 1e-8
     decay_slack: float = 1.05
     delta_cap: float = 1.0
+    beta_fn: BetaFunction | None = field(default=None, compare=False, repr=False)
 
 
 def graph_metric_distance(old: np.ndarray, new: np.ndarray, graph: ManifoldGraph) -> float:
@@ -672,8 +685,13 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     measured contraction ratio must stay within 10% of the certified factor;
     persistent excess raises ContractionError, exhaustion of the budget raises
     ConvergenceError.  The slice tables are built once here and dropped on return.
+    When f reads no unstable component, Phi ignores the graph: the first
+    iterate Phi(0) is the fixed point and serves as every later iterate
+    unchanged, so the operator runs once.  ``cfg.beta_fn`` supplies the radius
+    function beta, built here when None.
     ValueError rejects a perturbation that does not vanish at the origin or
-    whose ``reads`` f contradicts (see ``_check_reads``).
+    whose ``reads`` f contradicts (see ``_check_reads``), and a ``cfg.beta_fn``
+    built for another (mu, nu, a, eps, q, quad_rel_tol).
     """
     n_e, n_f = system.n_stable, system.n_unstable
     cap, delta = solver_radius(params, pert, cfg)
@@ -683,7 +701,10 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     check_vanishes_at_origin(pert, s_grid, system.n)
     if pert.reads is not None:
         _check_reads(pert, s_grid, system.n)
-    beta_fn = BetaFunction(mu, nu, params.a, params.eps, pert.q, cfg.quad_rel_tol)
+    key = (mu, nu, params.a, params.eps, pert.q, cfg.quad_rel_tol)
+    beta_fn = cfg.beta_fn if cfg.beta_fn is not None else BetaFunction(*key)
+    if (beta_fn.mu, beta_fn.nu, beta_fn.a, beta_fn.eps, beta_fn.q, beta_fn.rel_tol) != key:
+        raise ValueError("cfg.beta_fn was built for another (mu, nu, a, eps, q, quad_rel_tol)")
     beta_fn.integrals(s_grid)
     radii = np.array([delta * beta_fn.beta(float(s)) for s in s_grid])
     lattice, in_ball, targets = _build_lattice(n_e, cfg.nodes_per_axis)
@@ -701,8 +722,12 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     history: list[dict] = []
     strikes = 0
     prev_distance = None
+    constant = _ignores_graph(pert, n_e)
     for iteration in range(1, cfg.max_outer + 1):
-        new_graph = apply_phi_operator(graph, system, mu, nu, params, pert, cfg, tables)
+        if constant and iteration > 1:
+            new_graph = graph  # Phi does not read graph.values: Phi(graph) is graph
+        else:
+            new_graph = apply_phi_operator(graph, system, mu, nu, params, pert, cfg, tables)
         distance = graph_metric_distance(graph.values, new_graph.values, graph)
         ratio = (distance / prev_distance) if prev_distance else None
         history.append({"iteration": iteration, "distance": distance, "ratio": ratio,

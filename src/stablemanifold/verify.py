@@ -275,7 +275,8 @@ def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRat
     hence identical slice radii, so node values are directly comparable.
     ``solved`` is an optional (graph, history) of ``pert`` already solved
     under ``cfg``; it stands in for the f solve when its delta and C equal the
-    common ones, which is then exactly the solve it saves.
+    common ones, which is then exactly the solve it saves.  A ``cfg.beta_fn``
+    serves both solves, which then share their tail integrals.
     """
     if pert.q != pert_bar.q:
         raise ValueError("perturbation orders q must match for the stability bound")

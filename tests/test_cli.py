@@ -16,6 +16,7 @@ from stablemanifold.cli import main
 CONFIG_DIR = resources.files("stablemanifold") / "configs"
 ORACLE = str(CONFIG_DIR / "oracle_cubic.json")
 EXPONENTIAL = str(CONFIG_DIR / "exponential.json")
+LOGLOG = str(CONFIG_DIR / "loglog_example.json")
 ALL_CONFIGS = sorted(p.name for p in CONFIG_DIR.iterdir() if p.name.endswith(".json"))
 
 
@@ -89,6 +90,59 @@ def test_admissibility_runs_one_tail_quadrature_per_s(tmp_path, monkeypatch):
     monkeypatch.setattr(admissibility, "improper_rate_integrals", counting)
     assert main(["admissibility", "--config", EXPONENTIAL, "--out", str(tmp_path)]) == 0
     assert keys and len(keys) == len(set(keys))
+
+
+def test_all_computes_each_tail_integral_once(tmp_path, monkeypatch):
+    # one BetaFunction serves admissibility, the base solve and both comparison solves
+    from stablemanifold import admissibility, manifold
+    keys = []
+    quadrature = admissibility.improper_rate_integrals
+
+    def counting(mu, nu, p, eps, s_values, *rest):
+        keys.extend((p, eps, float(s)) for s in s_values)
+        return quadrature(mu, nu, p, eps, s_values, *rest)
+
+    monkeypatch.setattr(admissibility, "improper_rate_integrals", counting)
+    monkeypatch.setattr(manifold, "improper_rate_integrals", counting)
+    assert main(["all", "--config", LOGLOG, "--out", str(tmp_path)]) == 0
+    assert keys and len(keys) == len(set(keys))
+
+
+def test_shared_beta_changes_no_artifact(tmp_path):
+    assert main(["all", "--config", LOGLOG, "--out", str(tmp_path / "all")]) == 0
+    together = tree_bytes(tmp_path / "all")
+    for command, tables in (("admissibility", ["beta.csv"]),
+                            ("solve-manifold", ["graph.csv", "convergence.csv"]),
+                            ("perturb-compare", ["compare.csv"])):
+        out = tmp_path / command
+        assert main([command, "--config", LOGLOG, "--out", str(out)]) == 0
+        alone = tree_bytes(out)
+        for name in tables + [f"report-{command}.json"]:
+            assert alone[name] == together[name], name
+
+
+def test_solve_rejects_a_beta_function_of_another_order(tmp_path):
+    from stablemanifold.admissibility import BetaFunction
+    from stablemanifold.config import load_run_input, resolve_config
+    from stablemanifold.manifold import solve_manifold
+    r = cli.Runner(resolve_config(load_run_input(LOGLOG)[0]), str(tmp_path), 0, 1.0)
+    other = BetaFunction(r.mu, r.nu, r.params.a, r.params.eps, r.pert.q + 1.0,
+                         r.cfg.quad_rel_tol)
+    with pytest.raises(ValueError, match="beta_fn was built for another"):
+        solve_manifold(r.system, r.mu, r.nu, r.params, r.pert, replace(r.cfg, beta_fn=other))
+
+
+def test_manifest_with_fractional_seed_exits_two(tmp_path, capsys):
+    first = tmp_path / "a"
+    assert main(["check-rates", "--config", ORACLE, "--out", str(first)]) == 0
+    manifest = read_json(first / "manifest.json")
+    manifest["cli"]["seed"] = 2.7
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "b"
+    assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
+    assert "cli.seed: expected an integer, got 2.7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_recording_threads_still_replays(tmp_path):

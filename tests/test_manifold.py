@@ -19,7 +19,8 @@ from stablemanifold.errors import (BlowupError, DecayBoundError, DivergenceError
                                    TailBoundError)
 from stablemanifold.expr import compile_expression
 from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbation,
-                                     SolverConfig, cubic_perturbation, eval_phi, eval_phi_many,
+                                     SolverConfig, apply_phi_operator, cubic_perturbation,
+                                     eval_phi, eval_phi_many,
                                      expression_perturbation, graph_metric_distance,
                                      inner_trajectory, nonlinear_flow, nonlinear_flow_many,
                                      outer_contraction_factor, solve_manifold)
@@ -673,7 +674,9 @@ def test_chunked_slices_match_single_node_chunks(monkeypatch, system, pert, delt
     calls.update(forcing=0, sweeps=0)
     sweep_counts.clear()
     whole, whole_history = solve_manifold(system, EXP, EXP, PARAMS, pert, cfg)
-    assert len(sweep_counts) == 2 * len(whole_history)  # one chunk per slice
+    # one chunk per slice and operator application; f free of the graph applies it once
+    passes = 1 if manifold._ignores_graph(pert, system.n_stable) else len(whole_history)
+    assert len(sweep_counts) == 2 * passes
     assert np.array_equal(single.values, whole.values)
     assert single_history == whole_history
     # feedback reaches the stable block: nodes of one chunk take different
@@ -784,6 +787,39 @@ def test_skipping_the_graph_is_exact():
                                         SKIP_CFG)
     assert skipped.values.tobytes() == full.values.tobytes()
     assert skipped_history == full_history
+
+
+def _solve_counting_operator(monkeypatch, pert):
+    """Solve under ``pert`` on SKIP_CFG; returns the graph, history and operator calls."""
+    calls = []
+    original = manifold.apply_phi_operator
+
+    def count(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(manifold, "apply_phi_operator", count)
+    graph, history = solve_manifold(rate_power_system(EXP, a=-1.0, b=1.0), EXP, EXP, PARAMS,
+                                    pert, SKIP_CFG)
+    return graph, history, len(calls)
+
+
+def test_graph_free_solve_applies_the_operator_once(monkeypatch):
+    pert = cubic_perturbation(1.0)
+    graph, history, calls = _solve_counting_operator(monkeypatch, pert)
+    # f reads no unstable component: Phi(0) is the fixed point, and the second
+    # history row is the zero step that a real second pass gives
+    assert calls == 1 and len(history) == 2
+    assert history[1]["distance"] == 0.0 and history[1]["ratio"] == 0.0
+    again = apply_phi_operator(graph, rate_power_system(EXP, a=-1.0, b=1.0), EXP, EXP, PARAMS,
+                               pert, SKIP_CFG)
+    assert again.values.tobytes() == graph.values.tobytes()
+    assert again.meta == graph.meta
+
+
+def test_feedback_solve_applies_the_operator_every_iteration(monkeypatch):
+    _, history, calls = _solve_counting_operator(monkeypatch, FEEDBACK)
+    assert calls == len(history) >= 2
 
 
 @pytest.mark.parametrize("pert, evaluated",
