@@ -28,8 +28,8 @@ from .manifold import (ManifoldGraph, Perturbation, SolverConfig, apply_phi_oper
                        expression_perturbation, graph_metric_distance, inner_trajectory,
                        nonlinear_flow, nonlinear_flow_many, outer_contraction_factor,
                        solve_manifold)
-from .verify import (DecayReport, InvarianceReport, PerturbationBoundReport,
-                     PerturbationDistance, check_decay, check_invariance,
+from .verify import (DecayReport, FlowReport, InvarianceReport, PerturbationBoundReport,
+                     PerturbationDistance, check_decay, check_flows, check_invariance,
                      check_perturbation_bound, default_perturbation_samples,
                      perturbation_distance, random_decay_pairs,
                      random_invariance_samples, small_ball_radius, stability_constant)
@@ -43,14 +43,14 @@ __all__ = [
     "AxiomReport", "BUILTIN_FAMILIES", "BetaFunction", "BlowupError", "ConfigError",
     "ContractionError", "ConvergenceError", "DecayBoundError", "DecayReport",
     "DichotomyCertificate", "DichotomyParams", "DivergenceError", "ExpressionError",
-    "GrowthRate", "InvarianceReport", "LimitCheck", "LinearSystem", "LipschitzError",
+    "FlowReport", "GrowthRate", "InvarianceReport", "LimitCheck", "LinearSystem", "LipschitzError",
     "ManifoldGraph", "MonotonicityCheck", "NumericalError", "Perturbation",
     "PerturbationBoundReport", "PerturbationDistance", "SolverConfig", "TailBoundError",
     "TailBoundInfo", "adaptive_simpson", "adaptive_simpson_many", "analytic_tail_bound",
     "apply_phi_operator",
     "beta_value", "build_comparison", "build_params", "build_perturbation",
     "build_rate", "build_rates", "build_solver_config", "build_system",
-    "builtin_rate", "check_decay", "check_growth_axioms", "check_invariance",
+    "builtin_rate", "check_decay", "check_flows", "check_growth_axioms", "check_invariance",
     "check_limit_condition", "check_monotonicity", "check_perturbation_bound",
     "closed_form_beta", "compile_expression", "composite_simpson",
     "coordinate_projection", "cubic_perturbation", "cumulative_simpson",

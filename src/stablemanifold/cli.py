@@ -31,8 +31,10 @@ from .errors import ConfigError, NumericalError
 from .manifold import (check_vanishes_at_origin, outer_contraction_factor, solve_manifold,
                        solver_radius)
 from .rates import check_growth_axioms
-from .verify import (check_decay, check_invariance, check_perturbation_bound,
-                     random_decay_pairs, random_invariance_samples)
+# check_invariance and check_decay are not called here; perfbench/tracer.py wraps
+# them in this namespace
+from .verify import (check_decay, check_flows, check_invariance,  # noqa: F401
+                     check_perturbation_bound, random_decay_pairs, random_invariance_samples)
 
 COMMANDS = ("check-rates", "check-dichotomy", "admissibility", "solve-manifold",
             "verify", "perturb-compare", "all")
@@ -271,16 +273,15 @@ class Runner:
         rng = self.rng(1)
         inv_samples = random_invariance_samples(graph, self.nu, self.params,
                                                 v["n_invariance"], v["tau_max"], rng)
-        inv = check_invariance(graph, self.system, self.mu, self.nu, self.params,
-                               self.pert, inv_samples, h=v["flow_h"], tol=v["tol"])
+        pairs = random_decay_pairs(graph, self.nu, self.params, v["n_decay"],
+                                   v["tau_max"], rng)
+        flows = check_flows(graph, self.system, self.mu, self.nu, self.params, self.pert,
+                            inv_samples, pairs, h=v["flow_h"], tol=v["tol"])
+        inv, dec = flows.invariance, flows.decay
         _write_csv(self.path("verify-invariance.csv"),
                    ["s", "xi_norm", "tau", "residual", "arrival_norm", "within_radius"],
                    [[r["s"], r["xi_norm"], r["tau"], r["residual"], r["arrival_norm"],
                      r["within_radius"]] for r in inv.rows])
-        pairs = random_decay_pairs(graph, self.nu, self.params, v["n_decay"],
-                                   v["tau_max"], rng)
-        dec = check_decay(graph, self.system, self.mu, self.nu, self.params, self.pert,
-                          pairs, h=v["flow_h"], tol=v["tol"])
         _write_csv(self.path("verify-decay.csv"),
                    ["s", "t", "seed_gap", "observed", "bound", "ratio"],
                    [[r["s"], r["t"], r["seed_gap"], r["observed"], r["bound"], r["ratio"]]
@@ -293,6 +294,8 @@ class Runner:
                            "n_samples": v["n_invariance"]},
             "decay": {"passed": dec.passed, "max_ratio": dec.max_ratio,
                       "n_pairs": v["n_decay"]},
+            "flow": {"rows": flows.rows, "rk4_steps": flows.rk4_steps,
+                     "step_rounds": flows.step_rounds},
         }
 
     def perturb_compare(self) -> tuple[bool, dict]:

@@ -5,9 +5,11 @@ SVD: a power iteration from a fixed start vector misses a top singular
 direction orthogonal to that start, and so would understate a norm that
 certifies a bound.  One 4th-order Runge-Kutta step, ``rk4_step``, serves every
 integrator: the nonlinear flow and the linear propagator ``rk4_propagate``.
-The propagator evaluates A(t) once on all its stage times, gets every step's
-matrix from one batched ``rk4_step`` on identities and composes them by a
-prefix scan in log2(steps) rounds.
+Both evaluate their linear part once on all stage times, which
+``rk4_stage_times`` forms as the step does, and look a stage's values up by
+its time row.  The propagator gets every step's matrix from one batched
+``rk4_step`` on identities and composes them by a prefix scan in log2(steps)
+rounds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["spectral_norm", "rk4_step", "rk4_propagate"]
+__all__ = ["spectral_norm", "rk4_stage_times", "rk4_stage_matrices", "rk4_step",
+           "rk4_propagate"]
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -27,20 +30,41 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else np.nan
 
 
+def rk4_stage_times(t, dt) -> np.ndarray:
+    """The stage times of ``rk4_step`` from t over dt, stacked to shape (3,) + t.shape:
+    k1 runs at row 0 (t itself), k2 and k3 at row 1 (t + dt/2), k4 at row 2 (t + dt).
+    """
+    return np.stack([t, t + 0.5 * dt, t + dt])
+
+
+def rk4_stage_matrices(A: Callable[[np.ndarray], np.ndarray], t: np.ndarray,
+                       dt: np.ndarray) -> dict[bytes, np.ndarray]:
+    """A(t) of the steps from t[j] over dt[j], evaluated once on all their stage times.
+
+    Maps the bytes of each row of ``rk4_stage_times(t, dt)``, as ``rk4_step``
+    hands the row to ``deriv``, to that stage's matrices (len(t), n, n); an A
+    that returns one constant (n, n) is broadcast.
+    """
+    times = rk4_stage_times(t, dt)
+    a = A(times.ravel())
+    a = np.broadcast_to(a, (times.size,) + a.shape[-2:]).reshape(times.shape + a.shape[-2:])
+    return {r.tobytes(): m for r, m in zip(times, a)}
+
+
 def rk4_step(deriv: Callable, t, y: np.ndarray, dt):
     """One classical 4th-order step of y' = deriv(t, y) from t to t + dt.
 
     ``t`` and ``dt`` are scalars, or arrays of shape (B,) that step a batch
     ``y`` of shape (B, ...) row by row; ``deriv`` then receives times (B,).
     """
-    half = 0.5 * dt
+    t0, t_half, t1 = rk4_stage_times(t, dt)
     step = dt
     if isinstance(dt, np.ndarray):  # one step size per row of y
         step = dt.reshape(dt.shape + (1,) * (y.ndim - dt.ndim))
-    k1 = deriv(t, y)
-    k2 = deriv(t + half, y + 0.5 * step * k1)
-    k3 = deriv(t + half, y + 0.5 * step * k2)
-    k4 = deriv(t + dt, y + step * k3)
+    k1 = deriv(t0, y)
+    k2 = deriv(t_half, y + 0.5 * step * k1)
+    k3 = deriv(t_half, y + 0.5 * step * k2)
+    k4 = deriv(t1, y + step * k3)
     return y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -51,20 +75,17 @@ def rk4_propagate(A: Callable[[np.ndarray], np.ndarray], t: np.ndarray, dt: np.n
 
     The equation is linear, so step j is a matrix M_j: ``rk4_step`` applied to
     the identity.  All M_j come from one batched ``rk4_step``, and ``A`` is
-    called once, on the stage times t, t + 0.5 dt and t + dt of all steps,
-    computed as ``rk4_step`` computes them.  The prefix products M_j...M_0
-    (M_0...M_j with ``right``) are formed by a Hillis-Steele scan in
+    called once, on the ``rk4_stage_times`` of all steps.  The prefix products
+    M_j...M_0 (M_0...M_j with ``right``) are formed by a Hillis-Steele scan in
     ceil(log2 len(t)) batched products; row 0 is y0 itself.
     """
-    times = np.stack([t, t + 0.5 * dt, t + dt])
-    a = A(times.ravel())
-    a = np.broadcast_to(a, (times.size,) + a.shape[-2:]).reshape(times.shape + a.shape[-2:])
-    stage = {r.tobytes(): m for r, m in zip(times, a)}  # rk4_step forms the same rows
+    stage = rk4_stage_matrices(A, t, dt)
 
     def deriv(r, m):
         return m @ stage[r.tobytes()] if right else stage[r.tobytes()] @ m
 
-    prod = rk4_step(deriv, times[0], np.broadcast_to(np.eye(a.shape[-1]), a.shape[1:]), dt)
+    n = y0.shape[-1] if right else y0.shape[0]
+    prod = rk4_step(deriv, t, np.broadcast_to(np.eye(n), (len(t), n, n)), dt)
     k = 1
     while k < len(prod):
         prod[k:] = prod[:-k] @ prod[k:] if right else prod[k:] @ prod[:-k]

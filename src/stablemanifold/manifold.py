@@ -47,9 +47,11 @@ one exists, log-linearly otherwise.
 samples at once, each with its own start time and duration; ``nonlinear_flow``
 is its one-sample form.  It and ``linalg.rk4_propagate``, which builds the
 matrix slice tables from one call of A on all stage times, RK4 step matrices
-and their prefix products, share one RK4 step, ``linalg.rk4_step``; on
-closed-form systems it reads the diagonal of T(t, s) from
-``dichotomy.closed_form_diagonal``.
+and their prefix products, share one RK4 step, ``linalg.rk4_step``, and its
+``rk4_stage_times``.  The flow evaluates its linear part once per step round
+on those times: A (``linalg.rk4_stage_matrices``) on matrix systems, the
+diagonal of T(t, s) from ``dichotomy.closed_form_diagonal`` on closed-form
+ones.
 Every caller evaluates the perturbation on a batch of samples (see ``Perturbation``).
 
 Norms on state blocks are sum norms.
@@ -69,7 +71,7 @@ from .dichotomy import DichotomyParams, LinearSystem, closed_form_diagonal
 from .errors import (BlowupError, ContractionError, ConvergenceError, DecayBoundError,
                      LipschitzError, NumericalError, TailBoundError)
 from .expr import compile_expression
-from .linalg import rk4_propagate, rk4_step
+from .linalg import rk4_propagate, rk4_stage_matrices, rk4_stage_times, rk4_step
 # adaptive_simpson is not called here; perfbench/tracer.py wraps it in this namespace
 from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson  # noqa: F401
 from .rates import GrowthRate
@@ -78,7 +80,7 @@ __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
            "ManifoldGraph", "SolverConfig", "eval_phi", "eval_phi_many",
            "InnerTrajectory", "inner_trajectory", "apply_phi_operator",
            "solve_manifold", "solver_radius", "check_vanishes_at_origin",
-           "nonlinear_flow", "nonlinear_flow_many",
+           "nonlinear_flow", "nonlinear_flow_many", "flow_steps",
            "outer_contraction_factor", "graph_metric_distance"]
 
 # inner-grid samples per chunk of nodes: bounds every (nodes, grid, state) array
@@ -750,21 +752,29 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
         history=history)
 
 
+def flow_steps(tau: np.ndarray, h: float) -> np.ndarray:
+    """Steps of each sample of ``nonlinear_flow_many``: ceil(tau / h), at least one,
+    and none where tau = 0."""
+    return np.where(tau == 0.0, 0, np.maximum(1, np.ceil(tau / h))).astype(np.int64)
+
+
 def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
                         h: float = 1e-3, blowup_factor: float = 1e8
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the full nonlinear system for B samples at once.
 
     Sample b starts from v0[b] (B, n) at time s[b] and runs for a finite
-    tau[b] >= 0 in ceil(tau[b] / h) equal steps of a finite h > 0 (none when
-    tau[b] = 0), accumulating its own time t += dt; every row equals a one-sample ``nonlinear_flow`` bit for bit.
-    All samples step together and each leaves the batch after its last step.
-    Closed-form systems step the transformed variable w = T(t0+dt', t0)^-1 v,
-    whose derivative has no linear part, so the linear flow is reproduced
-    exactly; matrix systems use plain 4th-order steps on v' = A(t) v + f, with
-    A evaluated on the batch's times.  A sample blows up, and leaves the batch,
-    when |v|_1 exceeds blowup_factor * max(1, |v0[b]|_1); BlowupError is then
-    raised for the lowest-index sample that blew up, with its t_blowup.
+    tau[b] >= 0 in ``flow_steps`` equal steps of a finite h > 0, accumulating
+    its own time t += dt; every row equals a one-sample ``nonlinear_flow`` bit
+    for bit.  All samples step together and each leaves the batch after its
+    last step.  Each step round evaluates the linear part once, on the
+    ``rk4_stage_times`` of all rows, and the RK4 stages look their values up by
+    time row.  Closed-form systems step the transformed variable
+    w = T(t0+dt', t0)^-1 v, whose derivative has no linear part, so the linear
+    flow is reproduced exactly; matrix systems use plain 4th-order steps on
+    v' = A(t) v + f.  A sample blows up, and leaves the batch, when |v|_1
+    exceeds blowup_factor * max(1, |v0[b]|_1); BlowupError is then raised for
+    the lowest-index sample that blew up, with its t_blowup.
     Returns the arrival times (B,) and states (B, n).
     """
     s = np.asarray(s, dtype=float)
@@ -776,13 +786,18 @@ def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
         raise ValueError("h must be positive and finite")
     if v.ndim != 2 or v.shape[1] != system.n or s.shape != (len(v),) or tau.shape != s.shape:
         raise ValueError(f"states must have shape (B, {system.n}), s and tau shape (B,)")
-    n_steps = np.where(tau == 0.0, 0, np.maximum(1, np.ceil(tau / h))).astype(np.int64)
+    n_steps = flow_steps(tau, h)
     t = s.copy()
     t_blowup = np.full(len(v), math.nan)
     closed = system.form == "closed_form"
 
+    # both read ``stage``, the linear part of the current step round keyed by time row
+    def deriv_w(tt: np.ndarray, w: np.ndarray) -> np.ndarray:
+        g = stage[tt.tobytes()]
+        return pert.f(tt, g * w) / g
+
     def deriv(tt: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        return np.matmul(system.A(tt), vv[:, :, None])[:, :, 0] + pert.f(tt, vv)
+        return np.matmul(stage[tt.tobytes()], vv[:, :, None])[:, :, 0] + pert.f(tt, vv)
 
     # the batch: sample indices and their limits, step sizes, steps left, times, states
     idx = np.flatnonzero(n_steps)
@@ -791,12 +806,13 @@ def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
     left, tb, vb = n_steps[idx], t[idx], v[idx]
     while idx.size:
         if closed:
-            def deriv_w(tt: np.ndarray, w: np.ndarray, t0: np.ndarray = tb) -> np.ndarray:
-                g = closed_form_diagonal(system, tt, t0)
-                return pert.f(tt, g * w) / g
-
-            vb = closed_form_diagonal(system, tb + dt, tb) * rk4_step(deriv_w, tb, vb, dt)
+            times = rk4_stage_times(tb, dt)
+            g = closed_form_diagonal(system, times.ravel(), np.tile(tb, 3)).reshape(
+                times.shape + (system.n,))
+            stage = {r.tobytes(): gr for r, gr in zip(times, g)}
+            vb = g[2] * rk4_step(deriv_w, tb, vb, dt)
         else:
+            stage = rk4_stage_matrices(system.A, tb, dt)
             vb = rk4_step(deriv, tb, vb, dt)
         tb = tb + dt
         left = left - 1

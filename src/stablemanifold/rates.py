@@ -13,7 +13,8 @@ The log families admit a slower companion rate (selected with
 ``1 + log(1 + t)`` for log_poly, ``1 + log(1 + log(1 + t))`` for loglog_poly.
 
 Rates evaluate elementwise on numpy arrays.  ``log_eval`` gives log(mu(t))
-without overflow, which downstream quadrature relies on for large t.
+without overflow, which downstream quadrature relies on for large t; the log
+families nest ``np.log1p`` so that it stays accurate to rounding near t = 0.
 ``log_inverse`` maps the rate clock rho = log(mu(t)) back to t, with the
 Jacobian dt/drho = mu(t)/mu'(t): in closed form for the exponential
 (identity) and polynomial (expm1) families, by one vectorized bisection for
@@ -104,6 +105,16 @@ def _l2(t):
     return 1.0 + np.log(_l1(t))
 
 
+def _log_l1(t):
+    """log(_l1(t)) without rounding 1 + log1p(t) first, which loses the small t."""
+    return np.log1p(np.log1p(t))
+
+
+def _log_l2(t):
+    """log(_l2(t)), nested the same way."""
+    return np.log1p(_log_l1(t))
+
+
 def _exp_clock(rho):
     """The inverse of log(e^t) = t: the identity, with dt/drho = 1."""
     return np.array(rho, dtype=float), np.ones(np.shape(rho))
@@ -128,8 +139,9 @@ def builtin_rate(family: str, lam: float | None = None, nu_companion: bool = Fal
                           log_inv=lambda rho: (np.expm1(rho), np.exp(rho)))
     if family == "log_poly":
         if nu_companion:
-            return GrowthRate("log_plain", _l1, deriv=lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float)),
-                              log_fn=lambda t: np.log(_l1(t)), family="log_plain")
+            return GrowthRate("log_plain", _l1,
+                              deriv=lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float)),
+                              log_fn=_log_l1, family="log_plain")
         if lam is None or lam <= 0:
             raise ValueError("log_poly requires lam > 0")
         lam = float(lam)
@@ -137,7 +149,7 @@ def builtin_rate(family: str, lam: float | None = None, nu_companion: bool = Fal
             f"log_poly(lam={lam:g})",
             lambda t: (1.0 + np.asarray(t, dtype=float)) * _l1(t) ** lam,
             deriv=lambda t: _l1(t) ** (lam - 1.0) * (_l1(t) + lam),
-            log_fn=lambda t: np.log1p(t) + lam * np.log(_l1(t)),
+            log_fn=lambda t: np.log1p(t) + lam * _log_l1(t),
             family="log_poly", params={"lam": lam},
         )
     # loglog_poly
@@ -145,7 +157,7 @@ def builtin_rate(family: str, lam: float | None = None, nu_companion: bool = Fal
         return GrowthRate(
             "loglog_plain", _l2,
             deriv=lambda t: 1.0 / ((1.0 + np.asarray(t, dtype=float)) * _l1(t)),
-            log_fn=lambda t: np.log(_l2(t)), family="loglog_plain",
+            log_fn=_log_l2, family="loglog_plain",
         )
     if lam is None or lam <= 0:
         raise ValueError("loglog_poly requires lam > 0")
@@ -160,7 +172,7 @@ def builtin_rate(family: str, lam: float | None = None, nu_companion: bool = Fal
         f"loglog_poly(lam={lam:g})",
         lambda t: (1.0 + np.asarray(t, dtype=float)) * _l1(t) * _l2(t) ** lam,
         deriv=_ll_deriv,
-        log_fn=lambda t: np.log1p(t) + np.log(_l1(t)) + lam * np.log(_l2(t)),
+        log_fn=lambda t: np.log1p(t) + _log_l1(t) + lam * _log_l2(t),
         family="loglog_poly", params={"lam": lam},
     )
 

@@ -9,11 +9,14 @@ region the invariance statement covers.
 Decay: two manifold trajectories separate no faster than
 2 C (mu(t)/mu(s))^a nu(s)^eps |xi - xi_bar|.
 
-Each check validates all its samples first, then flows them in one batch
-(``nonlinear_flow_many``; every row equals a one-sample flow bit for bit) and
-evaluates the graph at all start and arrival points in one ``eval_phi_many``
-call each.  A blow-up raises for the first sample in sample order, as a
-sample-by-sample loop would.
+``check_flows`` runs both checks on one flow: it validates all invariance
+samples and decay pairs first, then flows the invariance samples followed by
+both seeds of each pair in one batch (``nonlinear_flow_many``; every row
+equals a one-sample flow bit for bit) and evaluates the graph at all start
+points in one ``eval_phi_many`` call.  A blow-up raises for the first row in
+that order, as a sample-by-sample loop over the invariance samples and then
+the pairs would.  ``check_invariance`` and ``check_decay`` are its one-check
+forms.
 
 Perturbation stability: solving with f and f_bar at a common certified radius,
 the graph distance sup |phi - phi_bar|_1 / |xi|_1 is bounded by
@@ -36,11 +39,12 @@ from .dichotomy import DichotomyParams, LinearSystem
 # nonlinear_flow (one sample) stays importable from this module, where
 # perfbench/tracer.py wraps it; the checks below flow their samples in one batch
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, eval_phi_many,
-                       graph_metric_distance, nonlinear_flow,  # noqa: F401
+                       flow_steps, graph_metric_distance, nonlinear_flow,  # noqa: F401
                        nonlinear_flow_many, solve_manifold, solver_radius)
 from .rates import GrowthRate
 
 __all__ = ["InvarianceReport", "check_invariance", "DecayReport", "check_decay",
+           "FlowReport", "check_flows",
            "PerturbationDistance", "perturbation_distance", "default_perturbation_samples",
            "PerturbationBoundReport", "check_perturbation_bound", "small_ball_radius",
            "random_invariance_samples", "random_decay_pairs", "stability_constant"]
@@ -90,13 +94,6 @@ def random_decay_pairs(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyPa
     return out
 
 
-def _flow_from_graph(graph: ManifoldGraph, system: LinearSystem, pert: Perturbation,
-                     s: np.ndarray, xi: np.ndarray, tau: np.ndarray, h: float):
-    """Flow the graph points (s[b], xi[b], phi(s[b], xi[b])) for tau[b], all in one batch."""
-    v0 = np.concatenate([xi, eval_phi_many(graph, s, xi)], axis=1)
-    return nonlinear_flow_many(system, pert, s, v0, tau, h)
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     passed: bool
@@ -104,44 +101,6 @@ class InvarianceReport:
     all_within_radius: bool
     tol: float
     rows: tuple[dict, ...]
-
-
-def check_invariance(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
-                     nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
-                     samples: Sequence[tuple[float, np.ndarray, float]],
-                     h: float = 1e-3, tol: float = 1e-3) -> InvarianceReport:
-    """Flow manifold points forward and measure how far they land off the graph.
-
-    Each sample (s, xi, tau) must start inside the small ball (a violation is
-    a caller error and raises).  The residual is
-    |y(s+tau) - phi(s+tau, x(s+tau))|_1 / |x(s+tau)|_1 and the arrival must
-    stay within the slice ball radius (1 + tol slack).
-    """
-    n_e = graph.n_stable
-    xi_all = np.array([np.atleast_1d(np.asarray(xi, dtype=float)) for _, xi, _ in samples],
-                      dtype=float).reshape(len(samples), n_e)
-    xi_norms = [float(np.abs(xi).sum()) for xi in xi_all]
-    for (s, _, _), xi_norm in zip(samples, xi_norms):
-        allowed = small_ball_radius(graph, nu, params, s)
-        if xi_norm > allowed * (1.0 + 1e-9):
-            raise ValueError(
-                f"sample (s={s:g}, |xi|={xi_norm:g}) outside the small ball {allowed:g}")
-    t1, v1 = _flow_from_graph(graph, system, pert, np.array([s for s, _, _ in samples]),
-                              xi_all, np.array([tau for _, _, tau in samples]), h)
-    x1, y1 = v1[:, :n_e], v1[:, n_e:]
-    phi1 = eval_phi_many(graph, t1, x1)
-    rows = []
-    for b, (s, _, tau) in enumerate(samples):
-        x1_norm = float(np.abs(x1[b]).sum())
-        off_graph = float(np.abs(y1[b] - phi1[b]).sum())
-        residual = off_graph / x1_norm if x1_norm > 0.0 else 0.0
-        within = x1_norm <= float(graph.radius_fn(np.asarray(t1[b], dtype=float))) * (1.0 + tol)
-        rows.append({"s": s, "xi_norm": xi_norms[b], "tau": tau,
-                     "residual": residual, "arrival_norm": x1_norm, "within_radius": within})
-    max_residual = max((r["residual"] for r in rows), default=0.0)
-    all_within = all(r["within_radius"] for r in rows)
-    return InvarianceReport(max_residual <= tol and all_within, max_residual, all_within,
-                            tol, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -152,11 +111,52 @@ class DecayReport:
     rows: tuple[dict, ...]
 
 
-def check_decay(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
+@dataclass(frozen=True)
+class FlowReport:
+    """Both verdicts of one shared batch flow, with the work that flow did.
+
+    ``rows`` counts the flowed samples, ``rk4_steps`` their steps
+    (sum of ``flow_steps``) and ``step_rounds`` the rounds of the batched
+    stepper (the largest per-row step count).
+    """
+
+    invariance: InvarianceReport
+    decay: DecayReport
+    rows: int
+    rk4_steps: int
+    step_rounds: int
+
+
+def check_flows(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
                 nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
+                samples: Sequence[tuple[float, np.ndarray, float]],
                 pairs: Sequence[tuple[float, np.ndarray, np.ndarray, float]],
-                h: float = 1e-3, tol: float = 1e-3) -> DecayReport:
-    """Check the two-trajectory separation bound 2C (mu(t)/mu(s))^a nu(s)^eps |xi - xi_bar|."""
+                h: float = 1e-3, tol: float = 1e-3) -> FlowReport:
+    """Invariance on ``samples`` and decay on ``pairs``, from one batch flow.
+
+    Invariance: each sample (s, xi, tau) must start inside the small ball (a
+    violation is a caller error and raises).  The residual is
+    |y(s+tau) - phi(s+tau, x(s+tau))|_1 / |x(s+tau)|_1 and the arrival must
+    stay within the slice ball radius (1 + tol slack).
+
+    Decay: each pair (s, xi, xi_bar, t) needs t >= s (else it raises); the
+    separation at t must stay within 2C (mu(t)/mu(s))^a nu(s)^eps |xi - xi_bar|.
+    Pairs with xi = xi_bar are skipped.
+
+    Both sets are validated before anything flows.  The invariance samples,
+    then both seeds of each decay pair, flow as the rows of one
+    ``nonlinear_flow_many`` call, so a blow-up raises for the first invariance
+    sample that blows up, else for the first decay seed.
+    """
+    n_e = graph.n_stable
+    xi_all = np.array([np.atleast_1d(np.asarray(xi, dtype=float)) for _, xi, _ in samples],
+                      dtype=float).reshape(len(samples), n_e)
+    xi_norms = [float(np.abs(xi).sum()) for xi in xi_all]
+    for (s, _, _), xi_norm in zip(samples, xi_norms):
+        allowed = small_ball_radius(graph, nu, params, s)
+        if xi_norm > allowed * (1.0 + 1e-9):
+            raise ValueError(
+                f"sample (s={s:g}, |xi|={xi_norm:g}) outside the small ball {allowed:g}")
     kept = []
     for s, xi, xi_bar, t in pairs:
         if t < s:
@@ -166,21 +166,64 @@ def check_decay(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
         seed_gap = float(np.abs(xi - xi_bar).sum())
         if seed_gap != 0.0:
             kept.append((s, t, xi, xi_bar, seed_gap))
-    # rows 2i and 2i+1 of the batch flow the two seeds of pair i
+    # rows m + 2i and m + 2i + 1 of the batch flow the two seeds of pair i
+    m = len(samples)
     seeds = np.array([[xi, xi_bar] for _, _, xi, xi_bar, _ in kept],
-                     dtype=float).reshape(2 * len(kept), graph.n_stable)
-    _, v = _flow_from_graph(graph, system, pert, np.repeat([p[0] for p in kept], 2), seeds,
-                            np.repeat([t - s for s, t, *_ in kept], 2), h)
-    rows = []
-    for (s, t, _, _, seed_gap), v1, v2 in zip(kept, v[0::2], v[1::2]):
-        observed = float(np.abs(v1 - v2).sum())
+                     dtype=float).reshape(2 * len(kept), n_e)
+    s0 = np.concatenate([[s for s, _, _ in samples], np.repeat([p[0] for p in kept], 2)])
+    tau = np.concatenate([[tau for _, _, tau in samples],
+                          np.repeat([t - s for s, t, *_ in kept], 2)])
+    xi0 = np.concatenate([xi_all, seeds])
+    v0 = np.concatenate([xi0, eval_phi_many(graph, s0, xi0)], axis=1)
+    t1, v1 = nonlinear_flow_many(system, pert, s0, v0, tau, h)
+
+    x1, y1 = v1[:m, :n_e], v1[:m, n_e:]
+    phi1 = eval_phi_many(graph, t1[:m], x1)
+    inv_rows = []
+    for b, (s, _, tau_b) in enumerate(samples):
+        x1_norm = float(np.abs(x1[b]).sum())
+        off_graph = float(np.abs(y1[b] - phi1[b]).sum())
+        residual = off_graph / x1_norm if x1_norm > 0.0 else 0.0
+        within = x1_norm <= float(graph.radius_fn(np.asarray(t1[b], dtype=float))) * (1.0 + tol)
+        inv_rows.append({"s": s, "xi_norm": xi_norms[b], "tau": tau_b,
+                         "residual": residual, "arrival_norm": x1_norm,
+                         "within_radius": within})
+    max_residual = max((r["residual"] for r in inv_rows), default=0.0)
+    all_within = all(r["within_radius"] for r in inv_rows)
+    inv = InvarianceReport(max_residual <= tol and all_within, max_residual, all_within,
+                           tol, tuple(inv_rows))
+
+    dec_rows = []
+    for (s, t, _, _, seed_gap), va, vb in zip(kept, v1[m::2], v1[m + 1::2]):
+        observed = float(np.abs(va - vb).sum())
         bound = 2.0 * graph.C * math.exp(
             params.a * (float(mu.log_eval(t)) - float(mu.log_eval(s)))
             + params.eps * float(nu.log_eval(s))) * seed_gap
-        rows.append({"s": s, "t": t, "seed_gap": seed_gap, "observed": observed,
-                     "bound": bound, "ratio": observed / bound})
-    max_ratio = max((r["ratio"] for r in rows), default=0.0)
-    return DecayReport(max_ratio <= 1.0 + tol, max_ratio, tol, tuple(rows))
+        dec_rows.append({"s": s, "t": t, "seed_gap": seed_gap, "observed": observed,
+                         "bound": bound, "ratio": observed / bound})
+    max_ratio = max((r["ratio"] for r in dec_rows), default=0.0)
+    dec = DecayReport(max_ratio <= 1.0 + tol, max_ratio, tol, tuple(dec_rows))
+
+    steps = flow_steps(tau, h)
+    return FlowReport(inv, dec, len(tau), int(steps.sum()), int(steps.max(initial=0)))
+
+
+def check_invariance(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
+                     nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
+                     samples: Sequence[tuple[float, np.ndarray, float]],
+                     h: float = 1e-3, tol: float = 1e-3) -> InvarianceReport:
+    """Flow manifold points forward and measure how far they land off the graph
+    (``check_flows`` without decay pairs)."""
+    return check_flows(graph, system, mu, nu, params, pert, samples, (), h, tol).invariance
+
+
+def check_decay(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
+                nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
+                pairs: Sequence[tuple[float, np.ndarray, np.ndarray, float]],
+                h: float = 1e-3, tol: float = 1e-3) -> DecayReport:
+    """Check the two-trajectory separation bound 2C (mu(t)/mu(s))^a nu(s)^eps |xi - xi_bar|
+    (``check_flows`` without invariance samples)."""
+    return check_flows(graph, system, mu, nu, params, pert, (), pairs, h, tol).decay
 
 
 @dataclass(frozen=True)

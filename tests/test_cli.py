@@ -189,6 +189,31 @@ def test_manifest_replays_recorded_flags(tmp_path):
     assert t3["verify-invariance.csv"] != t1["verify-invariance.csv"]
 
 
+def test_verify_flows_once_and_counts_its_work(tmp_path, monkeypatch):
+    from stablemanifold import verify
+    from stablemanifold.manifold import flow_steps
+    calls = []
+    flow = verify.nonlinear_flow_many
+
+    def counting(system, pert, s, v0, tau, h, *rest):
+        calls.append(len(s))
+        return flow(system, pert, s, v0, tau, h, *rest)
+
+    monkeypatch.setattr(verify, "nonlinear_flow_many", counting)
+    out = str(tmp_path / "run")
+    assert main(["verify", "--config", ORACLE, "--out", out]) == 0
+    v = read_json(os.path.join(out, "manifest.json"))["config"]["verification"]
+    # one batch: every invariance sample and both seeds of every decay pair
+    assert calls == [v["n_invariance"] + 2 * v["n_decay"]]
+    with open(os.path.join(out, "verify-invariance.csv"), encoding="utf-8") as fh:
+        taus = [float(r["tau"]) for r in csv.DictReader(fh)]
+    with open(os.path.join(out, "verify-decay.csv"), encoding="utf-8") as fh:
+        taus += [float(r["t"]) - float(r["s"]) for r in csv.DictReader(fh) for _ in (0, 1)]
+    steps = flow_steps(np.array(taus), v["flow_h"])
+    assert read_json(os.path.join(out, "report-verify.json"))["flow"] == {
+        "rows": calls[0], "rk4_steps": int(steps.sum()), "step_rounds": int(steps.max())}
+
+
 def test_verify_is_bit_deterministic(tmp_path):
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")

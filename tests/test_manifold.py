@@ -257,6 +257,35 @@ def test_nonlinear_flow_many_equals_one_sample_calls(kind):
     assert t_b[0] == s[0] and np.array_equal(v_b[0], v0[0])
 
 
+@pytest.mark.parametrize("kind", ["closed_form", "matrix"])
+def test_nonlinear_flow_many_evaluates_the_linear_part_once_per_round(kind):
+    # the closed form's U and the matrix's A each see one call per step round, on
+    # the three stage times of every row still in the batch; the flow is unchanged
+    base = rate_power_system(EXP, a=-1.0, b=1.0) if kind == "closed_form" \
+        else _config_matrix_system()
+    name = "U" if kind == "closed_form" else "A"
+    inner = getattr(base, name)
+    sizes = []
+
+    def counting(t, *rest):
+        sizes.append(np.shape(t))
+        return inner(t, *rest)
+
+    system = replace(base, **{name: counting})
+    pert = cubic_perturbation(1.0)
+    h = 0.01
+    s = np.array([0.3, 0.0, 1.25, 0.7])
+    tau = np.array([0.0, 0.37, 1.0, 0.053])
+    v0 = np.array([[0.01, -2.5e-7], [0.02, -2e-6], [-0.015, 8e-7], [0.005, 0.0]])
+    t_b, v_b = nonlinear_flow_many(system, pert, s, v0, tau, h)
+    steps = manifold.flow_steps(tau, h)
+    assert len(sizes) == steps.max() == 100
+    # rows leave after their last step: 3 rows for 6 rounds, 2 until 37, then 1
+    assert sizes == [(3 * int((steps > r).sum()),) for r in range(steps.max())]
+    t_ref, v_ref = nonlinear_flow_many(base, pert, s, v0, tau, h)
+    assert t_b.tobytes() == t_ref.tobytes() and v_b.tobytes() == v_ref.tobytes()
+
+
 def test_nonlinear_flow_many_reports_lowest_blown_index(solved):
     system, pert, _, _ = solved
     # sample 2 blows up earlier than sample 1; the error names sample 1

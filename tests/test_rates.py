@@ -22,6 +22,18 @@ def test_log_poly_point_value():
     assert r(math.e - 1.0) == pytest.approx(math.e * 16.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("rate,slope", [
+    (builtin_rate("log_poly", lam=4.0), 5.0),
+    (builtin_rate("log_poly", nu_companion=True), 1.0),
+    (builtin_rate("loglog_poly", lam=2.0), 4.0),
+    (builtin_rate("loglog_poly", nu_companion=True), 1.0),
+])
+def test_log_families_log_eval_is_accurate_near_zero(rate, slope):
+    # log mu(t) = slope * t + O(t^2); forming 1 + log1p(t) before the log rounds t away
+    for t in (1e-12, 1e-9):
+        assert float(rate.log_eval(t)) == pytest.approx(slope * t, rel=10.0 * slope * t, abs=0.0)
+
+
 def test_loglog_poly_point_value():
     # t chosen so 1 + log(1+t) = e, hence the outer loglog factor is 2^lam
     r = builtin_rate("loglog_poly", lam=2.0)

@@ -6,10 +6,13 @@ import pytest
 
 from stablemanifold import verify
 from stablemanifold.dichotomy import DichotomyParams, rate_power_system
-from stablemanifold.manifold import (SolverConfig, cubic_perturbation, expression_perturbation,
+from stablemanifold.errors import BlowupError
+from stablemanifold.manifold import (SolverConfig, cubic_perturbation, eval_phi,
+                                     expression_perturbation, flow_steps, nonlinear_flow,
                                      solve_manifold)
 from stablemanifold.rates import builtin_rate
-from stablemanifold.verify import (check_decay, check_invariance, check_perturbation_bound,
+from stablemanifold.verify import (check_decay, check_flows, check_invariance,
+                                   check_perturbation_bound,
                                    default_perturbation_samples, perturbation_distance,
                                    random_decay_pairs, random_invariance_samples,
                                    small_ball_radius, stability_constant)
@@ -87,6 +90,40 @@ def test_decay_rejects_backward_time(solved):
     with pytest.raises(ValueError, match="t < s"):
         check_decay(graph, system, EXP, EXP, PARAMS, pert,
                     [(1.0, np.array([0.001]), np.array([0.002]), 0.5)])
+
+
+def test_check_flows_equals_the_separate_checks(solved):
+    system, pert, graph = solved
+    rng = np.random.default_rng(3)
+    samples = random_invariance_samples(graph, EXP, PARAMS, 12, 1.0, rng)
+    pairs = random_decay_pairs(graph, EXP, PARAMS, 12, 1.0, rng)
+    pairs.append((0.5, np.array([0.001]), np.array([0.001]), 1.0))  # no gap: skipped
+    kw = dict(h=1e-2, tol=1e-3)
+    both = check_flows(graph, system, EXP, EXP, PARAMS, pert, samples, pairs, **kw)
+    assert both.invariance == check_invariance(graph, system, EXP, EXP, PARAMS, pert,
+                                               samples, **kw)
+    assert both.decay == check_decay(graph, system, EXP, EXP, PARAMS, pert, pairs, **kw)
+    assert len(both.invariance.rows) == 12 and len(both.decay.rows) == 12
+    steps = flow_steps(np.array([tau for *_, tau in samples]
+                                + [t - s for s, *_, t in pairs[:12] for _ in (0, 1)]), 1e-2)
+    assert (both.rows, both.rk4_steps, both.step_rounds) == (36, steps.sum(), steps.max())
+
+
+def test_check_flows_raises_for_a_blown_decay_seed(solved):
+    system, pert, graph = solved
+    # the decay seeds need not lie in the small ball: xi = 100 drives v past the trust
+    # region, while the invariance sample ahead of it in the batch stays bounded
+    samples = random_invariance_samples(graph, EXP, PARAMS, 1, 1.0, np.random.default_rng(4))
+    pairs = [(0.5, np.array([0.001]), np.array([0.002]), 1.5),
+             (0.5, np.array([0.001]), np.array([100.0]), 30.5)]
+    with pytest.raises(BlowupError) as one:
+        nonlinear_flow(system, pert, 0.5, np.array([100.0, *eval_phi(graph, 0.5, [100.0])]),
+                       30.0, h=1e-2)
+    with pytest.raises(BlowupError) as batch:
+        check_flows(graph, system, EXP, EXP, PARAMS, pert, samples, pairs, h=1e-2)
+    assert batch.value.t_blowup == one.value.t_blowup
+    with pytest.raises(BlowupError):
+        check_decay(graph, system, EXP, EXP, PARAMS, pert, pairs, h=1e-2)
 
 
 def test_perturbation_distance_axis_attainment():
