@@ -9,11 +9,7 @@ Grammar (whitespace ignored)::
     atom   : NUMBER | NAME '(' expr ')' | NAME | '(' expr ')'
 
 Supported functions: ``exp``, ``log`` (natural log).  Allowed variable names are
-fixed at compile time; evaluation broadcasts over numpy arrays.  A power with
-the constant exponent 2 or 3 is evaluated as the product x*x or (x*x)*x, with
-the base evaluated once: ``np.power`` with a float exponent costs about 50
-times as much on mixed-sign arrays.  The square equals ``np.power(x, 2.0)``
-bit for bit, and the cube is odd bit for bit.
+fixed at compile time; evaluation broadcasts over numpy arrays.
 """
 
 from __future__ import annotations
@@ -37,18 +33,6 @@ _TOKEN = re.compile(
 )
 
 _FUNCTIONS: dict[str, Callable] = {"exp": np.exp, "log": np.log}
-
-
-def _square(x):
-    return np.multiply(x, x, dtype=float)
-
-
-def _cube(x):
-    return np.multiply(_square(x), x, dtype=float)
-
-
-# constant integer exponents evaluated as products
-_PRODUCTS: dict[float, Callable] = {2.0: _square, 3.0: _cube}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -132,10 +116,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            exponent = self.unary()
-            if exponent[0] == "const" and exponent[1] in _PRODUCTS:
-                return (_PRODUCTS[exponent[1]], base)
-            return (np.power, base, exponent)
+            return (np.power, base, self.unary())
         return base
 
     def atom(self):

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["spectral_norm", "rk4_stage_times", "rk4_stage_matrices", "rk4_step",
+__all__ = ["spectral_norm", "rk4_stage_times", "rk4_stage_values", "rk4_step",
            "rk4_propagate"]
 
 
@@ -37,18 +37,19 @@ def rk4_stage_times(t, dt) -> np.ndarray:
     return np.stack([t, t + 0.5 * dt, t + dt])
 
 
-def rk4_stage_matrices(A: Callable[[np.ndarray], np.ndarray], t: np.ndarray,
-                       dt: np.ndarray) -> dict[bytes, np.ndarray]:
-    """A(t) of the steps from t[j] over dt[j], evaluated once on all their stage times.
+def rk4_stage_values(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray,
+                     dt: np.ndarray) -> dict[bytes, np.ndarray]:
+    """``fn`` of the steps from t[j] over dt[j], evaluated once on all their stage times.
 
-    Maps the bytes of each row of ``rk4_stage_times(t, dt)``, as ``rk4_step``
-    hands the row to ``deriv``, to that stage's matrices (len(t), n, n); an A
-    that returns one constant (n, n) is broadcast.
+    ``fn`` takes the flattened ``rk4_stage_times(t, dt)``, shape (3 len(t),), and
+    returns one value per time along its first axis.  Maps the bytes of each
+    stage-time row, as ``rk4_step`` hands the row to ``deriv``, to that row's
+    values, shape (len(t), ...).
     """
     times = rk4_stage_times(t, dt)
-    a = A(times.ravel())
-    a = np.broadcast_to(a, (times.size,) + a.shape[-2:]).reshape(times.shape + a.shape[-2:])
-    return {r.tobytes(): m for r, m in zip(times, a)}
+    values = fn(times.ravel())
+    values = values.reshape(times.shape + values.shape[1:])
+    return {r.tobytes(): v for r, v in zip(times, values)}
 
 
 def rk4_step(deriv: Callable, t, y: np.ndarray, dt):
@@ -79,12 +80,13 @@ def rk4_propagate(A: Callable[[np.ndarray], np.ndarray], t: np.ndarray, dt: np.n
     M_j...M_0 (M_0...M_j with ``right``) are formed by a Hillis-Steele scan in
     ceil(log2 len(t)) batched products; row 0 is y0 itself.
     """
-    stage = rk4_stage_matrices(A, t, dt)
+    n = y0.shape[-1] if right else y0.shape[0]
+    # an A that returns one constant (n, n) is broadcast over the times
+    stage = rk4_stage_values(lambda r: np.broadcast_to(A(r), (r.size, n, n)), t, dt)
 
     def deriv(r, m):
         return m @ stage[r.tobytes()] if right else stage[r.tobytes()] @ m
 
-    n = y0.shape[-1] if right else y0.shape[0]
     prod = rk4_step(deriv, t, np.broadcast_to(np.eye(n), (len(t), n, n)), dt)
     k = 1
     while k < len(prod):

@@ -49,7 +49,7 @@ is its one-sample form.  It and ``linalg.rk4_propagate``, which builds the
 matrix slice tables from one call of A on all stage times, RK4 step matrices
 and their prefix products, share one RK4 step, ``linalg.rk4_step``, and its
 ``rk4_stage_times``.  The flow evaluates its linear part once per step round
-on those times: A (``linalg.rk4_stage_matrices``) on matrix systems, the
+on those times through ``linalg.rk4_stage_values``: A on matrix systems, the
 diagonal of T(t, s) from ``dichotomy.closed_form_diagonal`` on closed-form
 ones.
 Every caller evaluates the perturbation on a batch of samples (see ``Perturbation``).
@@ -71,7 +71,7 @@ from .dichotomy import DichotomyParams, LinearSystem, closed_form_diagonal
 from .errors import (BlowupError, ContractionError, ConvergenceError, DecayBoundError,
                      LipschitzError, NumericalError, TailBoundError)
 from .expr import compile_expression
-from .linalg import rk4_propagate, rk4_stage_matrices, rk4_stage_times, rk4_step
+from .linalg import rk4_propagate, rk4_stage_values, rk4_step
 # adaptive_simpson is not called here; perfbench/tracer.py wraps it in this namespace
 from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson  # noqa: F401
 from .rates import GrowthRate
@@ -806,13 +806,12 @@ def nonlinear_flow_many(system: LinearSystem, pert: Perturbation, s, v0, tau,
     left, tb, vb = n_steps[idx], t[idx], v[idx]
     while idx.size:
         if closed:
-            times = rk4_stage_times(tb, dt)
-            g = closed_form_diagonal(system, times.ravel(), np.tile(tb, 3)).reshape(
-                times.shape + (system.n,))
-            stage = {r.tobytes(): gr for r, gr in zip(times, g)}
-            vb = g[2] * rk4_step(deriv_w, tb, vb, dt)
+            stage = rk4_stage_values(
+                lambda r: closed_form_diagonal(system, r, np.tile(tb, 3)), tb, dt)
+            vb = stage[(tb + dt).tobytes()] * rk4_step(deriv_w, tb, vb, dt)
         else:
-            stage = rk4_stage_matrices(system.A, tb, dt)
+            stage = rk4_stage_values(
+                lambda r: np.broadcast_to(system.A(r), (r.size, system.n, system.n)), tb, dt)
             vb = rk4_step(deriv, tb, vb, dt)
         tb = tb + dt
         left = left - 1

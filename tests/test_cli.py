@@ -214,6 +214,24 @@ def test_verify_flows_once_and_counts_its_work(tmp_path, monkeypatch):
         "rows": calls[0], "rk4_steps": int(steps.sum()), "step_rounds": int(steps.max())}
 
 
+def test_verify_decay_blowup_writes_no_verify_csv(tmp_path, monkeypatch):
+    # both checks share one flow, so a decay seed that blows up fails verify before
+    # either CSV is written, although the invariance samples flowed
+    draw = cli.random_decay_pairs
+
+    def blowing(*args):
+        pairs = draw(*args)
+        s, xi, _, _ = pairs[-1]
+        return pairs[:-1] + [(s, xi, np.full_like(xi, 100.0), s + 30.0)]
+
+    monkeypatch.setattr(cli, "random_decay_pairs", blowing)
+    out = str(tmp_path / "run")
+    assert main(["verify", "--config", ORACLE, "--out", out]) == 1
+    assert read_json(os.path.join(out, "report-verify.json"))["error"]["type"] == "BlowupError"
+    assert not os.path.exists(os.path.join(out, "verify-invariance.csv"))
+    assert not os.path.exists(os.path.join(out, "verify-decay.csv"))
+
+
 def test_verify_is_bit_deterministic(tmp_path):
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")

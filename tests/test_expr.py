@@ -1,9 +1,6 @@
-import math
-
 import numpy as np
 import pytest
 
-from stablemanifold import expr
 from stablemanifold.expr import ExpressionError, compile_expression
 
 
@@ -77,22 +74,3 @@ def test_division_by_zero_follows_ieee():
     f = compile_expression("1/t", variables=("t",))
     with np.errstate(divide="ignore"):
         assert np.isinf(f(t=0.0))
-
-
-def test_small_integer_powers_are_products(monkeypatch):
-    x = np.random.default_rng(0).standard_normal(4000) * 3.0
-    x = np.concatenate([x, [0.0, -0.0, 1e-200, -1e200, np.inf, -np.inf]])
-    with np.errstate(over="ignore", under="ignore"):
-        square = compile_expression("u^2", variables=("u",))(u=x)
-        cube = compile_expression("u^(3)", variables=("u",))(u=x)
-        assert square.tobytes() == np.power(x, 2.0).tobytes()
-        assert cube.tobytes() == (x * x * x).tobytes()
-        assert compile_expression("u^3", variables=("u",))(u=-x).tobytes() == (-cube).tobytes()
-    # the base is evaluated once; other exponents keep np.power
-    calls = []
-    monkeypatch.setitem(expr._FUNCTIONS, "exp", lambda v: calls.append(1) or np.exp(v))
-    assert compile_expression("exp(t)^3", variables=("t",))(t=1.0) == pytest.approx(
-        math.exp(3.0), rel=1e-15)
-    assert len(calls) == 1
-    assert float(compile_expression("t^2.5", variables=("t",))(t=4.0)) == 32.0
-    assert float(compile_expression("t^-2", variables=("t",))(t=2.0)) == 0.25
