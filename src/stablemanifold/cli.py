@@ -263,7 +263,7 @@ class Runner:
             "certified_contraction_factor": factor,
             "iterations": history, "n_slices": graph.n_slices,
             "nodes_per_slice": int(graph.unit_lattice.shape[0]),
-            "radii": graph.radii.tolist(),
+            "radii": graph.radii.tolist(), "slices": graph.meta["slices"],
         }
         return True, report
 

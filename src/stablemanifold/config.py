@@ -274,10 +274,9 @@ def _resolve_checks(obj: Any, path: str, s_grid: list[float]) -> dict:
                                strict_lo=True)
     out["beta_s_max"] = _number(obj.get("beta_s_max", s_grid[-1]), f"{path}.beta_s_max",
                                 lo=0.0, strict_lo=True)
-    if out["beta_points"] < 2:
-        raise ConfigError(f"{path}.beta_points", "need at least two sample points")
-    if out["monotonicity_points"] < 2:
-        raise ConfigError(f"{path}.monotonicity_points", "need at least two sample points")
+    for key in ("axiom_points", "beta_points", "monotonicity_points"):
+        if out[key] < 2:
+            raise ConfigError(f"{path}.{key}", "need at least two sample points")
     return out
 
 

@@ -684,6 +684,8 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
 
     Returns the converged graph and the iteration history
     [{iteration, distance, ratio, max_decay_ratio, max_lipschitz_ratio}].  The
+    graph's ``meta["slices"]`` holds each slice's truncation point ``t_cut``
+    and inner-grid length ``grid_points``.  The
     measured contraction ratio must stay within 10% of the certified factor;
     persistent excess raises ContractionError, exhaustion of the budget raises
     ConvergenceError.  The slice tables are built once here and dropped on return.
@@ -720,6 +722,9 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
               "params": params, "beta_closed_form": beta_fn.closed_form},
     )
     tables = _slice_tables(graph, system, mu, nu, params, pert, cfg)
+    graph = replace(graph, meta={**graph.meta, "slices": {
+        "t_cut": [float(table.t[-1]) for table in tables],
+        "grid_points": [len(table.t) for table in tables]}})
     factor = outer_contraction_factor(pert.c, pert.q, cap, params.D, delta)
     history: list[dict] = []
     strikes = 0

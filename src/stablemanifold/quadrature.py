@@ -53,7 +53,8 @@ def adaptive_simpson_many(f: Callable[[np.ndarray], np.ndarray], a, b, tol,
                 raise ConvergenceError(f"adaptive Simpson level of {a.size} nodes: the "
                                        "tolerance is below the integrand's round-off")
             m = 0.5 * (a + b)
-            flm, frm = np.split(f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
+            quarters = f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)]))
+            flm, frm = quarters[:a.size], quarters[a.size:]
             left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
             right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
             delta = left + right - whole
@@ -61,9 +62,11 @@ def adaptive_simpson_many(f: Callable[[np.ndarray], np.ndarray], a, b, tol,
             leaf = (depth <= 0) | ~np.isfinite(delta) | (np.abs(delta) <= 15.0 * tol)
             levels.append((leaf, (left + right + delta / 15.0)[leaf]))
             # children of the splitting nodes, each left half before its right half
-            a, b, fa, fm, fb, whole = np.stack([np.stack(half)[:, ~leaf] for half in (
-                (a, m, fa, flm, fm, left), (m, b, fm, frm, fb, right))], axis=2).reshape(6, -1)
-            tol = np.repeat(0.5 * tol[~leaf], 2)
+            split = ~leaf
+            a, b, fa, fb, fm, whole = np.stack([x[split] for x in (
+                a, m, m, b, fa, fm, fm, fb, flm, frm, left, right)]).reshape(
+                6, 2, -1).transpose(0, 2, 1).reshape(6, -1)
+            tol = np.repeat(0.5 * tol[split], 2)
             depth -= 1
         sums = np.empty(0)
         for leaf, values in reversed(levels):

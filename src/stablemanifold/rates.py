@@ -17,8 +17,10 @@ without overflow, which downstream quadrature relies on for large t; the log
 families nest ``np.log1p`` so that it stays accurate to rounding near t = 0.
 ``log_inverse`` maps the rate clock rho = log(mu(t)) back to t, with the
 Jacobian dt/drho = mu(t)/mu'(t): in closed form for the exponential
-(identity) and polynomial (expm1) families, by one vectorized bisection for
-every other rate with a derivative.
+(identity) and polynomial (expm1) families.  Every other rate with a
+derivative gets a vectorized bisection on double bit patterns, started from
+a checked Newton bracket: 17 evaluations of ``log_eval`` per grid on the
+bundled clocks, where a bisection over all of [0, inf] takes 64.
 """
 
 from __future__ import annotations
@@ -78,23 +80,49 @@ class GrowthRate:
         return self.deriv is not None
 
 
+_NEWTON_STEPS = 6
+_BRACKET = 256  # bit patterns on each side of the Newton time
+_INF = np.float64(np.inf).view(np.int64)
+
+
 def _solve_log(rate: GrowthRate, rho: np.ndarray) -> np.ndarray:
     """Smallest t >= 0 with log(mu(t)) >= rho, elementwise.
 
     Bisection on the bit patterns of nonnegative doubles, which are ordered
-    like the numbers, so it ends on adjacent doubles after at most 64 halvings
-    and never trusts log(mu) beyond its sign against rho.  The lower end
-    starts one pattern below 0.0, so rho <= 0 gives t = 0.
+    like the numbers, so it ends on adjacent doubles and never trusts log(mu)
+    beyond its sign against rho.  It starts from a bracket of +-_BRACKET
+    patterns around a Newton estimate: a few steps on log(mu(expm1(u))) = rho
+    in u = log1p(t) from u = max(rho, 0), with slope mu'/mu (1 + t).  Each
+    end is checked with one evaluation of log(mu); an element whose bracket
+    fails the check starts instead from the whole range, one pattern below 0.0
+    up to inf, and takes up to 64 halvings.  Only unfinished elements are
+    evaluated in each halving.  The test against rho is the same either
+    way, so for a log(mu) nondecreasing in t the result does not depend on the
+    start: it is the first double where the test holds, and rho <= 0 gives
+    t = 0.
     """
-    lo = np.full(rho.shape, -1, dtype=np.int64)
-    hi = np.full(rho.shape, np.float64(np.inf).view(np.int64))
-    with np.errstate(over="ignore"):
-        while np.any(hi - lo > 1):
-            mid = lo + (hi - lo) // 2
-            up = rate.log_eval(mid.view(np.float64)) >= rho
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
-    return hi.view(np.float64)
+    shape, rho = rho.shape, rho.ravel()
+    with np.errstate(all="ignore"):
+        u = np.maximum(rho, 0.0)
+        for _ in range(_NEWTON_STEPS):
+            t = np.expm1(u)
+            slope = rate.deriv(t) / rate.fn(t) * (1.0 + t)
+            u = np.maximum(u - (rate.log_eval(t) - rho) / slope, 0.0)
+        guess = np.clip(np.expm1(u).view(np.int64), 0, _INF)
+        lo = np.maximum(guess - _BRACKET, -1)
+        hi = np.minimum(guess + _BRACKET, _INF)
+        held = ((lo < 0) | ~(rate.log_eval(np.maximum(lo, 0).view(np.float64)) >= rho)) & (
+            rate.log_eval(hi.view(np.float64)) >= rho)
+        lo[~held], hi[~held] = -1, _INF
+        rows = np.flatnonzero(hi - lo > 1)
+        while rows.size:
+            lo_r, hi_r = lo[rows], hi[rows]
+            mid = lo_r + (hi_r - lo_r) // 2
+            up = rate.log_eval(mid.view(np.float64)) >= rho[rows]
+            hi[rows] = np.where(up, mid, hi_r)
+            lo[rows] = np.where(up, lo_r, mid)
+            rows = rows[hi[rows] - lo[rows] > 1]
+    return hi.view(np.float64).reshape(shape)
 
 
 def _l1(t):

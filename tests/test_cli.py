@@ -45,6 +45,8 @@ def test_all_command_on_oracle(tmp_path):
                   "convergence.csv", "verify-invariance.csv", "verify-decay.csv",
                   "compare.csv"):
         assert table in names
+    slices = read_json(os.path.join(out, "report-solve-manifold.json"))["slices"]
+    assert len(slices["t_cut"]) == len(slices["grid_points"]) == 21
     report = read_json(os.path.join(out, "report-perturb-compare.json"))
     assert report["passed"] is True
     assert report["quotient"] == pytest.approx(2e-4, rel=1e-3)
@@ -282,6 +284,19 @@ def test_solver_input_mistakes_exit_two_before_any_stage(tmp_path, capsys, secti
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {key}: ") and captured.err.count("\n") == 1
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("key", ["axiom_points", "beta_points", "monotonicity_points"])
+def test_one_point_check_grid_exits_two(tmp_path, capsys, key):
+    # check-rates would pass monotonicity on the one-point grid [0] without testing it
+    bad = tmp_path / "bad.json"
+    cfg = read_json(ORACLE)
+    cfg["checks"] = {key: 1}
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["all", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: checks.{key}: ")
     assert not out.exists() or not os.listdir(out)
 
 

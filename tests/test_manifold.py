@@ -908,15 +908,19 @@ def test_cubic_forcing_is_within_one_ulp_of_the_power(coef):
                                     maxulp=1)
 
 
-@pytest.mark.parametrize("name", ["exponential", "loglog_example"])
-def test_bundled_graph_is_exactly_odd(name):
+def _bundled_problem(name):
+    """(system, mu, nu, params, pert, cfg) of a bundled config."""
     path = str(resources.files("stablemanifold") / "configs" / f"{name}.json")
     resolved = resolve_config(load_config(path), label_default=name)
     mu, nu = build_rates(resolved)
     system = build_system(resolved, mu, nu)
     pert = build_perturbation(resolved["perturbation"], system.n)
-    graph, _ = solve_manifold(system, mu, nu, build_params(resolved), pert,
-                              build_solver_config(resolved))
+    return system, mu, nu, build_params(resolved), pert, build_solver_config(resolved)
+
+
+@pytest.mark.parametrize("name", ["exponential", "loglog_example"])
+def test_bundled_graph_is_exactly_odd(name):
+    graph, _ = solve_manifold(*_bundled_problem(name))
     # linspace lattices are not exactly symmetric: compare the pairs that are
     index = {(p + 0.0).tobytes(): j for j, p in enumerate(graph.targets_unit)}
     pairs = [(j, index[key]) for j, p in enumerate(graph.targets_unit)
@@ -924,3 +928,13 @@ def test_bundled_graph_is_exactly_odd(name):
     assert len(pairs) >= 2
     lo, hi = np.array(pairs).T
     assert np.array_equal(graph.values[:, hi], -graph.values[:, lo])
+
+
+@pytest.mark.parametrize("name", ["oracle_cubic", "log_example"])
+def test_solve_records_each_slice_cut_and_grid_length(name):
+    problem = _bundled_problem(name)
+    graph, _ = solve_manifold(*problem)
+    tables = manifold._slice_tables(graph, *problem)
+    assert graph.meta["slices"] == {"t_cut": [float(table.t[-1]) for table in tables],
+                                    "grid_points": [len(table.t) for table in tables]}
+    assert len(tables) == graph.n_slices

@@ -1,10 +1,15 @@
 import math
+import os
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from stablemanifold.rates import (BUILTIN_FAMILIES, builtin_rate, check_growth_axioms,
-                                  expression_rate)
+from stablemanifold import rates
+from stablemanifold.cli import main
+from stablemanifold.rates import (BUILTIN_FAMILIES, GrowthRate, builtin_rate,
+                                  check_growth_axioms, expression_rate)
 
 ALL_BUILTINS = [
     builtin_rate("exponential"),
@@ -175,3 +180,97 @@ def test_log_inverse_of_exponential_is_exact_identity():
 def test_log_inverse_needs_a_derivative():
     with pytest.raises(ValueError, match="no derivative"):
         expression_rate("1 + t^2").log_inverse(np.array([0.5]))
+
+
+def reference_solve_log(rate, rho):
+    """The 64-round bisection over all of [0, inf] that the Newton bracket replaced."""
+    lo = np.full(rho.shape, -1, dtype=np.int64)
+    hi = np.full(rho.shape, np.float64(np.inf).view(np.int64))
+    with np.errstate(over="ignore"):
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            up = rate.log_eval(mid.view(np.float64)) >= rho
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+    return hi.view(np.float64)
+
+
+def counting(rate: GrowthRate, sizes: list) -> GrowthRate:
+    """``rate`` whose log_eval appends the size of each argument to ``sizes``."""
+    def log_fn(t):
+        sizes.append(np.size(t))
+        return rate.log_fn(t)
+
+    return replace(rate, log_fn=log_fn)
+
+
+LOG_RATES = [
+    builtin_rate("log_poly", lam=4.0),
+    builtin_rate("log_poly", lam=0.5),
+    builtin_rate("loglog_poly", lam=2.0),
+    builtin_rate("loglog_poly", lam=7.0),
+    builtin_rate("log_poly", nu_companion=True),
+    builtin_rate("loglog_poly", nu_companion=True),
+]
+# rho = 0, two subnormals, a tiny normal, t overflowing to inf, inf, NaN; then dense grids
+EDGE_RHO = np.array([0.0, 5e-324, 1e-310, 1e-300, 800.0, 2e3, np.inf, np.nan])
+DENSE_RHO = np.concatenate([EDGE_RHO, np.linspace(0.0, 30.0, 3001),
+                            np.geomspace(1e-12, 700.0, 1001)])
+
+
+@pytest.mark.parametrize("rate", LOG_RATES, ids=lambda r: r.label)
+def test_log_inverse_equals_the_full_range_bisection(rate):
+    with np.errstate(over="ignore", invalid="ignore"):  # mu/mu' at t = inf
+        t, _ = rate.log_inverse(DENSE_RHO)
+    assert t.tobytes() == reference_solve_log(rate, DENSE_RHO).tobytes()
+    assert t[0] == 0.0 and np.isinf(t[EDGE_RHO.size - 1])
+
+
+@pytest.mark.parametrize("rate", LOG_RATES, ids=lambda r: r.label)
+def test_a_wrong_derivative_only_costs_rounds(rate):
+    # Newton steps 100 times too short leave every bracket off its root: each row
+    # falls back to the whole range and must still land on the same double
+    rho = np.linspace(0.5, 6.0, 400)  # t stays finite, also for loglog_plain
+    sizes = []
+    wrong = counting(replace(rate, deriv=lambda t: 100.0 * rate.deriv(t)), sizes)
+    assert rates._solve_log(wrong, rho).tobytes() == reference_solve_log(rate, rho).tobytes()
+    # the bisection evaluates only unfinished rows: all of them ran the long way
+    assert sizes.count(rho.size) > 60
+
+
+def test_solve_log_keeps_the_shape_of_rho():
+    rate = builtin_rate("log_poly", lam=4.0)
+    rho = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+    assert rates._solve_log(rate, rho).shape == (2, 3)
+    assert rates._solve_log(rate, np.asarray(1.5)).shape == ()
+
+
+def _bundled(name):
+    return str(resources.files("stablemanifold") / "configs" / f"{name}.json")
+
+
+@pytest.mark.parametrize("name", ["log_example", "loglog_example"])
+def test_bundled_clock_grids_invert_in_few_log_evaluations(name, tmp_path, monkeypatch):
+    grids = []
+    solve = rates._solve_log
+    monkeypatch.setattr(rates, "_solve_log",
+                        lambda rate, rho: grids.append((rate, rho)) or solve(rate, rho))
+    assert main(["solve-manifold", "--config", _bundled(name), "--out", str(tmp_path)]) == 0
+    assert len(grids) == 6  # one clock grid per slice
+    for rate, rho in grids:
+        sizes = []
+        t = solve(counting(rate, sizes), rho)
+        assert t.tobytes() == reference_solve_log(rate, rho).tobytes()
+        assert len(sizes) <= 20  # the full-range bisection takes 64 or 65
+
+
+@pytest.mark.parametrize("name", ["log_example", "loglog_example"])
+def test_all_artifacts_match_the_full_range_bisection(name, tmp_path, monkeypatch):
+    path = _bundled(name)
+    assert main(["all", "--config", path, "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(rates, "_solve_log", reference_solve_log)
+    assert main(["all", "--config", path, "--out", str(tmp_path / "ref")]) == 0
+    for table in ("graph.csv", "convergence.csv", "compare.csv"):
+        with open(os.path.join(tmp_path, "new", table), "rb") as new, \
+                open(os.path.join(tmp_path, "ref", table), "rb") as ref:
+            assert new.read() == ref.read(), table
