@@ -25,9 +25,8 @@ from .admissibility import (BetaFunction, LimitCheck, MonotonicityCheck, TailBou
                             improper_rate_integral, improper_rate_integrals, tail_integral)
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, apply_phi_operator,
                        cubic_perturbation, eval_phi, eval_phi_many,
-                       expression_perturbation, graph_metric_distance, inner_trajectory,
-                       nonlinear_flow, nonlinear_flow_many, outer_contraction_factor,
-                       solve_manifold)
+                       expression_perturbation, graph_metric_distance, nonlinear_flow,
+                       nonlinear_flow_many, outer_contraction_factor, solve_manifold)
 from .verify import (DecayReport, FlowReport, InvarianceReport, PerturbationBoundReport,
                      PerturbationDistance, check_decay, check_flows, check_invariance,
                      check_perturbation_bound, default_perturbation_samples,
@@ -57,7 +56,7 @@ __all__ = [
     "default_capacity", "default_perturbation_samples", "delta_max",
     "delta_max_bounds", "eval_phi", "eval_phi_many", "expression_perturbation",
     "expression_rate", "fundamental_identity_residual", "graph_metric_distance",
-    "improper_rate_integral", "improper_rate_integrals", "inner_trajectory", "load_config",
+    "improper_rate_integral", "improper_rate_integrals", "load_config",
     "matrix_system",
     "nonlinear_flow", "nonlinear_flow_many", "outer_contraction_factor", "pair_grid",
     "perturbation_distance", "random_decay_pairs", "random_invariance_samples",

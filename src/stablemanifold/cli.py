@@ -25,7 +25,7 @@ from .admissibility import (BetaFunction, check_limit_condition, check_monotonic
                             delta_max_bounds, fundamental_identity_residual)
 from .config import (build_comparison, build_params, build_perturbation, build_rates,
                      build_solver_config, build_system, load_run_input, resolve_config,
-                     scale_tolerances)
+                     scale_tolerances, uniform_grid)
 from .dichotomy import pair_grid, sharpness_probe, verify_dichotomy
 from .errors import ConfigError, NumericalError
 from .manifold import (check_vanishes_at_origin, outer_contraction_factor, solve_manifold,
@@ -192,13 +192,14 @@ class Runner:
         q = self.pert.q
         limit = check_limit_condition(self.mu, self.nu, a, d["b"], eps)
         beta = self.cfg.beta_fn
-        s_values = np.linspace(0.0, ch["beta_s_max"], ch["beta_points"])
-        mono_grid = np.linspace(0.0, ch["beta_s_max"], ch["monotonicity_points"])
-        integrals = beta.integrals(np.concatenate([s_values, mono_grid]))
+        # the solver's slices come from the same rule, so it finds them in beta's cache
+        s_values = uniform_grid(ch["beta_s_max"], ch["beta_points"])
+        mono_grid = uniform_grid(ch["beta_s_max"], ch["monotonicity_points"])
+        integrals = beta.integrals(s_values + mono_grid)
         rows = []
         worst_resid = 0.0
         worst_match = 0.0
-        for s, integral in zip(s_values.tolist(), integrals.tolist()):
+        for s, integral in zip(s_values, integrals.tolist()):
             b_quad = beta.beta(s)
             resid = fundamental_identity_residual(self.mu, self.nu, a, eps, q, s,
                                                   beta.rel_tol, integral)
@@ -225,7 +226,7 @@ class Runner:
             "limit_condition": {"passed": limit.passed, "inconclusive": limit.inconclusive,
                                 "eventually_decreasing": limit.eventually_decreasing,
                                 "tail_drop_ok": limit.tail_drop_ok},
-            "beta": {"closed_form": beta.closed_form, "s_values": list(map(float, s_values)),
+            "beta": {"closed_form": beta.closed_form, "s_values": s_values,
                      "worst_identity_residual": worst_resid,
                      "identity_tol": ch["identity_tol"],
                      "worst_closed_form_mismatch": worst_match,

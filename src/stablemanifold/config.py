@@ -211,6 +211,19 @@ _CHECK_DEFAULTS = {
 }
 
 
+def uniform_grid(stop: float, n: int) -> list[float]:
+    """n points stop * i / (n - 1) from 0 to stop, each correctly rounded.
+
+    The one grid rule of slice times and admissibility grids: a point that two
+    grids share as a rational is then the same double on both, and the last
+    point is stop.  The quotient of the exact integers is rounded once; stop * i
+    in floats rounds twice where the product is inexact (0.7 * 3 / 3 gives
+    0.6999999999999998), and ``np.linspace`` rounds i * step instead.
+    """
+    num, den = stop.as_integer_ratio()
+    return [num * i / (den * (n - 1)) for i in range(n)]
+
+
 def _resolve_solver(obj: Any, path: str) -> dict:
     obj = _mapping(obj, path)
     allowed = {"s_grid", "s_max", "n_slices", "delta", "C"} | set(_SOLVER_DEFAULTS)
@@ -227,7 +240,7 @@ def _resolve_solver(obj: Any, path: str) -> dict:
     else:
         s_max = _number(_get(obj, path, "s_max"), f"{path}.s_max", lo=0.0, strict_lo=True)
         n_slices = _integer(obj.get("n_slices", 21), f"{path}.n_slices", lo=2)
-        s_grid = [s_max * i / (n_slices - 1) for i in range(n_slices)]
+        s_grid = uniform_grid(s_max, n_slices)
     out: dict[str, Any] = {"s_grid": s_grid}
     for key in ("delta", "C"):
         val = obj.get(key, "auto")

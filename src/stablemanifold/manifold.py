@@ -78,8 +78,7 @@ from .rates import GrowthRate
 
 __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
            "ManifoldGraph", "SolverConfig", "eval_phi", "eval_phi_many",
-           "InnerTrajectory", "inner_trajectory", "apply_phi_operator",
-           "solve_manifold", "solver_radius", "check_vanishes_at_origin",
+           "apply_phi_operator", "solve_manifold", "solver_radius", "check_vanishes_at_origin",
            "nonlinear_flow", "nonlinear_flow_many", "flow_steps",
            "outer_contraction_factor", "graph_metric_distance"]
 
@@ -261,14 +260,6 @@ def eval_phi(graph: ManifoldGraph, s: float, xi) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class InnerTrajectory:
-    t: np.ndarray
-    x: np.ndarray
-    sweeps: int
-    max_decay_ratio: float
-
-
-@dataclass(frozen=True)
 class _SliceTable:
     """Inner grid and propagator maps of one s-slice, shared by its node paths.
 
@@ -427,32 +418,6 @@ def _check_decay(table: _SliceTable, x: np.ndarray, xi: np.ndarray, slack: float
             f"at t={table.t[j]:g} (slack {slack:g})",
             s=table.s, node=first_node + b, ratio=float(worst[b]))
     return float(worst.max())
-
-
-def inner_trajectory(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
-                     nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
-                     s: float, xi, t_max: float, h: float, picard_tol: float = 1e-10,
-                     decay_slack: float = 1.05) -> InnerTrajectory:
-    """Trajectory through (s, xi) in the stable block, coupled to the current graph.
-
-    Requires |xi|_1 <= delta * beta(s) (the slice ball).  ``h`` is the grid
-    step in the clock of ``_inner_grid``: rho = log mu(t) on a clocked system
-    under an autonomous perturbation, t otherwise.  The accepted
-    trajectory must respect |x(t)|_1 <= C (mu(t)/mu(s))^a nu(s)^eps |xi|_1 up
-    to ``decay_slack``; a violation raises DecayBoundError, which signals
-    either an oversized delta or a bad graph iterate.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float)).reshape(1, graph.n_stable)
-    xi_norm = float(np.abs(xi).sum())
-    rho_s = float(graph.radius_fn(np.asarray(s, dtype=float)))
-    if xi_norm > rho_s * (1.0 + 1e-9):
-        raise ValueError(f"|xi|={xi_norm:g} outside the slice ball of radius {rho_s:g}")
-    if t_max <= s:
-        raise ValueError("t_max must exceed s")
-    table = _slice_table(system, mu, nu, params, pert, graph.C, s, t_max, h)
-    x, _, sweeps = _node_paths(graph, pert, table, xi, picard_tol)
-    worst = _check_decay(table, x, xi, decay_slack)
-    return InnerTrajectory(table.t, x[0], int(sweeps[0]), worst)
 
 
 def _truncation_points(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,

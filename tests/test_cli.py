@@ -94,20 +94,70 @@ def test_admissibility_runs_one_tail_quadrature_per_s(tmp_path, monkeypatch):
     assert keys and len(keys) == len(set(keys))
 
 
-def test_all_computes_each_tail_integral_once(tmp_path, monkeypatch):
-    # one BetaFunction serves admissibility, the base solve and both comparison solves
+@pytest.mark.parametrize("name", ALL_CONFIGS)
+def test_all_computes_each_tail_integral_once(tmp_path, monkeypatch, name):
+    # one BetaFunction serves admissibility, the base solve and both comparison solves;
+    # s values are compared by value, so a point one ulp off a cached one counts twice
     from stablemanifold import admissibility, manifold
-    keys = []
+    calls = []
+    stage = [None]
     quadrature = admissibility.improper_rate_integrals
 
     def counting(mu, nu, p, eps, s_values, *rest):
-        keys.extend((p, eps, float(s)) for s in s_values)
+        calls.extend((stage[0], p, eps, float(s)) for s in s_values)
         return quadrature(mu, nu, p, eps, s_values, *rest)
+
+    def staged(command, run):
+        def wrapper(runner):
+            stage[0] = command
+            return run(runner)
+        return wrapper
 
     monkeypatch.setattr(admissibility, "improper_rate_integrals", counting)
     monkeypatch.setattr(manifold, "improper_rate_integrals", counting)
-    assert main(["all", "--config", LOGLOG, "--out", str(tmp_path)]) == 0
-    assert keys and len(keys) == len(set(keys))
+    for command, run in list(cli._DISPATCH.items()):
+        monkeypatch.setitem(cli._DISPATCH, command, staged(command, run))
+    assert main(["all", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+    assert calls
+    for i, (_, p, eps, s) in enumerate(calls):
+        for _, p2, eps2, s2 in calls[i + 1:]:
+            assert not (p == p2 and eps == eps2 and math.isclose(s, s2, rel_tol=1e-15)), \
+                (p, eps, s, s2)
+    if name != "oracle_cubic.json":  # oracle's odd tenths lie on no admissibility grid
+        assert not [c for c in calls if c[0] == "solve-manifold"]
+
+
+@pytest.mark.parametrize("name", ALL_CONFIGS)
+def test_slice_points_on_admissibility_grids_are_the_grid_doubles(tmp_path, monkeypatch,
+                                                                   name):
+    # a slice that equals a beta or monotonicity point as a rational is the same double,
+    # so the solve finds its tail integral in the cache admissibility filled
+    from fractions import Fraction
+    from stablemanifold.config import load_run_input, resolve_config
+    raw = load_run_input(str(CONFIG_DIR / name))[0]
+    resolved = resolve_config(raw)
+    runner = cli.Runner(resolved, str(tmp_path), 0, 1.0)
+    grids = []
+    check = cli.check_monotonicity
+
+    def capture(mu, nu, a, eps, q, grid, **kw):
+        grids.append(np.asarray(grid).tolist())
+        return check(mu, nu, a, eps, q, grid, **kw)
+
+    monkeypatch.setattr(cli, "check_monotonicity", capture)
+    _, report = runner.admissibility()
+    grids.append(report["beta"]["s_values"])
+    slices, checks = resolved["solver"]["s_grid"], resolved["checks"]
+    matched = 0
+    for grid, n in zip(grids, (checks["monotonicity_points"], checks["beta_points"])):
+        assert len(grid) == n
+        on_grid = {Fraction(checks["beta_s_max"]) * i / (n - 1): g for i, g in enumerate(grid)}
+        for k, s in enumerate(slices):
+            exact = Fraction(raw["solver"]["s_max"]) * k / (len(slices) - 1)
+            if exact in on_grid:
+                assert s == on_grid[exact], (k, s, on_grid[exact])
+                matched += 1
+    assert matched > 4
 
 
 def test_shared_beta_changes_no_artifact(tmp_path):

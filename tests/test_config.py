@@ -1,12 +1,14 @@
 import copy
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from stablemanifold.config import (build_comparison, build_params, build_perturbation,
                                    build_rates, build_solver_config, build_system,
-                                   load_config, resolve_config, scale_tolerances)
+                                   load_config, resolve_config, scale_tolerances,
+                                   uniform_grid)
 from stablemanifold.errors import ConfigError
 from stablemanifold.manifold import SolverConfig
 
@@ -35,6 +37,14 @@ def test_defaults_are_materialized():
     assert resolved["output"]["dir"] == "out"
     assert resolved["seed"] == 0
     assert resolved["dichotomy"]["eps"] == 0.0
+
+
+@pytest.mark.parametrize("stop", [1.0, 2.0, 4.0, 2.5, 0.7, 0.3, 1e-300, 1e300])
+def test_uniform_grid_is_correctly_rounded(stop):
+    for n in range(2, 42):
+        grid = uniform_grid(stop, n)
+        assert grid == [float(Fraction(stop) * i / (n - 1)) for i in range(n)]
+        assert grid[0] == 0.0 and grid[-1] == stop
 
 
 def test_resolved_config_is_stable_under_reresolve():

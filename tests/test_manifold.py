@@ -18,11 +18,10 @@ from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, coordinate_
 from stablemanifold.errors import (BlowupError, DecayBoundError, DivergenceError, NumericalError,
                                    TailBoundError)
 from stablemanifold.expr import compile_expression
-from stablemanifold.manifold import (InnerTrajectory, ManifoldGraph, Perturbation,
-                                     SolverConfig, apply_phi_operator, cubic_perturbation,
-                                     eval_phi, eval_phi_many,
-                                     expression_perturbation, graph_metric_distance,
-                                     inner_trajectory, nonlinear_flow, nonlinear_flow_many,
+from stablemanifold.manifold import (ManifoldGraph, Perturbation, SolverConfig,
+                                     apply_phi_operator, cubic_perturbation, eval_phi,
+                                     eval_phi_many, expression_perturbation,
+                                     graph_metric_distance, nonlinear_flow, nonlinear_flow_many,
                                      outer_contraction_factor, solve_manifold)
 from stablemanifold.linalg import rk4_step
 from stablemanifold.quadrature import composite_simpson, cumulative_simpson
@@ -46,6 +45,14 @@ def solved():
 
 def exact_phi(xi):
     return -np.asarray(xi) ** 3 / 4.0
+
+
+def inner_path(graph, system, mu, nu, params, pert, s, xi, t_max, h):
+    """Grid, path, sweeps and worst decay ratio of the node xi at slice s, as a solve has them."""
+    table = manifold._slice_table(system, mu, nu, params, pert, graph.C, s, t_max, h)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float)).reshape(1, graph.n_stable)
+    x, _, sweeps = manifold._node_paths(graph, pert, table, xi, 1e-10)
+    return table.t, x[0], int(sweeps[0]), manifold._check_decay(table, x, xi, 1.05)
 
 
 def test_perturbation_validation():
@@ -167,24 +174,13 @@ def test_graph_lipschitz_one(solved):
 
 def test_inner_trajectory_decoupled_decay(solved):
     system, pert, graph, _ = solved
-    traj = inner_trajectory(graph, system, EXP, EXP, PARAMS, pert,
-                            s=0.0, xi=0.02, t_max=3.0, h=0.01)
-    assert isinstance(traj, InnerTrajectory)
+    t, x, sweeps, worst = inner_path(graph, system, EXP, EXP, PARAMS, pert,
+                                     s=0.0, xi=0.02, t_max=3.0, h=0.01)
     # the stable component never feels the forcing here, so x = xi e^-(t-s)
-    expected = 0.02 * np.exp(-traj.t)
-    assert np.abs(traj.x[:, 0] - expected).max() <= 1e-12
-    assert traj.max_decay_ratio <= 1.05
-    assert traj.sweeps <= 2
-
-
-def test_inner_trajectory_rejects_outside_ball(solved):
-    system, pert, graph, _ = solved
-    with pytest.raises(ValueError, match="outside the slice ball"):
-        inner_trajectory(graph, system, EXP, EXP, PARAMS, pert,
-                         s=0.0, xi=0.1, t_max=2.0, h=0.01)
-    with pytest.raises(ValueError, match="t_max"):
-        inner_trajectory(graph, system, EXP, EXP, PARAMS, pert,
-                         s=1.0, xi=0.01, t_max=0.5, h=0.01)
+    expected = 0.02 * np.exp(-t)
+    assert np.abs(x[:, 0] - expected).max() <= 1e-12
+    assert worst <= 1.05
+    assert sweeps <= 2
 
 
 def test_nonlinear_flow_preserves_graph(solved):
@@ -498,10 +494,10 @@ def test_matrix_route_matches_closed_form_under_feedback(d):
 
 def test_inner_trajectory_matrix_route_sweeps_like_closed_form(solved):
     system, _, graph, _ = solved
-    runs = [inner_trajectory(graph, form, EXP, EXP, PARAMS, FEEDBACK,
-                             s=0.0, xi=0.02, t_max=3.0, h=0.01) for form in (system, MATRIX_D1)]
-    assert runs[0].sweeps == runs[1].sweeps > 1
-    assert np.abs(runs[0].x - runs[1].x).max() <= 1e-12
+    runs = [inner_path(graph, form, EXP, EXP, PARAMS, FEEDBACK,
+                       s=0.0, xi=0.02, t_max=3.0, h=0.01) for form in (system, MATRIX_D1)]
+    assert runs[0][2] == runs[1][2] > 1
+    assert np.abs(runs[0][1] - runs[1][1]).max() <= 1e-12
 
 
 def test_inner_trajectory_tolerates_unstable_overflow(solved):
@@ -512,11 +508,11 @@ def test_inner_trajectory_tolerates_unstable_overflow(solved):
     system = LinearSystem(2, 1, coordinate_projection(2, 1), U=base.U,
                           V=lambda t, s: np.exp(2.0 * (np.asarray(t) - s)))
     with np.errstate(over="ignore"):
-        traj = inner_trajectory(graph, system, EXP, EXP, PARAMS, pert,
-                                s=0.0, xi=0.02, t_max=400.0, h=0.5)
+        t, _, sweeps, _ = inner_path(graph, system, EXP, EXP, PARAMS, pert,
+                                     s=0.0, xi=0.02, t_max=400.0, h=0.5)
         table = manifold._slice_table(system, EXP, EXP, PARAMS, pert, graph.C, 0.0, 400.0,
                                       0.5)
-    assert traj.t[-1] == 400.0 and traj.sweeps == 1
+    assert t[-1] == 400.0 and sweeps == 1
     with pytest.raises(NumericalError, match="unstable propagator"):
         table.pull_unstable(np.zeros((1, len(table.t), 2)))
 
@@ -631,9 +627,9 @@ def test_matrix_slice_tables_match_per_stage_reference(monkeypatch):
         table = manifold._slice_table(ROTATING, POLY, POLY, params, pert, 2.0, 0.5, 30.0, 0.05)
         y = rng.standard_normal((2, len(table.t), 2))
         fv = rng.standard_normal((2, len(table.t), 3))
-        traj = inner_trajectory(graph, ROTATING, POLY, POLY, params, pert, s=0.5, xi=xi,
-                                t_max=30.0, h=0.05)
-        return table.t, table.stable(y), table.pull_stable(fv), table.pull_unstable(fv), traj.x
+        x = inner_path(graph, ROTATING, POLY, POLY, params, pert, s=0.5, xi=xi, t_max=30.0,
+                       h=0.05)[1]
+        return table.t, table.stable(y), table.pull_stable(fv), table.pull_unstable(fv), x
 
     new = tables_and_trajectory()
 
@@ -660,12 +656,12 @@ def test_inner_trajectory_on_rate_clock_grid():
                        tail_abs_tol=1e-9, t_cut_max=5000.0)
     graph, _ = solve_manifold(system, POLY, POLY, params, pert, cfg)
     xi = 0.5 * float(graph.radius_fn(0.5))
-    traj = inner_trajectory(graph, system, POLY, POLY, params, pert,
-                            s=0.5, xi=xi, t_max=200.0, h=0.05)
-    assert traj.t[0] == 0.5 and traj.t[-1] == 200.0
-    assert np.allclose(np.diff(np.log1p(traj.t)), np.log(201.0 / 1.5) / (len(traj.t) - 1))
-    assert np.abs(traj.x[:, 0] - xi * 1.5 / (1.0 + traj.t)).max() <= 1e-15 * xi
-    assert traj.sweeps <= 2 and traj.max_decay_ratio <= 1.05
+    t, x, sweeps, worst = inner_path(graph, system, POLY, POLY, params, pert,
+                                     s=0.5, xi=xi, t_max=200.0, h=0.05)
+    assert t[0] == 0.5 and t[-1] == 200.0
+    assert np.allclose(np.diff(np.log1p(t)), np.log(201.0 / 1.5) / (len(t) - 1))
+    assert np.abs(x[:, 0] - xi * 1.5 / (1.0 + t)).max() <= 1e-15 * xi
+    assert sweeps <= 2 and worst <= 1.05
 
 
 @pytest.mark.parametrize("system, pert, delta, stale",
