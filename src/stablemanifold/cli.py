@@ -265,6 +265,7 @@ class Runner:
             "iterations": history, "n_slices": graph.n_slices,
             "nodes_per_slice": int(graph.unit_lattice.shape[0]),
             "radii": graph.radii.tolist(), "slices": graph.meta["slices"],
+            "inner": graph.meta["inner"],
         }
         return True, report
 

@@ -31,7 +31,14 @@ unstable component (``Perturbation.reads``, as for the cubic v' = v + u^3),
 phi never enters the inner problem: the sweeps hand f zeros in the unstable
 columns and do not evaluate the graph.  The operator is then constant, so
 Phi(0) is its fixed point: ``solve_manifold`` applies it once and takes that
-graph as the second iterate instead of applying it again.  Each node path is
+graph as the second iterate instead of applying it again.  When the pulled-back
+stable forcing P(s)T(s,r) f along the linear paths U(t,s) xi is zero (f_E = 0
+and T(s,r) keeps the blocks apart, as for the cubic), those paths are already
+the sweep's fixed point: a Simpson pass over zeros gives +-0, and xi + (+-0)
+is xi bit for bit for every xi but -0.0, which no lattice target is.  Such a
+chunk stops after its first forcing, with no Simpson pass.  The test reads
+the pulled-back forcing, not f, so a coupling A(t) still sweeps; NaN counts
+as nonzero.  Each node path is
 checked against its decay envelope.  The slice tables (truncation point, grid,
 propagator maps, envelope) depend only on the slice radii: ``solve_manifold``
 builds them once and drops them when it returns.
@@ -84,6 +91,8 @@ __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
 
 # inner-grid samples per chunk of nodes: bounds every (nodes, grid, state) array
 _CHUNK_SAMPLES = 4096
+# work counters of the inner solves, per operator application and summed per solve
+_INNER_WORK = ("node_paths", "points", "simpson_sweeps")
 
 
 @dataclass(frozen=True)
@@ -365,24 +374,33 @@ def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
 
 
 def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
-                xi: np.ndarray, picard_tol: float,
-                max_sweeps: int = 80) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inner paths x (B, T, n_E) of the nodes xi (B, n_E), f along them, sweeps per node.
+                xi: np.ndarray, picard_tol: float, max_sweeps: int = 80
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Inner paths x (B, T, n_E) of the nodes xi (B, n_E), f along them, sweeps per
+    node and the number of node paths summed over the cumulative Simpson passes.
 
     Every sweep updates the whole chunk; a node leaves once its own sweep
     distance is <= picard_tol and keeps that sweep's f-values if the sweep left
-    its path unchanged bit for bit.
+    its path unchanged bit for bit.  When the pulled-back stable forcing of the
+    linear paths is zero everywhere, the chunk stops there with one sweep and
+    no Simpson pass: the pass would add +-0 to xi, and no lattice target is
+    -0.0, so the sweep would return the linear paths bit for bit.
     """
     n_b = len(xi)
     x = table.stable(xi[:, None, :])
+    fv_old = _forcing(graph, pert, table.t, x)
+    pulled = table.pull_stable(fv_old)
+    if not pulled.any():
+        return x, fv_old, np.ones(n_b, dtype=np.int64), 0
     fv = np.empty(x.shape[:2] + (graph.n_stable + graph.n_unstable,))
     sweeps = np.zeros(n_b, dtype=np.int64)
     active = np.arange(n_b)
     stale: list[int] = []
+    passes = 0
     for sweep in range(1, max_sweeps + 1):
         x_old = x[active]
-        fv_old = _forcing(graph, pert, table.t, x_old)
-        cum = cumulative_simpson(np.moveaxis(table.pull_stable(fv_old), 1, 0), table.h)
+        cum = cumulative_simpson(np.moveaxis(pulled, 1, 0), table.h)
+        passes += len(active)
         x_new = table.stable(xi[active, None, :] + np.moveaxis(cum, 1, 0))
         done = np.abs(x_new - x_old).max(axis=(1, 2)) <= picard_tol
         same = (x_new.view(np.int64) == x_old.view(np.int64)).all(axis=(1, 2))
@@ -394,7 +412,10 @@ def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
         if not active.size:
             if stale:
                 fv[stale] = _forcing(graph, pert, table.t, x[stale])
-            return x, fv, sweeps
+            return x, fv, sweeps, passes
+        if sweep < max_sweeps:
+            fv_old = _forcing(graph, pert, table.t, x[active])
+            pulled = table.pull_stable(fv_old)
     raise ConvergenceError(f"inner Picard sweeps stalled above tolerance {picard_tol:g}")
 
 
@@ -546,24 +567,32 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
     envelope up to ``cfg.decay_slack``; the worst ratio is returned in
     ``meta["max_decay_ratio"]``.  The worst ratio of |Dphi|_1 to |Dxi|_1 over
     adjacent in-ball nodes, bounded by 1 + ``cfg.lipschitz_tol``, is returned
-    in ``meta["max_lipschitz_ratio"]``.
+    in ``meta["max_lipschitz_ratio"]``.  ``meta["inner"]`` counts the work of
+    this application: ``node_paths``, their grid ``points`` (each path times its
+    grid length) and ``simpson_sweeps`` (each path times its cumulative Simpson
+    passes, 0 for a chunk settled on its linear paths).
     """
     if tables is None:
         tables = _slice_tables(graph, system, mu, nu, params, pert, cfg)
     new_values = np.empty_like(graph.values)
     worst = 0.0
+    inner = dict.fromkeys(_INNER_WORK, 0)
     for k, table in enumerate(tables):
         targets = graph.targets_unit * float(graph.radii[k])
         chunk = max(1, _CHUNK_SAMPLES // len(table.t))
         for lo in range(0, len(targets), chunk):
             xi = targets[lo:lo + chunk]
-            x, fv, _ = _node_paths(graph, pert, table, xi, cfg.picard_tol)
+            x, fv, _, passes = _node_paths(graph, pert, table, xi, cfg.picard_tol)
             worst = max(worst, _check_decay(table, x, xi, cfg.decay_slack, lo))
             integrand = np.moveaxis(table.pull_unstable(fv), 1, 0)
             new_values[k, lo:lo + chunk] = -composite_simpson(integrand, table.h)
+            inner["node_paths"] += len(xi)
+            inner["points"] += len(xi) * len(table.t)
+            inner["simpson_sweeps"] += passes
     lipschitz = _check_lipschitz(graph, new_values, cfg.lipschitz_tol)
     return replace(graph, values=new_values, meta={**graph.meta, "max_decay_ratio": worst,
-                                                   "max_lipschitz_ratio": lipschitz})
+                                                   "max_lipschitz_ratio": lipschitz,
+                                                   "inner": inner})
 
 
 def _make_radius_fn(s_grid: np.ndarray, radii: np.ndarray, beta_fn: BetaFunction):
@@ -650,7 +679,8 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     Returns the converged graph and the iteration history
     [{iteration, distance, ratio, max_decay_ratio, max_lipschitz_ratio}].  The
     graph's ``meta["slices"]`` holds each slice's truncation point ``t_cut``
-    and inner-grid length ``grid_points``.  The
+    and inner-grid length ``grid_points``, and ``meta["inner"]`` the work
+    counters of ``apply_phi_operator`` summed over the applications.  The
     measured contraction ratio must stay within 10% of the certified factor;
     persistent excess raises ContractionError, exhaustion of the budget raises
     ConvergenceError.  The slice tables are built once here and dropped on return.
@@ -695,11 +725,13 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     strikes = 0
     prev_distance = None
     constant = _ignores_graph(pert, n_e)
+    inner = dict.fromkeys(_INNER_WORK, 0)
     for iteration in range(1, cfg.max_outer + 1):
         if constant and iteration > 1:
             new_graph = graph  # Phi does not read graph.values: Phi(graph) is graph
         else:
             new_graph = apply_phi_operator(graph, system, mu, nu, params, pert, cfg, tables)
+            inner = {key: inner[key] + new_graph.meta["inner"][key] for key in _INNER_WORK}
         distance = graph_metric_distance(graph.values, new_graph.values, graph)
         ratio = (distance / prev_distance) if prev_distance else None
         history.append({"iteration": iteration, "distance": distance, "ratio": ratio,
@@ -707,7 +739,7 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
                         "max_lipschitz_ratio": new_graph.meta["max_lipschitz_ratio"]})
         graph = new_graph
         if distance <= cfg.outer_tol:
-            return graph, history
+            return replace(graph, meta={**graph.meta, "inner": inner}), history
         if ratio is not None and ratio > 1.1 * factor and distance > 10.0 * cfg.outer_tol:
             strikes += 1
             if strikes >= 2:

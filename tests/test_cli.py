@@ -45,8 +45,12 @@ def test_all_command_on_oracle(tmp_path):
                   "convergence.csv", "verify-invariance.csv", "verify-decay.csv",
                   "compare.csv"):
         assert table in names
-    slices = read_json(os.path.join(out, "report-solve-manifold.json"))["slices"]
+    solve = read_json(os.path.join(out, "report-solve-manifold.json"))
+    slices = solve["slices"]
     assert len(slices["t_cut"]) == len(slices["grid_points"]) == 21
+    # the cubic's forcing has no stable part: no node path runs a Simpson pass
+    assert solve["inner"] == {"node_paths": 21 * 41, "points": 41 * sum(slices["grid_points"]),
+                              "simpson_sweeps": 0}
     report = read_json(os.path.join(out, "report-perturb-compare.json"))
     assert report["passed"] is True
     assert report["quotient"] == pytest.approx(2e-4, rel=1e-3)

@@ -51,7 +51,7 @@ def inner_path(graph, system, mu, nu, params, pert, s, xi, t_max, h):
     """Grid, path, sweeps and worst decay ratio of the node xi at slice s, as a solve has them."""
     table = manifold._slice_table(system, mu, nu, params, pert, graph.C, s, t_max, h)
     xi = np.atleast_1d(np.asarray(xi, dtype=float)).reshape(1, graph.n_stable)
-    x, _, sweeps = manifold._node_paths(graph, pert, table, xi, 1e-10)
+    x, _, sweeps, _ = manifold._node_paths(graph, pert, table, xi, 1e-10)
     return table.t, x[0], int(sweeps[0]), manifold._check_decay(table, x, xi, 1.05)
 
 
@@ -707,38 +707,68 @@ def test_chunked_slices_match_single_node_chunks(monkeypatch, system, pert, delt
     # feedback reaches the stable block: nodes of one chunk take different
     # sweep counts, and paths moved by their last sweep recompute f
     assert any(len(counts) > 1 for counts in sweep_counts) == stale
-    assert (calls["forcing"] > calls["sweeps"]) == stale
+    if stale:
+        assert calls["forcing"] > calls["sweeps"]
+    else:
+        # the cubic forces no stable part: each chunk stops on its linear paths
+        assert calls["sweeps"] == 0 and calls["forcing"] == len(sweep_counts)
 
 
-def _node_loop_value(graph, system, pert, table, xi, picard_tol):
-    """Reference: one node at a time, Picard sweeps and then the outer integral."""
-    t, h, u = table.t, table.h, system.U(table.t, table.s)[:, None]
-    n_e = graph.n_stable
+def _node_loop_value(graph, pert, table, xi, picard_tol):
+    """Reference: one node at a time, Picard sweeps through the table's maps (at least
+    one Simpson pass) and then the outer integral."""
+    t, h = table.t, table.h
 
     def forcing(x):
-        return pert.f(t, np.concatenate([x, eval_phi_many(graph, t, x)], axis=1))
+        return pert.f(t, np.concatenate([x, eval_phi_many(graph, t, x)], axis=1))[None]
 
-    x = u * xi[None, :]
+    x = table.stable(xi[None, None, :])[0]
     for _ in range(80):
-        x_new = u * (xi[None, :] + cumulative_simpson(forcing(x)[:, :n_e] / u, h))
+        cum = cumulative_simpson(table.pull_stable(forcing(x))[0], h)
+        x_new = table.stable((xi[None, :] + cum)[None])[0]
         distance = np.max(np.abs(x_new - x))
         x = x_new
         if distance <= picard_tol:
             break
-    v_inv = 1.0 / system.V(t, table.s)
-    return -composite_simpson(v_inv[:, None] * forcing(x)[:, n_e:], h)
+    return -composite_simpson(table.pull_unstable(forcing(x))[0], h)
 
 
-def test_operator_matches_node_loop_reference():
-    system = rate_power_system(EXP, a=-1.0, b=1.0)
+# f_E = 0, but A couples the blocks: P(s)T(s, r) f has a stable part
+COUPLED = matrix_system(lambda t: np.array([[-1.0, 0.5], [0.0, 1.0]]), 2, 1)
+
+
+@pytest.mark.parametrize("system, pert, sweeps",
+                         [(rate_power_system(EXP, a=-1.0, b=1.0), FEEDBACK, True),
+                          (rate_power_system(EXP, a=-1.0, b=1.0), cubic_perturbation(1.0),
+                           False),
+                          (MATRIX_D1, cubic_perturbation(1.0), False),
+                          (COUPLED, cubic_perturbation(1.0), True)],
+                         ids=["feedback", "cubic", "matrix-cubic", "coupled-cubic"])
+def test_operator_matches_node_loop_reference(monkeypatch, system, pert, sweeps):
     cfg = SolverConfig(s_grid=(0.0, 1.0), delta=None, C=2.0, nodes_per_axis=41, h=0.01)
-    graph, _ = solve_manifold(system, EXP, EXP, PARAMS, FEEDBACK, cfg)
-    tables = manifold._slice_tables(graph, system, EXP, EXP, PARAMS, FEEDBACK, cfg)
-    new = manifold.apply_phi_operator(graph, system, EXP, EXP, PARAMS, FEEDBACK, cfg, tables)
+    graph, _ = solve_manifold(rate_power_system(EXP, a=-1.0, b=1.0), EXP, EXP, PARAMS,
+                              FEEDBACK, cfg)
+    tables = manifold._slice_tables(graph, system, EXP, EXP, PARAMS, pert, cfg)
+    passes = []
+    simpson = manifold.cumulative_simpson
+    monkeypatch.setattr(manifold, "cumulative_simpson",
+                        lambda *args: passes.append(1) or simpson(*args))
+    new = manifold.apply_phi_operator(graph, system, EXP, EXP, PARAMS, pert, cfg, tables)
+    # a zero pulled-back stable forcing settles every chunk on its linear paths
+    assert bool(passes) == sweeps
+    assert (new.meta["inner"]["simpson_sweeps"] > 0) == sweeps
     for k, table in enumerate(tables):
         for j, xi in enumerate(graph.node_points(k)):
-            ref = _node_loop_value(graph, system, FEEDBACK, table, xi, cfg.picard_tol)
+            ref = _node_loop_value(graph, pert, table, xi, cfg.picard_tol)
             assert np.array_equal(new.values[k, j], ref)
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (1, 41), (1, 81), (2, 5), (2, 21), (3, 9)])
+def test_lattice_targets_hold_no_negative_zero(d, m):
+    # the linear-path stop of the inner sweep is exact for every xi but -0.0
+    _, _, targets = manifold._build_lattice(d, m)
+    assert (targets == 0.0).any()
+    assert not np.signbit(targets[targets == 0.0]).any()
 
 
 def _random_graph(d: int, seed: int) -> ManifoldGraph:
@@ -843,8 +873,14 @@ def test_graph_free_solve_applies_the_operator_once(monkeypatch):
 
 
 def test_feedback_solve_applies_the_operator_every_iteration(monkeypatch):
-    _, history, calls = _solve_counting_operator(monkeypatch, FEEDBACK)
+    graph, history, calls = _solve_counting_operator(monkeypatch, FEEDBACK)
     assert calls == len(history) >= 2
+    # the work counters sum over the applications; phi = 0 zeroes the stable part
+    # of FEEDBACK, so the first pass stops on the linear paths and every later
+    # path sweeps
+    inner, per_pass = graph.meta["inner"], len(SKIP_CFG.s_grid) * SKIP_CFG.nodes_per_axis
+    assert inner["node_paths"] == calls * per_pass
+    assert inner["simpson_sweeps"] >= (calls - 1) * per_pass > 0
 
 
 @pytest.mark.parametrize("pert, evaluated",
