@@ -19,14 +19,14 @@ from .dichotomy import (DichotomyCertificate, DichotomyParams, LinearSystem,
                         rate_power_system, sharp_oscillating_system, sharpness_probe,
                         transition, transition_inverse, verify_dichotomy)
 from .admissibility import (BetaFunction, LimitCheck, MonotonicityCheck, TailBoundInfo,
-                            analytic_tail_bound, beta_value, check_limit_condition,
-                            check_monotonicity, closed_form_beta, default_capacity,
-                            delta_max, delta_max_bounds, fundamental_identity_residual,
-                            improper_rate_integral, improper_rate_integrals, tail_integral)
+                            analytic_tail_bound, check_limit_condition, check_monotonicity,
+                            closed_form_beta, default_capacity, delta_max, delta_max_bounds,
+                            improper_rate_integral, improper_rate_integrals)
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, apply_phi_operator,
-                       cubic_perturbation, eval_phi, eval_phi_many,
+                       check_vanishes_at_origin, cubic_perturbation, eval_phi, eval_phi_many,
                        expression_perturbation, graph_metric_distance, nonlinear_flow,
-                       nonlinear_flow_many, outer_contraction_factor, solve_manifold)
+                       nonlinear_flow_many, outer_contraction_factor, solve_manifold,
+                       solver_radius)
 from .verify import (DecayReport, FlowReport, InvarianceReport, PerturbationBoundReport,
                      PerturbationDistance, check_decay, check_flows, check_invariance,
                      check_perturbation_bound, default_perturbation_samples,
@@ -46,22 +46,21 @@ __all__ = [
     "ManifoldGraph", "MonotonicityCheck", "NumericalError", "Perturbation",
     "PerturbationBoundReport", "PerturbationDistance", "SolverConfig", "TailBoundError",
     "TailBoundInfo", "adaptive_simpson", "adaptive_simpson_many", "analytic_tail_bound",
-    "apply_phi_operator",
-    "beta_value", "build_comparison", "build_params", "build_perturbation",
+    "apply_phi_operator", "build_comparison", "build_params", "build_perturbation",
     "build_rate", "build_rates", "build_solver_config", "build_system",
     "builtin_rate", "check_decay", "check_flows", "check_growth_axioms", "check_invariance",
     "check_limit_condition", "check_monotonicity", "check_perturbation_bound",
-    "closed_form_beta", "compile_expression", "composite_simpson",
+    "check_vanishes_at_origin", "closed_form_beta", "compile_expression", "composite_simpson",
     "coordinate_projection", "cubic_perturbation", "cumulative_simpson",
     "default_capacity", "default_perturbation_samples", "delta_max",
     "delta_max_bounds", "eval_phi", "eval_phi_many", "expression_perturbation",
-    "expression_rate", "fundamental_identity_residual", "graph_metric_distance",
+    "expression_rate", "graph_metric_distance",
     "improper_rate_integral", "improper_rate_integrals", "load_config",
     "matrix_system",
     "nonlinear_flow", "nonlinear_flow_many", "outer_contraction_factor", "pair_grid",
     "perturbation_distance", "random_decay_pairs", "random_invariance_samples",
     "rate_power_system", "resolve_config", "rk4_propagate", "rk4_step",
     "sharp_oscillating_system", "sharpness_probe", "small_ball_radius",
-    "solve_manifold", "spectral_norm", "stability_constant", "tail_integral",
+    "solve_manifold", "solver_radius", "spectral_norm", "stability_constant",
     "transition", "transition_inverse", "verify_dichotomy", "__version__",
 ]

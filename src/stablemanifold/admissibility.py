@@ -32,10 +32,9 @@ from .quadrature import adaptive_simpson, adaptive_simpson_many  # noqa: F401
 from .rates import GrowthRate, _l1, _l2
 
 __all__ = ["LimitCheck", "check_limit_condition", "TailBoundInfo", "analytic_tail_bound",
-           "tail_integral", "improper_rate_integral", "improper_rate_integrals", "beta_value",
-           "BetaFunction", "closed_form_beta", "fundamental_identity_residual",
-           "MonotonicityCheck", "check_monotonicity", "delta_max", "delta_max_bounds",
-           "default_capacity"]
+           "improper_rate_integral", "improper_rate_integrals", "BetaFunction",
+           "closed_form_beta", "MonotonicityCheck", "check_monotonicity", "delta_max",
+           "delta_max_bounds", "default_capacity"]
 
 _DEFAULT_LIMIT_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
@@ -183,20 +182,23 @@ def analytic_tail_bound(mu: GrowthRate, nu: GrowthRate, p: float,
     return _poly_log_tail(alpha, beta, gamma)
 
 
+def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn per element of x, e.g. math.exp: np.exp differs from it in the last bit
+    on a few percent of arguments, which would move every beta."""
+    x = np.ravel(x)
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
 def _rate_integrand(mu: GrowthRate, nu: GrowthRate, p: float,
                     eps: float) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> mu(r)^p nu(r)^eps elementwise, evaluated in log space; inf above the float range.
-
-    math.exp per element: np.exp differs from it in the last bit on a few
-    percent of arguments, which would move every beta.
-    """
+    """r -> mu(r)^p nu(r)^eps elementwise, evaluated in log space by math.exp; inf
+    above the float range."""
     def integrand(r: np.ndarray) -> np.ndarray:
         logs = np.ravel(p * np.asarray(mu.log_eval(r)) + eps * np.asarray(nu.log_eval(r)))
         try:
-            return np.fromiter(map(math.exp, logs.tolist()), float, logs.size)
+            return _map(math.exp, logs)
         except OverflowError:  # above the float range: inf
-            finite = np.minimum(logs, _LOG_MAX).tolist()
-            return np.where(logs > _LOG_MAX, math.inf, np.fromiter(map(math.exp, finite), float, logs.size))
+            return np.where(logs > _LOG_MAX, math.inf, _map(math.exp, np.minimum(logs, _LOG_MAX)))
     return integrand
 
 
@@ -315,29 +317,6 @@ def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
     return float(improper_rate_integrals(mu, nu, p, eps, [s], rel_tol, max_span)[0])
 
 
-def tail_integral(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float, s: float,
-                  rel_tol: float = 1e-8) -> float:
-    """I(s) = integral_s^inf mu(r)^(a q) nu(r)^eps dr (convergence checked, not assumed)."""
-    return improper_rate_integral(mu, nu, a * q, eps, s, rel_tol)
-
-
-def beta_value(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float, s: float,
-               rel_tol: float = 1e-8, integral: float | None = None) -> float:
-    """beta(s) = mu(s)^a / (nu(s)^(eps(1+1/q)) I(s)^(1/q)), via the quadrature I(s).
-
-    ``integral`` is I(s) when the caller already has it.  Raises TailBoundError
-    when I(s) has underflowed to 0.0, since beta(s) then has no float value.
-    """
-    if integral is None:
-        integral = tail_integral(mu, nu, a, eps, q, s, rel_tol)
-    if not integral > 0.0:
-        raise TailBoundError(f"tail integral I(s) underflows to {integral:g} at s={s:g}; "
-                             "beta(s) needs log I(s)", s=s)
-    log_beta = (a * float(mu.log_eval(s)) - eps * (1.0 + 1.0 / q) * float(nu.log_eval(s))
-                - math.log(integral) / q)
-    return math.exp(log_beta)
-
-
 def closed_form_beta(mu: GrowthRate, nu: GrowthRate, a: float, eps: float,
                      q: float) -> tuple[str, Callable[[float], float]] | None:
     """Closed-form beta for the builtin rate pairs, when the constants allow one.
@@ -383,13 +362,14 @@ def closed_form_beta(mu: GrowthRate, nu: GrowthRate, a: float, eps: float,
 
 
 class BetaFunction:
-    """Cached radius function beta and its companion beta_tilde = beta * nu^-eps.
+    """The radius function beta and every quantity derived from the tail integral I(s).
 
-    Values come from the quadrature route: the tail integral I(s) is computed
-    once per s and shared by ``integrals`` and ``beta``; ``integrals`` computes
-    the missing ones of a grid in one batch.  ``closed_form`` is a label naming
-    the matching analytic formula when one exists (kept for cross-checks and
-    horizon extrapolation, not used to produce values here).
+    Each method takes an array of s and reads I(s) from ``integrals``, which
+    computes the missing I(s) of a grid in one batch and keeps them.  Logs and
+    exps are taken per element by ``math``, as in ``_rate_integrand``.
+    ``closed_form`` is a label naming the matching analytic formula when one
+    exists (kept for cross-checks and horizon extrapolation, not used to
+    produce beta here).
     """
 
     def __init__(self, mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float,
@@ -403,7 +383,6 @@ class BetaFunction:
         cf = closed_form_beta(mu, nu, a, eps, q)
         self.closed_form = cf[0] if cf else None
         self._closed_fn = cf[1] if cf else None
-        self._cache: dict[float, float] = {}
         self._integrals: dict[float, float] = {}
 
     def integrals(self, s_values: Sequence[float]) -> np.ndarray:
@@ -416,44 +395,58 @@ class BetaFunction:
             self._integrals.update(zip(missing, values.tolist()))
         return np.array([self._integrals[s] for s in keys])
 
-    def beta(self, s: float) -> float:
-        s = float(s)
-        if s not in self._cache:
-            self._cache[s] = beta_value(self.mu, self.nu, self.a, self.eps, self.q, s,
-                                        self.rel_tol, self.integrals([s])[0])
-        return self._cache[s]
+    def _logs(self, s_values: Sequence[float]):
+        """s, log mu(s), log nu(s) and log I(s) as arrays.
 
-    def beta_tilde(self, s: float) -> float:
-        return self.beta(s) * math.exp(-self.eps * float(self.nu.log_eval(s)))
+        Raises TailBoundError at the first s whose I(s) has underflowed to
+        0.0, since beta(s) then has no float value.
+        """
+        s = np.array(s_values, dtype=float).ravel()
+        integrals = self.integrals(s)
+        low = np.flatnonzero(~(integrals > 0.0))
+        if low.size:
+            bad = float(s[low[0]])
+            raise TailBoundError(f"tail integral I(s) underflows to {integrals[low[0]]:g} at "
+                                 f"s={bad:g}; beta(s) needs log I(s)", s=bad)
+        return (s, np.asarray(self.mu.log_eval(s), dtype=float),
+                np.asarray(self.nu.log_eval(s), dtype=float), _map(math.log, integrals))
+
+    def beta(self, s_values: Sequence[float]) -> np.ndarray:
+        """beta(s) = mu(s)^a / (nu(s)^(eps(1+1/q)) I(s)^(1/q)) at every s."""
+        _, log_mu, log_nu, log_i = self._logs(s_values)
+        return _map(math.exp, self.a * log_mu - self.eps * (1.0 + 1.0 / self.q) * log_nu
+                    - log_i / self.q)
+
+    def beta_tilde(self, s_values: Sequence[float]) -> np.ndarray:
+        """beta(s) nu(s)^-eps at every s."""
+        s = np.array(s_values, dtype=float).ravel()
+        return self.beta(s) * _map(math.exp, -self.eps * np.asarray(self.nu.log_eval(s)))
+
+    def mu_a_over_beta(self, s_values: Sequence[float]) -> np.ndarray:
+        """mu(s)^a / beta(s) at every s."""
+        s = np.array(s_values, dtype=float).ravel()
+        return _map(math.exp, self.a * np.asarray(self.mu.log_eval(s))) / self.beta(s)
+
+    def identity_residual(self, s_values: Sequence[float]) -> np.ndarray:
+        """|mu(s)^(-aq) nu(s)^(eps(q+1)) beta(s)^q I(s) - 1| at every s.
+
+        The relation is algebraically exact, so with beta taken from the
+        closed form (when the rate pair has one) the residual isolates the
+        quadrature error of I(s).  Without a closed form both factors share
+        the quadrature value and the residual only reflects round-off.
+        """
+        s, log_mu, log_nu, log_i = self._logs(s_values)
+        if self._closed_fn is not None:
+            # one scalar call per s: numpy's array power differs in the last bit
+            betas = np.array([self._closed_fn(x) for x in s.tolist()], dtype=float)
+        else:
+            betas = self.beta(s)
+        log_term = (-self.a * self.q * log_mu + self.eps * (self.q + 1.0) * log_nu
+                    + self.q * _map(math.log, betas) + log_i)
+        return np.abs(_map(math.expm1, log_term))
 
     def closed_form_value(self, s: float) -> float | None:
         return self._closed_fn(s) if self._closed_fn is not None else None
-
-    def __call__(self, s: float) -> float:
-        return self.beta(s)
-
-
-def fundamental_identity_residual(mu: GrowthRate, nu: GrowthRate, a: float, eps: float,
-                                  q: float, s: float, rel_tol: float = 1e-8,
-                                  integral: float | None = None) -> float:
-    """|mu(s)^(-aq) nu(s)^(eps(q+1)) beta(s)^q I(s) - 1|.
-
-    The relation is algebraically exact, so with beta taken from the closed
-    form (when the rate pair has one) the residual isolates the quadrature
-    error of I(s).  Without a closed form both factors share the quadrature
-    value and the residual only reflects round-off.  ``integral`` is I(s)
-    when the caller already has it.
-    """
-    if integral is None:
-        integral = tail_integral(mu, nu, a, eps, q, s, rel_tol)
-    cf = closed_form_beta(mu, nu, a, eps, q)
-    if cf is not None:
-        beta_s = cf[1](s)
-    else:
-        beta_s = beta_value(mu, nu, a, eps, q, s, rel_tol, integral)
-    log_term = (-a * q * float(mu.log_eval(s)) + eps * (q + 1.0) * float(nu.log_eval(s))
-                + q * math.log(beta_s) + math.log(integral))
-    return abs(math.expm1(log_term))
 
 
 @dataclass(frozen=True)
@@ -467,24 +460,17 @@ class MonotonicityCheck:
     samples: tuple[tuple[float, float, float], ...]  # (s, beta, mu^a/beta)
 
 
-def check_monotonicity(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float,
-                       grid: Sequence[float], rel_tol: float = 1e-8,
-                       slack: float = 1e-9, beta: BetaFunction | None = None
-                       ) -> MonotonicityCheck:
+def check_monotonicity(beta: BetaFunction, grid: Sequence[float],
+                       slack: float = 1e-9) -> MonotonicityCheck:
     """Check that beta and mu^a/beta are nonincreasing along ``grid``.
 
     ``slack`` absorbs relative quadrature noise between neighboring values.
-    ``beta``, a BetaFunction of the same (mu, nu, a, eps, q, rel_tol), serves
-    the values from its cache instead of new quadratures.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("monotonicity grid must be increasing with at least two points")
-    if beta is None:
-        beta = BetaFunction(mu, nu, a, eps, q, rel_tol)
-    betas = np.array([beta.beta(s) for s in grid])
-    ratios = np.array([math.exp(a * float(mu.log_eval(s)) - math.log(bv))
-                       for s, bv in zip(grid, betas)])
+    betas = beta.beta(grid)
+    ratios = beta.mu_a_over_beta(grid)
 
     def worst_uptick(vals: np.ndarray) -> float:
         rel = (vals[1:] - vals[:-1]) / vals[:-1]
@@ -492,13 +478,12 @@ def check_monotonicity(mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: 
 
     wb = worst_uptick(betas)
     wr = worst_uptick(ratios)
-    samples = tuple((float(s), float(bv), float(rv))
-                    for s, bv, rv in zip(grid, betas, ratios))
+    samples = tuple(zip(grid.tolist(), betas.tolist(), ratios.tolist()))
     return MonotonicityCheck(wb <= slack, wr <= slack, wb, wr, samples)
 
 
 def delta_max_bounds(c: float, q: float, C: float, D: float) -> dict[str, float]:
-    """The five radius bounds whose minimum certifies the fixed-point scheme.
+    """The six radius bounds whose minimum certifies the fixed-point scheme.
 
     Keys name the estimate each inequality protects; ``ball_closure`` is the
     only non-strict one.
@@ -530,7 +515,7 @@ def delta_max_bounds(c: float, q: float, C: float, D: float) -> dict[str, float]
 def delta_max(c: float, q: float, C: float, D: float, delta_cap: float = 1.0) -> float:
     """Largest certified graph radius for perturbation constants (c, q) and capacity C.
 
-    Exact minimum of the five proof bounds, with a 0.99 safety factor on the
+    Exact minimum of the six proof bounds, with a 0.99 safety factor on the
     strict ones (``ball_closure`` is non-strict and taken as is).  Degenerate
     c = 0 returns ``delta_cap``.
     """

@@ -16,13 +16,13 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .admissibility import (BetaFunction, check_limit_condition, check_monotonicity,
-                            delta_max_bounds, fundamental_identity_residual)
+                            delta_max_bounds)
 from .config import (build_comparison, build_params, build_perturbation, build_rates,
                      build_solver_config, build_system, load_run_input, resolve_config,
                      scale_tolerances, uniform_grid)
@@ -68,7 +68,7 @@ def _write_json(path: str, obj: Any) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -188,33 +188,30 @@ class Runner:
     def admissibility(self) -> tuple[bool, dict]:
         ch = self.resolved["checks"]
         d = self.resolved["dichotomy"]
-        a, eps = d["a"], d["eps"]
         q = self.pert.q
-        limit = check_limit_condition(self.mu, self.nu, a, d["b"], eps)
+        limit = check_limit_condition(self.mu, self.nu, d["a"], d["b"], d["eps"])
         beta = self.cfg.beta_fn
         # the solver's slices come from the same rule, so it finds them in beta's cache
         s_values = uniform_grid(ch["beta_s_max"], ch["beta_points"])
         mono_grid = uniform_grid(ch["beta_s_max"], ch["monotonicity_points"])
-        integrals = beta.integrals(s_values + mono_grid)
-        rows = []
-        worst_resid = 0.0
-        worst_match = 0.0
-        for s, integral in zip(s_values, integrals.tolist()):
-            b_quad = beta.beta(s)
-            resid = fundamental_identity_residual(self.mu, self.nu, a, eps, q, s,
-                                                  beta.rel_tol, integral)
-            worst_resid = max(worst_resid, resid)
-            b_closed = beta.closed_form_value(s)
-            if b_closed is not None:
-                worst_match = max(worst_match, abs(b_quad / b_closed - 1.0))
-            ratio = math.exp(a * float(self.mu.log_eval(s))) / b_quad
-            rows.append([s, b_quad, b_closed if b_closed is not None else math.nan,
-                         beta.beta_tilde(s), ratio, integral, resid])
+        integrals = beta.integrals(s_values + mono_grid)[:len(s_values)]
+        b_quad = beta.beta(s_values)
+        resid = beta.identity_residual(s_values)
+        worst_resid = float(resid.max())
+        if beta.closed_form is not None:
+            # one scalar call per s, as in identity_residual
+            b_closed = np.array([beta.closed_form_value(s) for s in s_values], dtype=float)
+            worst_match = float(np.abs(b_quad / b_closed - 1.0).max())
+        else:
+            b_closed, worst_match = np.full(len(s_values), math.nan), 0.0
         _write_csv(self.path("beta.csv"),
                    ["s", "beta_quadrature", "beta_closed_form", "beta_tilde",
-                    "mu_pow_a_over_beta", "tail_integral", "identity_residual"], rows)
-        mono = check_monotonicity(self.mu, self.nu, a, eps, q, mono_grid,
-                                  rel_tol=beta.rel_tol, beta=beta)
+                    "mu_pow_a_over_beta", "tail_integral", "identity_residual"],
+                   zip(s_values, b_quad.tolist(), b_closed.tolist(),
+                       beta.beta_tilde(s_values).tolist(),
+                       beta.mu_a_over_beta(s_values).tolist(), integrals.tolist(),
+                       resid.tolist()))
+        mono = check_monotonicity(beta, mono_grid)
         cap, certified = solver_radius(self.params, self.pert, replace(self.cfg, delta=None))
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])
         identity_ok = worst_resid <= ch["identity_tol"]
@@ -231,7 +228,7 @@ class Runner:
                      "identity_tol": ch["identity_tol"],
                      "worst_closed_form_mismatch": worst_match,
                      "beta_match_tol": ch["beta_match_tol"],
-                     "beta_at_zero": rows[0][1]},
+                     "beta_at_zero": float(b_quad[0])},
             "monotonicity": {"beta_nonincreasing": mono.beta_nonincreasing,
                              "ratio_nonincreasing": mono.ratio_nonincreasing,
                              "worst_beta_uptick": mono.worst_beta_uptick,

@@ -704,8 +704,7 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     beta_fn = cfg.beta_fn if cfg.beta_fn is not None else BetaFunction(*key)
     if (beta_fn.mu, beta_fn.nu, beta_fn.a, beta_fn.eps, beta_fn.q, beta_fn.rel_tol) != key:
         raise ValueError("cfg.beta_fn was built for another (mu, nu, a, eps, q, quad_rel_tol)")
-    beta_fn.integrals(s_grid)
-    radii = np.array([delta * beta_fn.beta(float(s)) for s in s_grid])
+    radii = delta * beta_fn.beta(s_grid)
     lattice, in_ball, targets = _build_lattice(n_e, cfg.nodes_per_axis)
     graph = ManifoldGraph(
         s_grid=s_grid, radii=radii, unit_lattice=lattice, in_ball=in_ball,

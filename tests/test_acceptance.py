@@ -11,8 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from stablemanifold.admissibility import (closed_form_beta, beta_value, delta_max,
-                                          fundamental_identity_residual)
+from stablemanifold.admissibility import BetaFunction, closed_form_beta, delta_max
 from stablemanifold.config import (build_params, build_perturbation, build_rates,
                                    build_solver_config, build_system, load_config,
                                    resolve_config)
@@ -76,9 +75,8 @@ def test_c1_fundamental_identity():
         t0 = time.perf_counter()
         worst = 0.0
         for _, mu, nu, a, eps, q in FAMILIES:
-            for s in np.linspace(0.0, 2.0, 10):
-                worst = max(worst,
-                            fundamental_identity_residual(mu, nu, a, eps, q, float(s)))
+            resid = BetaFunction(mu, nu, a, eps, q).identity_residual(np.linspace(0.0, 2.0, 10))
+            worst = max(worst, float(resid.max()))
         elapsed = time.perf_counter() - t0
         assert worst <= 1e-6
         assert elapsed < 5.0
@@ -91,8 +89,8 @@ def test_c2_closed_form_beta_match():
         worst = 0.0
         for _, mu, nu, a, eps, q in FAMILIES:
             formula = closed_form_beta(mu, nu, a, eps, q)[1]
-            for s in np.linspace(0.0, 2.0, 20):
-                quad = beta_value(mu, nu, a, eps, q, float(s))
+            grid = np.linspace(0.0, 2.0, 20)
+            for s, quad in zip(grid, BetaFunction(mu, nu, a, eps, q).beta(grid)):
                 worst = max(worst, abs(quad / float(formula(s)) - 1.0))
         elapsed = time.perf_counter() - t0
         assert worst <= 1e-6

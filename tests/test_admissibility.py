@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from stablemanifold.admissibility import (BetaFunction, _rate_integrand, analytic_tail_bound,
-                                          beta_value, check_limit_condition, check_monotonicity,
+                                          check_limit_condition, check_monotonicity,
                                           closed_form_beta, default_capacity, delta_max,
-                                          delta_max_bounds, fundamental_identity_residual,
-                                          improper_rate_integral, improper_rate_integrals,
-                                          tail_integral)
+                                          delta_max_bounds, improper_rate_integral,
+                                          improper_rate_integrals)
 from stablemanifold.errors import DivergenceError, NumericalError, TailBoundError
 from stablemanifold.rates import builtin_rate, expression_rate
 
@@ -31,7 +30,8 @@ FAMILY_CASES = [
 @pytest.mark.parametrize("mu,nu,a,eps,q,expected", FAMILY_CASES,
                          ids=["exp", "poly", "log", "loglog"])
 def test_tail_integral_at_zero(mu, nu, a, eps, q, expected):
-    assert tail_integral(mu, nu, a, eps, q, 0.0) == pytest.approx(expected, rel=1e-8)
+    assert BetaFunction(mu, nu, a, eps, q).integrals([0.0])[0] == pytest.approx(expected,
+                                                                                rel=1e-8)
 
 
 @pytest.mark.parametrize("mu,nu,a,eps,q,_", FAMILY_CASES,
@@ -39,16 +39,16 @@ def test_tail_integral_at_zero(mu, nu, a, eps, q, expected):
 def test_beta_matches_closed_form(mu, nu, a, eps, q, _):
     label, formula = closed_form_beta(mu, nu, a, eps, q)
     assert label == mu.family
-    for s in np.linspace(0.0, 3.0, 7):
-        assert beta_value(mu, nu, a, eps, q, float(s)) == pytest.approx(
-            float(formula(s)), rel=1e-6)
+    grid = np.linspace(0.0, 3.0, 7)
+    for s, beta in zip(grid, BetaFunction(mu, nu, a, eps, q).beta(grid)):
+        assert beta == pytest.approx(float(formula(s)), rel=1e-6)
 
 
 def test_beta_exponential_spot_value():
     # sqrt(|aq + eps|) at s = 0 for the exponential pair
-    assert beta_value(EXP, EXP, -1.0, 0.1, 2.0, 0.0) == pytest.approx(
+    assert BetaFunction(EXP, EXP, -1.0, 0.1, 2.0).beta([0.0])[0] == pytest.approx(
         math.sqrt(1.9), rel=1e-8)
-    assert beta_value(EXP, EXP, -1.0, 0.0, 2.0, 0.0) == pytest.approx(
+    assert BetaFunction(EXP, EXP, -1.0, 0.0, 2.0).beta([0.0])[0] == pytest.approx(
         math.sqrt(2.0), rel=1e-8)
 
 
@@ -56,15 +56,15 @@ def test_beta_exponential_spot_value():
                          ids=["exp", "poly", "log", "loglog"])
 def test_identity_residual_small(mu, nu, a, eps, q, _):
     rng = np.random.default_rng(7)
-    for s in rng.uniform(0.0, 4.0, size=5):
-        assert fundamental_identity_residual(mu, nu, a, eps, q, float(s)) <= 1e-6
+    for resid in BetaFunction(mu, nu, a, eps, q).identity_residual(rng.uniform(0.0, 4.0, 5)):
+        assert resid <= 1e-6
 
 
 def test_identity_residual_without_closed_form():
     # expression rates share the quadrature value, so only round-off remains
     mu = expression_rate("exp(t)")
     nu = expression_rate("exp(t)")
-    assert fundamental_identity_residual(mu, nu, -1.0, 0.1, 2.0, 0.5) <= 1e-12
+    assert BetaFunction(mu, nu, -1.0, 0.1, 2.0).identity_residual([0.5])[0] <= 1e-12
 
 
 def test_closed_form_none_when_divergent():
@@ -78,10 +78,9 @@ def test_closed_form_none_when_divergent():
 def test_beta_function_cache_and_tilde():
     bf = BetaFunction(EXP, EXP, -1.0, 0.1, 2.0)
     assert bf.closed_form == "exponential"
-    v1 = bf.beta(1.0)
-    assert bf.beta(1.0) == v1
-    assert bf(1.0) == v1
-    assert bf.beta_tilde(1.0) == pytest.approx(v1 * math.exp(-0.1), rel=1e-14)
+    v1 = bf.beta([1.0])[0]
+    assert bf.beta([1.0])[0] == v1
+    assert bf.beta_tilde([1.0])[0] == pytest.approx(v1 * math.exp(-0.1), rel=1e-14)
     assert bf.closed_form_value(1.0) == pytest.approx(v1, rel=1e-6)
 
 
@@ -89,7 +88,7 @@ def test_beta_function_no_closed_form():
     bf = BetaFunction(EXP, POLY, -1.0, 0.1, 2.0)
     assert bf.closed_form is None
     assert bf.closed_form_value(0.0) is None
-    assert bf.beta(0.0) > 0.0
+    assert bf.beta([0.0])[0] > 0.0
 
 
 def test_divergent_integral_family_analysis():
@@ -172,7 +171,7 @@ def test_limit_condition_pass_and_fail():
 
 def test_monotonicity_on_exponential_pair():
     grid = np.linspace(0.0, 3.0, 7)
-    check = check_monotonicity(EXP, EXP, -1.0, 0.1, 2.0, grid)
+    check = check_monotonicity(BetaFunction(EXP, EXP, -1.0, 0.1, 2.0), grid)
     assert check.beta_nonincreasing and check.ratio_nonincreasing
     assert len(check.samples) == 7
     assert check.samples[0][1] == pytest.approx(math.sqrt(1.9), rel=1e-6)
@@ -180,11 +179,11 @@ def test_monotonicity_on_exponential_pair():
 
 def test_monotonicity_grid_validation():
     with pytest.raises(ValueError, match="increasing"):
-        check_monotonicity(EXP, EXP, -1.0, 0.1, 2.0, [0.0, 1.0, 0.5])
+        check_monotonicity(BetaFunction(EXP, EXP, -1.0, 0.1, 2.0), [0.0, 1.0, 0.5])
 
 
 def test_delta_max_oracle_value():
-    # min over the five bounds lands on the outer-contraction estimate:
+    # min over the six bounds lands on the outer-contraction estimate:
     # (4 * 2^q * 3^q * c * C^(q+1) * D)^(-1/q) = 1/sqrt(1152) for (1, 2, 2, 1)
     assert delta_max(1.0, 2.0, 2.0, 1.0) == 0.99 / math.sqrt(1152.0)
 
@@ -253,7 +252,7 @@ def test_random_admissible_params_keep_identity_tight():
         q = float(rng.uniform(1.0, 3.0))
         eps = float(rng.uniform(0.0, min(0.5, -a * q - 0.1)))
         s = float(rng.uniform(0.0, 2.0))
-        assert fundamental_identity_residual(EXP, EXP, a, eps, q, s) <= 1e-6
+        assert BetaFunction(EXP, EXP, a, eps, q).identity_residual([s])[0] <= 1e-6
 
 
 BUILTIN_RATES = [EXP, POLY, LOG4, LOG_NU, LLOG4, LLOG_NU]
@@ -327,14 +326,59 @@ def test_beta_function_integrals_fill_the_cache_in_one_batch(monkeypatch):
     got = bf.integrals([0.0, 2.0, 0.0, 7.0])
     assert batches == [[0.0, 2.0, 7.0]]
     assert got[0] == got[2]
-    assert bf.integrals([7.0, 9.0])[0] == got[3] and bf.beta(2.0) > 0.0
+    assert bf.integrals([7.0, 9.0])[0] == got[3] and bf.beta([2.0])[0] > 0.0
     assert batches == [[0.0, 2.0, 7.0], [9.0]]
-    assert got.tolist() == [tail_integral(LOG4, LOG_NU, -0.5, 0.5, 2.0, s)
+    assert got.tolist() == [improper_rate_integral(LOG4, LOG_NU, -0.5 * 2.0, 0.5, s)
                             for s in (0.0, 2.0, 0.0, 7.0)]
 
 
 def test_beta_of_an_underflowed_tail_raises_with_s():
     # e^(-1.9 r) integrates to e^(-1.9 s)/1.9, below the float range at s = 400
+    bf = BetaFunction(EXP, EXP, -1.0, 0.1, 2.0)
     with pytest.raises(TailBoundError, match="underflows") as info:
-        beta_value(EXP, EXP, -1.0, 0.1, 2.0, 400.0)
+        bf.beta([400.0])
     assert info.value.s == 400.0
+    # the first underflowed s of the array is the one named
+    with pytest.raises(TailBoundError, match="underflows") as info:
+        bf.beta([0.0, 400.0, 500.0])
+    assert info.value.s == 400.0
+
+
+def reference_beta(mu, nu, a, eps, q, s, integral):
+    """beta(s) for one s, as the scalar route computed it before BetaFunction took arrays."""
+    log_beta = (a * float(mu.log_eval(s)) - eps * (1.0 + 1.0 / q) * float(nu.log_eval(s))
+                - math.log(integral) / q)
+    return math.exp(log_beta)
+
+
+def reference_identity_residual(mu, nu, a, eps, q, s, integral):
+    """|mu^(-aq) nu^(eps(q+1)) beta^q I - 1| for one s, beta from the closed form if any."""
+    cf = closed_form_beta(mu, nu, a, eps, q)
+    beta_s = cf[1](s) if cf is not None else reference_beta(mu, nu, a, eps, q, s, integral)
+    log_term = (-a * q * float(mu.log_eval(s)) + eps * (q + 1.0) * float(nu.log_eval(s))
+                + q * math.log(beta_s) + math.log(integral))
+    return abs(math.expm1(log_term))
+
+
+REFERENCE_CASES = [case[:5] for case in FAMILY_CASES] + [
+    (expression_rate("exp(t)"), expression_rate("1 + t"), -1.0, 0.1, 2.0)]
+
+
+@pytest.mark.parametrize("mu,nu,a,eps,q", REFERENCE_CASES,
+                         ids=["exp", "poly", "log", "loglog", "expression"])
+def test_array_methods_equal_the_scalar_formulas(mu, nu, a, eps, q):
+    s_values = np.linspace(0.0, 4.0, 161)
+    bf = BetaFunction(mu, nu, a, eps, q)
+    integrals = bf.integrals(s_values).tolist()
+    beta, tilde, ratio, resid = (bf.beta(s_values), bf.beta_tilde(s_values),
+                                 bf.mu_a_over_beta(s_values), bf.identity_residual(s_values))
+    for k, (s, integral) in enumerate(zip(s_values.tolist(), integrals)):
+        b = reference_beta(mu, nu, a, eps, q, s, integral)
+        assert beta[k] == b, s
+        assert tilde[k] == b * math.exp(-eps * float(nu.log_eval(s))), s
+        assert resid[k] == reference_identity_residual(mu, nu, a, eps, q, s, integral), s
+        # beta.csv's form bit for bit; the monotonicity check's old form to round-off
+        log_mu_a = a * float(mu.log_eval(s))
+        assert ratio[k] == math.exp(log_mu_a) / b, s
+        assert ratio[k] == pytest.approx(math.exp(log_mu_a - math.log(b)), rel=1e-13, abs=0.0)
+    assert bf.beta(0.0).tolist() == [beta[0]]

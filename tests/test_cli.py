@@ -144,9 +144,9 @@ def test_slice_points_on_admissibility_grids_are_the_grid_doubles(tmp_path, monk
     grids = []
     check = cli.check_monotonicity
 
-    def capture(mu, nu, a, eps, q, grid, **kw):
+    def capture(beta, grid, *rest):
         grids.append(np.asarray(grid).tolist())
-        return check(mu, nu, a, eps, q, grid, **kw)
+        return check(beta, grid, *rest)
 
     monkeypatch.setattr(cli, "check_monotonicity", capture)
     _, report = runner.admissibility()

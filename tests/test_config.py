@@ -214,6 +214,25 @@ def test_scale_tolerances():
     assert scale_tolerances(resolved, 1.0) is resolved
 
 
+def _leaves(obj, path=""):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    else:
+        yield path, obj
+
+
+def test_scale_tolerances_changes_exactly_four_values():
+    # the solver's certificate tolerances and the monotonicity slack stay as they are
+    resolved = resolve_config(base_config())
+    before, after = dict(_leaves(resolved)), dict(_leaves(scale_tolerances(resolved, 10.0)))
+    assert before.keys() == after.keys()
+    changed = {path for path in before if before[path] != after[path]}
+    assert changed == {"verification.tol", "checks.dichotomy_tol", "checks.identity_tol",
+                       "checks.beta_match_tol"}
+    assert "solver.lipschitz_tol" in before and "solver.decay_slack" in before
+
+
 def test_sharp_oscillating_kind():
     raw = base_config()
     raw["system"] = {"kind": "sharp_oscillating"}

@@ -1,9 +1,21 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import stablemanifold
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_section(heading: str) -> str:
+    """The README text from ``heading`` to the next heading of the same or a higher level."""
+    text = README.read_text(encoding="utf-8")
+    level = heading.split(" ")[0]
+    start = text.index(f"\n{heading}\n") + len(heading) + 2
+    end = re.search(rf"^#{{1,{len(level)}}} ", text[start:], flags=re.M)
+    return text[start:start + end.start()] if end else text[start:]
 
 
 def test_version_present():
@@ -16,10 +28,27 @@ def test_public_names_resolve():
 
 
 def test_key_entry_points_exported():
-    for name in ("solve_manifold", "verify_dichotomy", "beta_value", "delta_max",
+    for name in ("solve_manifold", "verify_dichotomy", "BetaFunction", "delta_max",
                  "builtin_rate", "check_invariance", "check_decay",
                  "check_perturbation_bound", "resolve_config"):
         assert name in stablemanifold.__all__
+
+
+def test_readme_library_example_runs():
+    example = re.search(r"```python\n(.*?)```", readme_section("## Library"), flags=re.S)
+    exec(compile(example.group(1), "README.md", "exec"), {})
+
+
+def test_readme_key_entry_points_resolve():
+    section = readme_section("## Library")
+    entry_points = section[section.index("Key entry points:"):].split("\n#")[0]
+    names = re.findall(r"`([A-Za-z_][\w.]*)", entry_points)
+    assert "BetaFunction.identity_residual" in names and "solver_radius" in names
+    for name in names:
+        obj = stablemanifold
+        for part in name.split("."):
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():
