@@ -34,7 +34,7 @@ from .rates import GrowthRate, _l1, _l2
 __all__ = ["LimitCheck", "check_limit_condition", "TailBoundInfo", "analytic_tail_bound",
            "improper_rate_integral", "improper_rate_integrals", "BetaFunction",
            "closed_form_beta", "MonotonicityCheck", "check_monotonicity", "delta_max",
-           "delta_max_bounds", "default_capacity"]
+           "delta_max_bounds", "delta_max_terms", "default_capacity"]
 
 _DEFAULT_LIMIT_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
@@ -512,18 +512,25 @@ def delta_max_bounds(c: float, q: float, C: float, D: float) -> dict[str, float]
     }
 
 
+def delta_max_terms(bounds: dict[str, float], delta_cap: float = 1.0) -> dict[str, float]:
+    """The terms whose minimum is delta_max, keyed as ``bounds`` plus ``delta_cap``.
+
+    ``ball_closure`` is non-strict and taken as is; the strict bounds carry a
+    0.99 safety factor.
+    """
+    terms = {k: v if k == "ball_closure" else 0.99 * v for k, v in bounds.items()}
+    terms["delta_cap"] = delta_cap
+    return terms
+
+
 def delta_max(c: float, q: float, C: float, D: float, delta_cap: float = 1.0) -> float:
     """Largest certified graph radius for perturbation constants (c, q) and capacity C.
 
-    Exact minimum of the six proof bounds, with a 0.99 safety factor on the
-    strict ones (``ball_closure`` is non-strict and taken as is).  Degenerate
-    c = 0 returns ``delta_cap``.
+    Exact minimum of ``delta_max_terms``: the six proof bounds, with a 0.99
+    safety factor on the strict ones, and ``delta_cap``.  Degenerate c = 0
+    returns ``delta_cap``.
     """
-    bounds = delta_max_bounds(c, q, C, D)
-    strict = min(v for k, v in bounds.items() if k != "ball_closure")
-    if math.isinf(strict):
-        return delta_cap
-    return min(bounds["ball_closure"], 0.99 * strict, delta_cap)
+    return min(delta_max_terms(delta_max_bounds(c, q, C, D), delta_cap).values())
 
 
 def default_capacity(D: float) -> float:

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Sequence
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .admissibility import (BetaFunction, check_limit_condition, check_monotonicity,
-                            delta_max_bounds)
+                            delta_max_bounds, delta_max_terms)
 from .config import (build_comparison, build_params, build_perturbation, build_rates,
                      build_solver_config, build_system, load_run_input, resolve_config,
                      scale_tolerances, uniform_grid)
@@ -119,8 +120,9 @@ class Runner:
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
 
-    def rng(self, stream: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, stream])
+    def rng(self, stream: int) -> random.Random:
+        """Sample stream ``stream`` of this run's seed (1: verify, 2: perturb-compare)."""
+        return random.Random(f"{self.seed}:{stream}")
 
     def solve(self):
         """The solved graph and its history, computed once per invocation."""
@@ -214,6 +216,8 @@ class Runner:
         mono = check_monotonicity(beta, mono_grid)
         cap, certified = solver_radius(self.params, self.pert, replace(self.cfg, delta=None))
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])
+        terms = delta_max_terms(bounds, self.cfg.delta_cap)
+        binding = sorted(k for k, v in terms.items() if v == certified)
         identity_ok = worst_resid <= ch["identity_tol"]
         match_ok = worst_match <= ch["beta_match_tol"] or beta.closed_form is None
         passed = bool(limit.passed and identity_ok and match_ok
@@ -233,8 +237,8 @@ class Runner:
                              "ratio_nonincreasing": mono.ratio_nonincreasing,
                              "worst_beta_uptick": mono.worst_beta_uptick,
                              "worst_ratio_uptick": mono.worst_ratio_uptick},
-            "delta_max": {"value": certified, "bounds": bounds, "c": self.pert.c,
-                          "q": q, "C": cap, "D": d["D"]},
+            "delta_max": {"value": certified, "bounds": bounds, "binding": binding,
+                          "c": self.pert.c, "q": q, "C": cap, "D": d["D"]},
         }
         return passed, report
 

@@ -4,7 +4,9 @@ Invariance: flow a manifold point forward with the full nonlinearity; the
 arrival must sit back on the graph (relative to |x|) and inside the shrunken
 ball.  Samples are drawn from the *small* ball of radius
 (delta / C) * beta_tilde(s), where beta_tilde = beta * nu^-eps; that is the
-region the invariance statement covers.
+region the invariance statement covers.  Every sampler takes a standard-library
+``random.Random``: a direction is one ``gauss(0, 1)`` draw per component,
+scaled to unit sum norm, and radii, times and tau are ``uniform`` draws.
 
 Decay: two manifold trajectories separate no faster than
 2 C (mu(t)/mu(s))^a nu(s)^eps |xi - xi_bar|.
@@ -30,6 +32,7 @@ All state norms here are sum norms.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -58,9 +61,9 @@ def small_ball_radius(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyPar
 
 
 def _small_ball_point(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyParams,
-                      s: float, rng: np.random.Generator) -> np.ndarray:
+                      s: float, rng: random.Random) -> np.ndarray:
     """A point of the small ball at s: random direction, radius fraction in [0.05, 1)."""
-    direction = rng.standard_normal(graph.n_stable)
+    direction = np.array([rng.gauss(0.0, 1.0) for _ in range(graph.n_stable)])
     norm = np.abs(direction).sum()
     if norm == 0.0:
         direction = np.ones(graph.n_stable)
@@ -70,7 +73,7 @@ def _small_ball_point(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyPar
 
 
 def random_invariance_samples(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyParams,
-                              n: int, tau_max: float, rng: np.random.Generator
+                              n: int, tau_max: float, rng: random.Random
                               ) -> list[tuple[float, np.ndarray, float]]:
     """Draw (s, xi, tau) with xi in the small ball at s and tau in (0, tau_max]."""
     s_lo, s_hi = float(graph.s_grid[0]), float(graph.s_grid[-1])
@@ -84,7 +87,7 @@ def random_invariance_samples(graph: ManifoldGraph, nu: GrowthRate, params: Dich
 
 
 def random_decay_pairs(graph: ManifoldGraph, nu: GrowthRate, params: DichotomyParams,
-                       n: int, tau_max: float, rng: np.random.Generator
+                       n: int, tau_max: float, rng: random.Random
                        ) -> list[tuple[float, np.ndarray, np.ndarray, float]]:
     """Draw (s, xi, xi_bar, t) with both seeds in the small ball at s and t >= s."""
     samples = random_invariance_samples(graph, nu, params, n, tau_max, rng)
@@ -239,7 +242,7 @@ class PerturbationDistance:
 
 def default_perturbation_samples(n: int, t_grid: Sequence[float],
                                  radii: Sequence[float],
-                                 rng: np.random.Generator | None = None,
+                                 rng: random.Random | None = None,
                                  n_random_directions: int = 8
                                  ) -> list[tuple[float, np.ndarray]]:
     """Dense t x direction x radius sample set, always including the axis rays.
@@ -251,7 +254,7 @@ def default_perturbation_samples(n: int, t_grid: Sequence[float],
     directions = [np.eye(n)[i] * sign for i in range(n) for sign in (1.0, -1.0)]
     if rng is not None:
         for _ in range(n_random_directions):
-            d = rng.standard_normal(n)
+            d = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
             norm = np.abs(d).sum()
             if norm > 0.0:
                 directions.append(d / norm)
@@ -309,7 +312,7 @@ def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRat
                              params: DichotomyParams, pert: Perturbation,
                              pert_bar: Perturbation, cfg: SolverConfig,
                              samples: Sequence[tuple[float, np.ndarray]] | None = None,
-                             rng: np.random.Generator | None = None,
+                             rng: random.Random | None = None,
                              solved: tuple[ManifoldGraph, list[dict]] | None = None
                              ) -> PerturbationBoundReport:
     """Solve with f and f_bar at one common certified radius and compare graphs.

@@ -4,6 +4,7 @@ Each test prints exactly one line, `criterion <n> (<what>): PASS|FAIL [...]`,
 so a plain run doubles as the sign-off checklist (use -s to see the lines).
 """
 import math
+import random
 import time
 from contextlib import contextmanager
 from importlib import resources
@@ -149,7 +150,7 @@ def test_c6_invariance_and_decay(oracle):
     with criterion("criterion 6 (invariance + decay, 200 samples each)") as info:
         t0 = time.perf_counter()
         graph, system, pert = oracle["graph"], oracle["system"], oracle["pert"]
-        rng = np.random.default_rng(2026)
+        rng = random.Random(2026)
         samples = random_invariance_samples(graph, EXP, ORACLE_PARAMS, 200, 1.0, rng)
         inv = check_invariance(graph, system, EXP, EXP, ORACLE_PARAMS, pert, samples,
                                h=1e-2, tol=1e-2)

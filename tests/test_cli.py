@@ -71,17 +71,32 @@ def test_manifest_records_run(tmp_path):
 
 
 def test_rerun_from_manifest_is_identical(tmp_path):
-    out1 = str(tmp_path / "a")
-    out2 = str(tmp_path / "b")
-    assert main(["admissibility", "--config", ORACLE, "--out", out1]) == 0
-    assert main(["admissibility", "--config", os.path.join(out1, "manifest.json"),
-                 "--out", out2]) == 0
-    t1, t2 = tree_bytes(out1), tree_bytes(out2)
-    assert set(t1) == set(t2)
-    for name in t1:
-        if name == "manifest.json":
-            continue  # differs only in cli.out
-        assert t1[name] == t2[name], name
+    # the sampled stages replay their recorded --seed from the manifest
+    for command, flags in (("admissibility", []), ("verify", ["--seed", "7"]),
+                           ("perturb-compare", ["--seed", "7"])):
+        out1 = str(tmp_path / command / "a")
+        out2 = str(tmp_path / command / "b")
+        assert main([command, "--config", ORACLE, "--out", out1, *flags]) == 0
+        assert main([command, "--config", os.path.join(out1, "manifest.json"),
+                     "--out", out2]) == 0
+        t1, t2 = tree_bytes(out1), tree_bytes(out2)
+        assert set(t1) == set(t2)
+        for name in t1:
+            if name == "manifest.json":
+                continue  # differs only in cli.out
+            assert t1[name] == t2[name], (command, name)
+
+
+def test_sample_streams_differ_by_stream_and_seed(tmp_path):
+    from stablemanifold.config import load_run_input, resolve_config
+    runner = cli.Runner(resolve_config(load_run_input(ORACLE)[0]), str(tmp_path), 7, 1.0)
+    assert runner.rng(1).random() != runner.rng(2).random()
+    tables = []
+    for seed in ("7", "8"):
+        out = str(tmp_path / seed)
+        assert main(["verify", "--config", ORACLE, "--out", out, "--seed", seed]) == 0
+        tables.append(tree_bytes(out)["verify-invariance.csv"])
+    assert tables[0] != tables[1]
 
 
 def test_admissibility_runs_one_tail_quadrature_per_s(tmp_path, monkeypatch):
@@ -297,6 +312,22 @@ def test_verify_is_bit_deterministic(tmp_path):
     for name in t1:
         if name != "manifest.json":
             assert t1[name] == t2[name], name
+
+
+def test_admissibility_reports_the_binding_delta_max_terms(tmp_path):
+    # on the oracle two strict bounds share one formula, so both bind at 0.99 x 0.029463
+    assert main(["admissibility", "--config", ORACLE, "--out", str(tmp_path / "a")]) == 0
+    dm = read_json(str(tmp_path / "a" / "report-admissibility.json"))["delta_max"]
+    assert dm["binding"] == ["graph_lipschitz_b", "outer_contraction"]
+    assert dm["value"] == 0.99 * dm["bounds"]["outer_contraction"]
+    # a small enough c lifts every bound above the cap of 1
+    cfg = read_json(ORACLE)
+    cfg["perturbation"]["coef"] = 1e-4
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(cfg))
+    assert main(["admissibility", "--config", str(small), "--out", str(tmp_path / "b")]) == 0
+    dm = read_json(str(tmp_path / "b" / "report-admissibility.json"))["delta_max"]
+    assert dm["binding"] == ["delta_cap"] and dm["value"] == 1.0
 
 
 def test_schema_violation_names_key(tmp_path, capsys):
@@ -534,6 +565,22 @@ def test_console_script_entry(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "check-rates: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["all", "verify", "perturb-compare"])
+def test_sampled_stages_never_import_numpy_random(tmp_path, command):
+    # pytest's own process has numpy.random loaded by other tests; ask a fresh one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    child = ("import sys\n"
+             "from stablemanifold.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print('numpy.random' in sys.modules)\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", child, command, "--config",
+                           str(CONFIG_DIR / "polynomial.json"), "--out", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_package_runs_as_module(tmp_path):

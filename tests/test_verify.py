@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ def test_small_ball_radius(solved):
 
 def test_invariance_sample_generator(solved):
     _, _, graph = solved
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     samples = random_invariance_samples(graph, EXP, PARAMS, 30, 1.0, rng)
     assert len(samples) == 30
     for s, xi, tau in samples:
@@ -48,14 +49,14 @@ def test_invariance_sample_generator(solved):
         assert np.abs(xi).sum() <= small_ball_radius(graph, EXP, PARAMS, s) * (1 + 1e-12)
         assert 0.0 < tau <= 1.0
     again = random_invariance_samples(graph, EXP, PARAMS, 30, 1.0,
-                                      np.random.default_rng(42))
+                                      random.Random(42))
     assert all(a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
                for a, b in zip(samples, again))
 
 
 def test_invariance_holds_on_oracle(solved):
     system, pert, graph = solved
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     samples = random_invariance_samples(graph, EXP, PARAMS, 25, 1.0, rng)
     report = check_invariance(graph, system, EXP, EXP, PARAMS, pert, samples,
                               h=1e-2, tol=1e-2)
@@ -75,7 +76,7 @@ def test_invariance_rejects_oversized_seed(solved):
 
 def test_decay_holds_on_oracle(solved):
     system, pert, graph = solved
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     pairs = random_decay_pairs(graph, EXP, PARAMS, 25, 1.0, rng)
     report = check_decay(graph, system, EXP, EXP, PARAMS, pert, pairs,
                          h=1e-2, tol=1e-3)
@@ -94,7 +95,7 @@ def test_decay_rejects_backward_time(solved):
 
 def test_check_flows_equals_the_separate_checks(solved):
     system, pert, graph = solved
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     samples = random_invariance_samples(graph, EXP, PARAMS, 12, 1.0, rng)
     pairs = random_decay_pairs(graph, EXP, PARAMS, 12, 1.0, rng)
     pairs.append((0.5, np.array([0.001]), np.array([0.001]), 1.0))  # no gap: skipped
@@ -113,7 +114,7 @@ def test_check_flows_raises_for_a_blown_decay_seed(solved):
     system, pert, graph = solved
     # the decay seeds need not lie in the small ball: xi = 100 drives v past the trust
     # region, while the invariance sample ahead of it in the batch stays bounded
-    samples = random_invariance_samples(graph, EXP, PARAMS, 1, 1.0, np.random.default_rng(4))
+    samples = random_invariance_samples(graph, EXP, PARAMS, 1, 1.0, random.Random(4))
     pairs = [(0.5, np.array([0.001]), np.array([0.002]), 1.5),
              (0.5, np.array([0.001]), np.array([100.0]), 30.5)]
     with pytest.raises(BlowupError) as one:
@@ -159,7 +160,7 @@ def _sample_loop_distance(f, g, q, samples):
      expression_perturbation(["exp(-2*t)*u1*u2^2", "1.1*u1^3 - u2^3"], c=3.3, q=2.0)),
 ], ids=["cubic", "expression"])
 def test_perturbation_distance_matches_sample_loop(f, g):
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     samples = default_perturbation_samples(2, [0.0, 0.7, 1.9], [0.25, 0.5, 1.0], rng)
     samples.insert(5, (0.7, np.zeros(2)))
     dist = perturbation_distance(f, g, 2.0, samples)
@@ -178,7 +179,7 @@ def test_perturbation_distance_empty_samples():
 
 
 def test_default_samples_include_axes():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     samples = default_perturbation_samples(3, [0.0], [1.0], rng)
     dirs = {tuple(u) for _, u in samples}
     for i in range(3):
