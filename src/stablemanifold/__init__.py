@@ -14,16 +14,15 @@ from .quadrature import (adaptive_simpson, adaptive_simpson_many, composite_simp
 from .linalg import rk4_propagate, rk4_step, spectral_norm
 from .rates import (BUILTIN_FAMILIES, AxiomReport, GrowthRate, builtin_rate,
                     check_growth_axioms, expression_rate)
-from .dichotomy import (DichotomyCertificate, DichotomyParams, LinearSystem,
-                        coordinate_projection, matrix_system, pair_grid,
-                        rate_power_system, sharp_oscillating_system, sharpness_probe,
-                        transition, transition_inverse, verify_dichotomy)
+from .dichotomy import (DichotomyCertificate, DichotomyParams, LinearSystem, matrix_system,
+                        pair_grid, rate_power_system, sharp_oscillating_system,
+                        sharpness_probe, transition, transition_inverse, verify_dichotomy)
 from .admissibility import (BetaFunction, LimitCheck, MonotonicityCheck, TailBoundInfo,
                             analytic_tail_bound, check_limit_condition, check_monotonicity,
                             closed_form_beta, default_capacity, delta_max, delta_max_bounds,
                             improper_rate_integral, improper_rate_integrals)
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, apply_phi_operator,
-                       check_vanishes_at_origin, cubic_perturbation, eval_phi, eval_phi_many,
+                       check_vanishes_at_origin, cubic_perturbation, eval_phi_many,
                        expression_perturbation, graph_metric_distance, nonlinear_flow,
                        nonlinear_flow_many, outer_contraction_factor, solve_manifold,
                        solver_radius)
@@ -33,8 +32,7 @@ from .verify import (DecayReport, FlowReport, InvarianceReport, PerturbationBoun
                      perturbation_distance, random_decay_pairs,
                      random_invariance_samples, small_ball_radius, stability_constant)
 from .config import (build_comparison, build_params, build_perturbation, build_rate,
-                     build_rates, build_solver_config, build_system, load_config,
-                     resolve_config)
+                     build_rates, build_solver_config, build_system, resolve_config)
 
 __version__ = "0.1.0"
 
@@ -51,11 +49,11 @@ __all__ = [
     "builtin_rate", "check_decay", "check_flows", "check_growth_axioms", "check_invariance",
     "check_limit_condition", "check_monotonicity", "check_perturbation_bound",
     "check_vanishes_at_origin", "closed_form_beta", "compile_expression", "composite_simpson",
-    "coordinate_projection", "cubic_perturbation", "cumulative_simpson",
+    "cubic_perturbation", "cumulative_simpson",
     "default_capacity", "default_perturbation_samples", "delta_max",
-    "delta_max_bounds", "eval_phi", "eval_phi_many", "expression_perturbation",
+    "delta_max_bounds", "eval_phi_many", "expression_perturbation",
     "expression_rate", "graph_metric_distance",
-    "improper_rate_integral", "improper_rate_integrals", "load_config",
+    "improper_rate_integral", "improper_rate_integrals",
     "matrix_system",
     "nonlinear_flow", "nonlinear_flow_many", "outer_contraction_factor", "pair_grid",
     "perturbation_distance", "random_decay_pairs", "random_invariance_samples",

@@ -38,6 +38,7 @@ __all__ = ["LimitCheck", "check_limit_condition", "TailBoundInfo", "analytic_tai
 
 _DEFAULT_LIMIT_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
+_MONOTONICITY_SLACK = 1e-9  # largest relative uptick that still counts as nonincreasing
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class LimitCheck:
     inconclusive: bool
     eventually_decreasing: bool
     tail_drop_ok: bool
-    samples: tuple[tuple[float, float], ...]
 
 
 def check_limit_condition(mu: GrowthRate, nu: GrowthRate, a: float, b: float, eps: float,
@@ -65,17 +65,14 @@ def check_limit_condition(mu: GrowthRate, nu: GrowthRate, a: float, b: float, ep
     with np.errstate(over="ignore", invalid="ignore"):
         log_g = np.asarray([(a - b) * float(mu.log_eval(t)) + eps * float(nu.log_eval(t))
                             for t in grid])
-        samples = tuple((float(t), float(np.exp(lg)) if np.isfinite(lg) or lg == -np.inf
-                         else float("nan"))
-                        for t, lg in zip(grid, log_g))
     if np.isnan(log_g).any():
-        return LimitCheck(False, True, False, False, samples)
+        return LimitCheck(False, True, False, False)
     rises = np.nonzero(np.diff(log_g) > 0.0)[0]
     first_decreasing = int(rises[-1]) + 1 if rises.size else 0
     eventually_decreasing = first_decreasing <= log_g.size - 2
     tail_drop_ok = bool(log_g[-1] < log_g[0] + math.log(1e-3))
     return LimitCheck(eventually_decreasing and tail_drop_ok, False,
-                      eventually_decreasing, tail_drop_ok, samples)
+                      eventually_decreasing, tail_drop_ok)
 
 
 @dataclass(frozen=True)
@@ -460,11 +457,10 @@ class MonotonicityCheck:
     samples: tuple[tuple[float, float, float], ...]  # (s, beta, mu^a/beta)
 
 
-def check_monotonicity(beta: BetaFunction, grid: Sequence[float],
-                       slack: float = 1e-9) -> MonotonicityCheck:
+def check_monotonicity(beta: BetaFunction, grid: Sequence[float]) -> MonotonicityCheck:
     """Check that beta and mu^a/beta are nonincreasing along ``grid``.
 
-    ``slack`` absorbs relative quadrature noise between neighboring values.
+    ``_MONOTONICITY_SLACK`` absorbs relative quadrature noise between neighboring values.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -479,7 +475,8 @@ def check_monotonicity(beta: BetaFunction, grid: Sequence[float],
     wb = worst_uptick(betas)
     wr = worst_uptick(ratios)
     samples = tuple(zip(grid.tolist(), betas.tolist(), ratios.tolist()))
-    return MonotonicityCheck(wb <= slack, wr <= slack, wb, wr, samples)
+    return MonotonicityCheck(wb <= _MONOTONICITY_SLACK, wr <= _MONOTONICITY_SLACK, wb, wr,
+                             samples)
 
 
 def delta_max_bounds(c: float, q: float, C: float, D: float) -> dict[str, float]:

@@ -85,11 +85,10 @@ class Runner:
     admissibility and every solve, so each tail integral I(s) is computed once.
     """
 
-    def __init__(self, resolved: dict, out_dir: str, seed: int, tol_scale: float):
+    def __init__(self, resolved: dict, out_dir: str, seed: int):
         self.resolved = resolved
         self.out = out_dir
         self.seed = seed
-        self.tol_scale = tol_scale
         self.mu, self.nu = build_rates(resolved)
         self.params = build_params(resolved)
         self.system = build_system(resolved, self.mu, self.nu)
@@ -264,7 +263,7 @@ class Runner:
             "passed": True, "delta": graph.delta, "C": graph.C,
             "certified_contraction_factor": factor,
             "iterations": history, "n_slices": graph.n_slices,
-            "nodes_per_slice": int(graph.unit_lattice.shape[0]),
+            "nodes_per_slice": len(graph.targets_unit),
             "radii": graph.radii.tolist(), "slices": graph.meta["slices"],
             "inner": graph.meta["inner"],
         }
@@ -395,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         scaled = scale_tolerances(resolved, tol_scale)
         out_dir = args.out if args.out is not None else resolved["output"]["dir"]
         os.makedirs(out_dir, exist_ok=True)
-        runner = Runner(scaled, out_dir, seed, tol_scale)
+        runner = Runner(scaled, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -50,11 +50,6 @@ def load_run_input(path: str) -> tuple[dict, dict | None]:
     return raw, None
 
 
-def load_config(path: str) -> dict:
-    """Read a JSON config (or a manifest; its embedded config is unwrapped)."""
-    return load_run_input(path)[0]
-
-
 def _mapping(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {type(obj).__name__}")

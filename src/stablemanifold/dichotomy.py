@@ -7,8 +7,10 @@ diagonal of a closed-form T(t, s) is built in one place, ``closed_form_diagonal`
 for scalar times and for batches; ``verify_dichotomy`` propagates each matrix
 pair forward once and inverts that same matrix.
 
-The dichotomy bounds checked here, for projections P(t) with complement Q(t),
-growth rates mu, nu and constants (D, a, b, eps)::
+The splitting is the coordinate one: the stable block is the first ``n_stable``
+coordinates, so P(t) is the constant projection onto them and Q = I - P.  The
+dichotomy bounds checked here, for growth rates mu, nu and constants
+(D, a, b, eps)::
 
     |T(t,s) P(s)|        <= D * (mu(t)/mu(s))^a  * nu(s)^eps      (t >= s)
     |T(t,s)^-1 Q(t)|     <= D * (mu(t)/mu(s))^-b * nu(t)^eps      (t >= s)
@@ -27,7 +29,7 @@ from .linalg import rk4_propagate, spectral_norm
 from .rates import GrowthRate
 
 __all__ = ["DichotomyParams", "LinearSystem", "DichotomyCertificate",
-           "coordinate_projection", "rate_power_system", "sharp_oscillating_system",
+           "rate_power_system", "sharp_oscillating_system",
            "matrix_system", "closed_form_diagonal", "transition", "transition_inverse",
            "verify_dichotomy", "sharpness_probe", "pair_grid"]
 
@@ -52,16 +54,6 @@ class DichotomyParams:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
 
 
-def coordinate_projection(n: int, n_stable: int) -> Callable[[float], np.ndarray]:
-    p = np.zeros((n, n))
-    p[:n_stable, :n_stable] = np.eye(n_stable)
-
-    def projection(t: float) -> np.ndarray:
-        return p
-
-    return projection
-
-
 def _diagonal(*entries) -> np.ndarray:
     """diag(entries): (n, n) for scalar entries, (B, n, n) for entries of shape (B,)."""
     d = np.stack(entries, axis=-1)
@@ -72,7 +64,10 @@ def _diagonal(*entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A linear nonautonomous system split along a projection-valued curve P(t).
+    """A linear nonautonomous system split into a stable and an unstable block.
+
+    The stable block is the first ``n_stable`` coordinates and the unstable
+    block the other ``n - n_stable``; both must be nonempty.
 
     Exactly one of the two representations drives the transition matrix:
     closed-form scalar factors (U, V) on the blocks, or the coefficient
@@ -91,13 +86,17 @@ class LinearSystem:
 
     n: int
     n_stable: int
-    P: Callable[[float], np.ndarray]
     A: Callable[[np.ndarray], np.ndarray] | None = None
     U: Callable[[float, float], float] | None = None
     V: Callable[[float, float], float] | None = None
     label: str = ""
     meta: dict = field(default_factory=dict)
     clock: GrowthRate | None = None
+
+    def __post_init__(self):
+        if not 1 <= self.n_stable < self.n:
+            raise ValueError(f"n_stable must satisfy 1 <= n_stable < n={self.n}, "
+                             f"got {self.n_stable}")
 
     @property
     def form(self) -> str:
@@ -126,7 +125,7 @@ def rate_power_system(mu: GrowthRate, a: float, b: float) -> LinearSystem:
             r = _mu.deriv(t) / _mu(t)
             return _diagonal(a * r, b * r)
 
-    return LinearSystem(2, 1, coordinate_projection(2, 1), A=coeff, U=u_factor, V=v_factor,
+    return LinearSystem(2, 1, A=coeff, U=u_factor, V=v_factor,
                         label=f"rate_power(a={a:g}, b={b:g}, mu={mu.label})",
                         meta={"kind": "rate_power", "a": a, "b": b, "mu": mu}, clock=mu)
 
@@ -164,7 +163,7 @@ def sharp_oscillating_system(mu: GrowthRate, nu: GrowthRate, a: float, b: float,
             r = mu.deriv(t) / mu(t)
             return _diagonal(a * r + osc_deriv(t), b * r - osc_deriv(t))
 
-    return LinearSystem(2, 1, coordinate_projection(2, 1), A=coeff, U=u_factor, V=v_factor,
+    return LinearSystem(2, 1, A=coeff, U=u_factor, V=v_factor,
                         label=f"sharp_oscillating(a={a:g}, b={b:g}, eps={eps:g})",
                         meta={"kind": "sharp_oscillating", "a": a, "b": b, "eps": eps,
                               "mu": mu, "nu": nu})
@@ -172,10 +171,8 @@ def sharp_oscillating_system(mu: GrowthRate, nu: GrowthRate, a: float, b: float,
 
 def matrix_system(coeff: Callable[[np.ndarray], np.ndarray], n: int, n_stable: int,
                   label: str = "matrix") -> LinearSystem:
-    """System given by a coefficient matrix A(t), batch-only as in ``LinearSystem``,
-    with coordinate projections."""
-    return LinearSystem(n, n_stable, coordinate_projection(n, n_stable), A=coeff,
-                        label=label, meta={"kind": "matrix"})
+    """System given by a coefficient matrix A(t), batch-only as in ``LinearSystem``."""
+    return LinearSystem(n, n_stable, A=coeff, label=label, meta={"kind": "matrix"})
 
 
 # condition number of T(t, s) above which its inverse comes from backward propagation
@@ -279,24 +276,25 @@ def verify_dichotomy(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
         raise ValueError("pairs must not be empty")
     rows = []
     notes: list[str] = []
+    p = np.zeros((system.n, system.n))
+    p[:system.n_stable, :system.n_stable] = np.eye(system.n_stable)
+    q = np.eye(system.n) - p
     for t, s in pairs:
         log_ratio = mu.log_eval(t) - mu.log_eval(s)
         stable_bound = params.D * np.exp(params.a * log_ratio + params.eps * nu.log_eval(s))
         unstable_bound = params.D * np.exp(-params.b * log_ratio + params.eps * nu.log_eval(t))
         if system.form == "closed_form":
             g = np.abs(closed_form_diagonal(system, t, s))
-            u, v = float(g[0]), float(g[-1])
-            stable_norm = u if system.n_stable > 0 else 0.0
-            unstable_norm = (1.0 / v if v > 0.0 else np.inf) if system.n_unstable > 0 else 0.0
+            stable_norm, v = float(g[0]), float(g[-1])
+            unstable_norm = 1.0 / v if v > 0.0 else np.inf
             commut = 0.0
         else:
             fwd = transition(system, t, s, h)
             inv, inv_notes = _invert_transition(system, fwd, t, s, h, _COND_LIMIT)
             notes.extend(inv_notes)
-            p_s, p_t = system.P(s), system.P(t)
-            stable_norm = spectral_norm(fwd @ p_s)
-            unstable_norm = spectral_norm(inv @ (np.eye(system.n) - p_t))
-            commut = spectral_norm(p_t @ fwd - fwd @ p_s)
+            stable_norm = spectral_norm(fwd @ p)
+            unstable_norm = spectral_norm(inv @ q)
+            commut = spectral_norm(p @ fwd - fwd @ p)
         rows.append((float(t), float(s), float(stable_norm / stable_bound),
                      float(unstable_norm / unstable_bound), float(commut)))
     max_s, max_u, max_c = np.asarray(rows)[:, 2:].max(axis=0).tolist()

@@ -84,7 +84,7 @@ from .quadrature import adaptive_simpson, composite_simpson, cumulative_simpson 
 from .rates import GrowthRate
 
 __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
-           "ManifoldGraph", "SolverConfig", "eval_phi", "eval_phi_many",
+           "ManifoldGraph", "SolverConfig", "eval_phi_many",
            "apply_phi_operator", "solve_manifold", "solver_radius", "check_vanishes_at_origin",
            "nonlinear_flow", "nonlinear_flow_many", "flow_steps",
            "outer_contraction_factor", "graph_metric_distance"]
@@ -93,6 +93,8 @@ __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
 _CHUNK_SAMPLES = 4096
 # work counters of the inner solves, per operator application and summed per solve
 _INNER_WORK = ("node_paths", "points", "simpson_sweeps")
+# Picard sweeps an inner chunk may take before ConvergenceError
+_MAX_SWEEPS = 80
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,8 @@ def outer_contraction_factor(c: float, q: float, C: float, D: float, delta: floa
     return 2.0 ** (q + 2.0) * 3.0 ** q * c * C ** (q + 1.0) * D * delta ** q
 
 
-def _build_lattice(n_axes: int, nodes_per_axis: int):
+def _build_lattice(n_axes: int, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """In-ball mask and targets of the unit lattice, corners outside the ball pulled back."""
     if nodes_per_axis < 3 or nodes_per_axis % 2 == 0:
         raise ValueError("nodes_per_axis must be an odd integer >= 3")
     axis = np.linspace(-1.0, 1.0, nodes_per_axis)
@@ -176,20 +179,19 @@ def _build_lattice(n_axes: int, nodes_per_axis: int):
     targets = pts.copy()
     outside = ~in_ball
     targets[outside] = pts[outside] / l1[outside, None]
-    return pts, in_ball, targets
+    return in_ball, targets
 
 
 @dataclass
 class ManifoldGraph:
     """Discrete graph phi on s-slices sharing one normalized node lattice.
 
-    ``values[k, j]`` is phi at slice s_grid[k], node ``radii[k] * unit_lattice[j]``
-    (clamped to the slice ball for the few lattice corners outside it).
+    ``values[k, j]`` is phi at slice s_grid[k], node ``radii[k] * targets_unit[j]``:
+    lattice node j scaled to the slice, the few corners outside the ball clamped to it.
     """
 
     s_grid: np.ndarray
     radii: np.ndarray
-    unit_lattice: np.ndarray
     in_ball: np.ndarray
     targets_unit: np.ndarray
     values: np.ndarray
@@ -260,12 +262,6 @@ def eval_phi_many(graph: ManifoldGraph, t: np.ndarray, xi: np.ndarray) -> np.nda
     lo = _slice_eval(graph, idx, xi_c)
     hi = _slice_eval(graph, idx2, xi_c)
     return lo * (1.0 - w[:, None]) + hi * w[:, None]
-
-
-def eval_phi(graph: ManifoldGraph, s: float, xi) -> np.ndarray:
-    """Graph value phi(s, xi); xi may be a scalar when the stable block is 1-D."""
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float)).reshape(1, graph.n_stable)
-    return eval_phi_many(graph, np.array([float(s)]), xi_arr)[0]
 
 
 @dataclass(frozen=True)
@@ -374,7 +370,7 @@ def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
 
 
 def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
-                xi: np.ndarray, picard_tol: float, max_sweeps: int = 80
+                xi: np.ndarray, picard_tol: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Inner paths x (B, T, n_E) of the nodes xi (B, n_E), f along them, sweeps per
     node and the number of node paths summed over the cumulative Simpson passes.
@@ -397,7 +393,7 @@ def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
     active = np.arange(n_b)
     stale: list[int] = []
     passes = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         x_old = x[active]
         cum = cumulative_simpson(np.moveaxis(pulled, 1, 0), table.h)
         passes += len(active)
@@ -413,7 +409,7 @@ def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
             if stale:
                 fv[stale] = _forcing(graph, pert, table.t, x[stale])
             return x, fv, sweeps, passes
-        if sweep < max_sweeps:
+        if sweep < _MAX_SWEEPS:
             fv_old = _forcing(graph, pert, table.t, x[active])
             pulled = table.pull_stable(fv_old)
     raise ConvergenceError(f"inner Picard sweeps stalled above tolerance {picard_tol:g}")
@@ -705,18 +701,16 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     if (beta_fn.mu, beta_fn.nu, beta_fn.a, beta_fn.eps, beta_fn.q, beta_fn.rel_tol) != key:
         raise ValueError("cfg.beta_fn was built for another (mu, nu, a, eps, q, quad_rel_tol)")
     radii = delta * beta_fn.beta(s_grid)
-    lattice, in_ball, targets = _build_lattice(n_e, cfg.nodes_per_axis)
+    in_ball, targets = _build_lattice(n_e, cfg.nodes_per_axis)
     graph = ManifoldGraph(
-        s_grid=s_grid, radii=radii, unit_lattice=lattice, in_ball=in_ball,
-        targets_unit=targets, values=np.zeros((len(s_grid), len(lattice), n_f)),
+        s_grid=s_grid, radii=radii, in_ball=in_ball,
+        targets_unit=targets, values=np.zeros((len(s_grid), len(targets), n_f)),
         n_stable=n_e, n_unstable=n_f, delta=float(delta), C=float(cap),
         nodes_per_axis=cfg.nodes_per_axis,
         radius_fn=_make_radius_fn(s_grid, radii, beta_fn),
-        meta={"system": system.label, "perturbation": pert.label,
-              "params": params, "beta_closed_form": beta_fn.closed_form},
     )
     tables = _slice_tables(graph, system, mu, nu, params, pert, cfg)
-    graph = replace(graph, meta={**graph.meta, "slices": {
+    graph = replace(graph, meta={"slices": {
         "t_cut": [float(table.t[-1]) for table in tables],
         "grid_points": [len(table.t) for table in tables]}})
     factor = outer_contraction_factor(pert.c, pert.q, cap, params.D, delta)

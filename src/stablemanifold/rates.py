@@ -215,6 +215,11 @@ def expression_rate(text: str) -> GrowthRate:
     return GrowthRate(text, lambda t: f(t=t))
 
 
+# the divergence probe: a rate must reach _DIVERGENCE_LEVEL by t = _DIVERGENCE_T
+_DIVERGENCE_T = 1e12
+_DIVERGENCE_LEVEL = 4.0
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of the three growth-rate axiom probes on a finite grid."""
@@ -225,7 +230,6 @@ class AxiomReport:
     unit_error: float
     worst_violation: float
     worst_pair: tuple[float, float] | None
-    probe: tuple[float, float]
     notes: tuple[str, ...] = ()
 
     @property
@@ -233,22 +237,22 @@ class AxiomReport:
         return self.unit_at_zero and self.monotone_on_grid and self.diverges
 
 
-def check_growth_axioms(rate: GrowthRate, grid, probe: tuple[float, float] = (1e12, 4.0),
-                        atol: float = 0.0) -> AxiomReport:
+def check_growth_axioms(rate: GrowthRate, grid) -> AxiomReport:
     """Probe unit value at 0, monotonicity on ``grid``, and divergence.
 
     ``grid`` must be nonempty and start at 0.  Violations are reported, not
-    raised.  Divergence is necessarily a heuristic on finite probes: the rate
-    must reach probe[1] by t = probe[0] and keep strictly increasing along the
-    decade ladder up to probe[0]; an overflow to inf counts as divergent.  The
-    default threshold is low on purpose so the doubly-logarithmic companion
-    rate (about 4.36 at 1e12) still registers as unbounded.
+    raised; any drop between neighbouring grid values breaks monotonicity.
+    Divergence is necessarily a heuristic on finite probes: the rate must
+    reach ``_DIVERGENCE_LEVEL`` by t = ``_DIVERGENCE_T`` and keep strictly
+    increasing along the decade ladder up to it; an overflow to inf counts as
+    divergent.  The level is low on purpose so the doubly-logarithmic
+    companion rate (about 4.36 at 1e12) still registers as unbounded.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or grid[0] != 0.0:
         raise ValueError("grid must be nonempty and start at 0")
     notes: list[str] = []
-    ladder = np.power(probe[0], np.linspace(0.25, 1.0, 4))
+    ladder = np.power(_DIVERGENCE_T, np.linspace(0.25, 1.0, 4))
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(rate(grid), dtype=float)
         unit_error = abs(float(rate(0.0)) - 1.0)
@@ -263,7 +267,7 @@ def check_growth_axioms(rate: GrowthRate, grid, probe: tuple[float, float] = (1e
         drops = vals[:-1] - vals[1:]
         drops = np.where(np.isfinite(drops), drops, 0.0)
         worst = float(drops.max(initial=0.0))
-        if worst > atol:
+        if worst > 0.0:
             i = int(np.argmax(drops))
             pair = (float(grid[i]), float(grid[i + 1]))
             monotone_ok = False
@@ -277,6 +281,5 @@ def check_growth_axioms(rate: GrowthRate, grid, probe: tuple[float, float] = (1e
         diverges = True
     else:
         steps_up = np.diff(ladder_vals) > 1e-12 * np.abs(ladder_vals[:-1])
-        diverges = bool(ladder_vals[-1] >= probe[1] and steps_up.all())
-    return AxiomReport(unit_ok, monotone_ok, diverges, unit_error, worst, pair,
-                       (float(probe[0]), float(probe[1])), tuple(notes))
+        diverges = bool(ladder_vals[-1] >= _DIVERGENCE_LEVEL and steps_up.all())
+    return AxiomReport(unit_ok, monotone_ok, diverges, unit_error, worst, pair, tuple(notes))

@@ -229,6 +229,10 @@ def check_decay(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
     return check_flows(graph, system, mu, nu, params, pert, (), pairs, h, tol).decay
 
 
+# random directions of the perturbation-distance samples, besides the axis rays
+_RANDOM_DIRECTIONS = 8
+
+
 @dataclass(frozen=True)
 class PerturbationDistance:
     """Sampled lower bound of sup |f(t,u) - g(t,u)|_1 / |u|_1^(q+1)."""
@@ -242,10 +246,10 @@ class PerturbationDistance:
 
 def default_perturbation_samples(n: int, t_grid: Sequence[float],
                                  radii: Sequence[float],
-                                 rng: random.Random | None = None,
-                                 n_random_directions: int = 8
+                                 rng: random.Random | None = None
                                  ) -> list[tuple[float, np.ndarray]]:
-    """Dense t x direction x radius sample set, always including the axis rays.
+    """Dense t x direction x radius sample set, always including the axis rays,
+    plus ``_RANDOM_DIRECTIONS`` random directions when ``rng`` is given.
 
     Axis directions matter: for componentwise perturbations the defining sup
     is typically attained on an axis, and omitting them silently underreports
@@ -253,7 +257,7 @@ def default_perturbation_samples(n: int, t_grid: Sequence[float],
     """
     directions = [np.eye(n)[i] * sign for i in range(n) for sign in (1.0, -1.0)]
     if rng is not None:
-        for _ in range(n_random_directions):
+        for _ in range(_RANDOM_DIRECTIONS):
             d = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
             norm = np.abs(d).sum()
             if norm > 0.0:
@@ -304,14 +308,12 @@ class PerturbationBoundReport:
     stability_k: float
     delta: float
     quotient: float
-    history: tuple[tuple[dict, ...], tuple[dict, ...]]
     notes: tuple[str, ...] = ()
 
 
 def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
                              params: DichotomyParams, pert: Perturbation,
                              pert_bar: Perturbation, cfg: SolverConfig,
-                             samples: Sequence[tuple[float, np.ndarray]] | None = None,
                              rng: random.Random | None = None,
                              solved: tuple[ManifoldGraph, list[dict]] | None = None
                              ) -> PerturbationBoundReport:
@@ -331,18 +333,16 @@ def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRat
     delta = certified if cfg.delta is None else min(cfg.delta, certified)
     common_cfg = replace(cfg, delta=delta, C=cap)
     if solved is not None and solved[0].delta == delta and solved[0].C == cap:
-        graph, hist = solved
+        graph = solved[0]
     else:
-        graph, hist = solve_manifold(system, mu, nu, params, pert, common_cfg)
-    graph_bar, hist_bar = solve_manifold(system, mu, nu, params, pert_bar, common_cfg)
+        graph, _ = solve_manifold(system, mu, nu, params, pert, common_cfg)
+    graph_bar, _ = solve_manifold(system, mu, nu, params, pert_bar, common_cfg)
     gd = graph_metric_distance(graph.values, graph_bar.values, graph)
-    if samples is None:
-        t_grid = [float(s) for s in graph.s_grid]
-        radii = [0.25, 0.5, 1.0]
-        samples = default_perturbation_samples(system.n, t_grid, radii, rng)
+    radii = [0.25, 0.5, 1.0]
+    samples = default_perturbation_samples(system.n, graph.s_grid.tolist(), radii, rng)
     fd = perturbation_distance(pert, pert_bar, pert.q, samples)
     k = stability_constant(pert.q, graph.C, params.D, graph.delta)
     notes = ("f-distance is a sampled lower bound; the pass verdict is conservative",)
     quotient = gd / fd.value if fd.value > 0.0 else math.inf if gd > 0.0 else 0.0
     return PerturbationBoundReport(gd <= k * fd.value, gd, fd, k, float(graph.delta),
-                                   quotient, (tuple(hist), tuple(hist_bar)), notes)
+                                   quotient, notes)

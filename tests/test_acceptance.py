@@ -14,7 +14,7 @@ import pytest
 
 from stablemanifold.admissibility import BetaFunction, closed_form_beta, delta_max
 from stablemanifold.config import (build_params, build_perturbation, build_rates,
-                                   build_solver_config, build_system, load_config,
+                                   build_solver_config, build_system, load_run_input,
                                    resolve_config)
 from stablemanifold.dichotomy import (DichotomyParams, pair_grid, rate_power_system,
                                       sharp_oscillating_system, sharpness_probe,
@@ -241,7 +241,7 @@ def test_c9_closed_form_graph_matches_reference():
         worst = {}
         for name in BUNDLED:
             path = str(resources.files("stablemanifold") / "configs" / f"{name}.json")
-            resolved = resolve_config(load_config(path), label_default=name)
+            resolved = resolve_config(load_run_input(path)[0], label_default=name)
             mu, nu = build_rates(resolved)
             system = build_system(resolved, mu, nu)
             pert = build_perturbation(resolved["perturbation"], system.n)

@@ -89,7 +89,7 @@ def test_rerun_from_manifest_is_identical(tmp_path):
 
 def test_sample_streams_differ_by_stream_and_seed(tmp_path):
     from stablemanifold.config import load_run_input, resolve_config
-    runner = cli.Runner(resolve_config(load_run_input(ORACLE)[0]), str(tmp_path), 7, 1.0)
+    runner = cli.Runner(resolve_config(load_run_input(ORACLE)[0]), str(tmp_path), 7)
     assert runner.rng(1).random() != runner.rng(2).random()
     tables = []
     for seed in ("7", "8"):
@@ -155,7 +155,7 @@ def test_slice_points_on_admissibility_grids_are_the_grid_doubles(tmp_path, monk
     from stablemanifold.config import load_run_input, resolve_config
     raw = load_run_input(str(CONFIG_DIR / name))[0]
     resolved = resolve_config(raw)
-    runner = cli.Runner(resolved, str(tmp_path), 0, 1.0)
+    runner = cli.Runner(resolved, str(tmp_path), 0)
     grids = []
     check = cli.check_monotonicity
 
@@ -196,7 +196,7 @@ def test_solve_rejects_a_beta_function_of_another_order(tmp_path):
     from stablemanifold.admissibility import BetaFunction
     from stablemanifold.config import load_run_input, resolve_config
     from stablemanifold.manifold import solve_manifold
-    r = cli.Runner(resolve_config(load_run_input(LOGLOG)[0]), str(tmp_path), 0, 1.0)
+    r = cli.Runner(resolve_config(load_run_input(LOGLOG)[0]), str(tmp_path), 0)
     other = BetaFunction(r.mu, r.nu, r.params.a, r.params.eps, r.pert.q + 1.0,
                          r.cfg.quad_rel_tol)
     with pytest.raises(ValueError, match="beta_fn was built for another"):
@@ -532,7 +532,8 @@ def test_beta_at_zero_on_exponential_config(tmp_path):
 def test_booleans_serialize_as_json_booleans(tmp_path):
     out = str(tmp_path / "run")
     assert main(["check-rates", "--config", ORACLE, "--out", out]) == 0
-    text = open(os.path.join(out, "report-check-rates.json")).read()
+    with open(os.path.join(out, "report-check-rates.json")) as fh:
+        text = fh.read()
     assert '"passed": true' in text
     assert '"passed": 1' not in text and '"passed": 0' not in text
     assert '"diverges": true' in text

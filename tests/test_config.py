@@ -7,7 +7,7 @@ import pytest
 
 from stablemanifold.config import (build_comparison, build_params, build_perturbation,
                                    build_rates, build_solver_config, build_system,
-                                   load_config, resolve_config, scale_tolerances,
+                                   load_run_input, resolve_config, scale_tolerances,
                                    uniform_grid)
 from stablemanifold.errors import ConfigError
 from stablemanifold.manifold import SolverConfig
@@ -135,26 +135,26 @@ def test_comparison_order_must_match():
 def test_load_config_and_manifest_unwrap(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(base_config()))
-    assert load_config(str(cfg_path))["label"] == "unit"
+    assert load_run_input(str(cfg_path))[0]["label"] == "unit"
 
     manifest = {"package": {"name": "x", "version": "0"},
                 "config": resolve_config(base_config())}
     man_path = tmp_path / "manifest.json"
     man_path.write_text(json.dumps(manifest))
-    assert resolve_config(load_config(str(man_path))) == manifest["config"]
+    assert resolve_config(load_run_input(str(man_path))[0]) == manifest["config"]
 
 
 def test_load_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
-        load_config(str(bad))
+        load_run_input(str(bad))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="object"):
-        load_config(str(arr))
+        load_run_input(str(arr))
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config(str(tmp_path / "missing.json"))
+        load_run_input(str(tmp_path / "missing.json"))
 
 
 def test_builders_produce_working_objects():

@@ -3,10 +3,9 @@ import pytest
 
 from stablemanifold import dichotomy
 from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, closed_form_diagonal,
-                                      coordinate_projection, matrix_system, pair_grid,
-                                      rate_power_system, sharp_oscillating_system,
-                                      sharpness_probe, transition, transition_inverse,
-                                      verify_dichotomy)
+                                      matrix_system, pair_grid, rate_power_system,
+                                      sharp_oscillating_system, sharpness_probe, transition,
+                                      transition_inverse, verify_dichotomy)
 from stablemanifold.config import build_system
 from stablemanifold.expr import compile_expression
 from stablemanifold.linalg import rk4_step, spectral_norm
@@ -14,6 +13,13 @@ from stablemanifold.rates import builtin_rate
 
 EXP = builtin_rate("exponential")
 POLY = builtin_rate("polynomial")
+
+
+def _stable_projection(n, n_stable):
+    """The coordinate projection onto the first ``n_stable`` coordinates."""
+    p = np.zeros((n, n))
+    p[:n_stable, :n_stable] = np.eye(n_stable)
+    return p
 
 
 def test_params_validation():
@@ -28,19 +34,22 @@ def test_params_validation():
         DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=-0.1)
 
 
+@pytest.mark.parametrize("n_stable", [0, 2, -1])
+def test_linear_system_needs_both_blocks(n_stable):
+    # rejected where the system is built, not deep inside a later solve
+    with pytest.raises(ValueError, match="n_stable"):
+        matrix_system(lambda t: np.diag([-1.0, 1.0]), 2, n_stable)
+    base = rate_power_system(POLY, a=-2.0, b=0.5)
+    with pytest.raises(ValueError, match="n_stable"):
+        LinearSystem(2, n_stable, U=base.U, V=base.V)
+
+
 def test_rate_power_scalar_factors():
     sys_ = rate_power_system(EXP, a=-1.0, b=1.0)
     assert float(sys_.U(2.0, 1.0)) == pytest.approx(np.exp(-1.0), rel=1e-14)
     assert float(sys_.V(2.0, 1.0)) == pytest.approx(np.exp(1.0), rel=1e-14)
     assert sys_.form == "closed_form"
     assert sys_.n == 2 and sys_.n_stable == 1 and sys_.n_unstable == 1
-
-
-def test_coordinate_projection_shape():
-    P = coordinate_projection(3, 2)
-    p = P(0.0)
-    assert np.allclose(p @ p, p)
-    assert np.allclose(p @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 0.0])
 
 
 def test_transition_block_diagonal():
@@ -84,7 +93,7 @@ def test_transition_inverse_fallback_when_ill_conditioned():
 
 def _three_state_closed_form():
     base = rate_power_system(POLY, a=-2.0, b=0.5)
-    return LinearSystem(3, 2, coordinate_projection(3, 2), U=base.U, V=base.V, label="diag3")
+    return LinearSystem(3, 2, U=base.U, V=base.V, label="diag3")
 
 
 @pytest.mark.parametrize("system", [
@@ -146,12 +155,13 @@ def test_verify_dichotomy_propagates_each_matrix_pair_once(monkeypatch):
     assert np.asarray(calls) == pytest.approx(np.asarray(expected), abs=1e-12)
     assert len(cert.notes) == 1 and "backward" in cert.notes[0]
     monkeypatch.setattr(dichotomy, "rk4_propagate", propagate)
+    p = _stable_projection(2, 1)
     for (t, s), row in zip(pairs, cert.rows):
         fwd = transition(mat, t, s, h)
         inv, _ = transition_inverse(mat, t, s, h)
-        q_t = np.eye(2) - mat.P(t)
+        q_t = np.eye(2) - p
         unstable = spectral_norm(inv @ q_t) / (params.D * np.exp(-params.b * (t - s)))
-        stable = spectral_norm(fwd @ mat.P(s)) / (params.D * np.exp(params.a * (t - s)))
+        stable = spectral_norm(fwd @ p) / (params.D * np.exp(params.a * (t - s)))
         assert row[2:4] == (stable, unstable)
 
 
@@ -197,7 +207,7 @@ def test_matrix_transitions_match_per_stage_reference():
     cert = verify_dichotomy(system, EXP, EXP, params, pairs, h=h)
     assert len(cert.notes) == 1 and "backward" in cert.notes[0]
     eye = np.eye(3)
-    p = system.P(0.0)
+    p = _stable_projection(3, 2)
     for (t, s), row in zip(pairs, cert.rows):
         fwd = transition(system, t, s, h)
         back = transition_inverse(system, t, s, h, cond_limit=0.0)[0]

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from stablemanifold import manifold
 from stablemanifold.admissibility import analytic_tail_bound
 from stablemanifold.config import (build_params, build_perturbation, build_rates,
-                                   build_solver_config, build_system, load_config,
+                                   build_solver_config, build_system, load_run_input,
                                    resolve_config)
-from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, coordinate_projection,
-                                      matrix_system, rate_power_system,
-                                      sharp_oscillating_system)
+from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, matrix_system,
+                                      rate_power_system, sharp_oscillating_system)
 from stablemanifold.errors import (BlowupError, DecayBoundError, DivergenceError, NumericalError,
                                    TailBoundError)
 from stablemanifold.expr import compile_expression
 from stablemanifold.manifold import (ManifoldGraph, Perturbation, SolverConfig,
-                                     apply_phi_operator, cubic_perturbation, eval_phi,
-                                     eval_phi_many, expression_perturbation,
+                                     apply_phi_operator, cubic_perturbation, eval_phi_many, expression_perturbation,
                                      graph_metric_distance, nonlinear_flow, nonlinear_flow_many,
                                      outer_contraction_factor, solve_manifold)
 from stablemanifold.linalg import rk4_step
@@ -126,8 +124,8 @@ def test_graph_radii_from_beta(solved):
 def test_graph_is_odd(solved):
     _, _, graph, _ = solved
     for xi in [0.005, 0.015, 0.025]:
-        plus = eval_phi(graph, 0.7, xi)[0]
-        minus = eval_phi(graph, 0.7, -xi)[0]
+        plus = eval_phi_many(graph, [0.7], [[xi]])[0, 0]
+        minus = eval_phi_many(graph, [0.7], [[-xi]])[0, 0]
         assert plus == pytest.approx(-minus, abs=1e-15)
 
 
@@ -143,13 +141,15 @@ def test_eval_phi_interpolates(solved):
 def test_eval_phi_beyond_horizon(solved):
     # the radius function extrapolates, and the last slice carries the values
     _, _, graph, _ = solved
-    assert eval_phi(graph, 5.0, 0.02)[0] == pytest.approx(exact_phi(0.02), abs=1e-8)
+    assert eval_phi_many(graph, [5.0], [[0.02]])[0, 0] == pytest.approx(exact_phi(0.02),
+                                                                       abs=1e-8)
 
 
 def test_eval_phi_clamps_to_ball(solved):
     _, _, graph, _ = solved
     rho = graph.radius_fn(0.0)
-    assert eval_phi(graph, 0.0, 10.0)[0] == eval_phi(graph, 0.0, rho)[0]
+    assert (eval_phi_many(graph, [0.0], [[10.0]])[0, 0]
+            == eval_phi_many(graph, [0.0], [[rho]])[0, 0])
 
 
 def test_graph_metric_distance_against_zero(solved):
@@ -168,7 +168,8 @@ def test_graph_lipschitz_one(solved):
     rho = graph.radius_fn(1.0)
     for _ in range(20):
         x1, x2 = rng.uniform(-rho, rho, size=2)
-        d_phi = abs(eval_phi(graph, 1.0, x1)[0] - eval_phi(graph, 1.0, x2)[0])
+        d_phi = abs(eval_phi_many(graph, [1.0], [[x1]])[0, 0]
+                    - eval_phi_many(graph, [1.0], [[x2]])[0, 0])
         assert d_phi <= abs(x1 - x2) * 1.0001 + 1e-15
 
 
@@ -437,7 +438,7 @@ def _largest_adjacent_node_ratio(graph):
 def _stable_plane_oracle():
     # u1' = -u1, u2' = -u2, v' = v + u1^3: a 2-D stable block with closed-form factors
     base = rate_power_system(EXP, a=-1.0, b=1.0)
-    system = LinearSystem(3, 2, coordinate_projection(3, 2), U=base.U, V=base.V)
+    system = LinearSystem(3, 2, U=base.U, V=base.V)
     cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05)
     return solve_manifold(system, EXP, EXP, PARAMS, cubic_perturbation(1.0, n=3), cfg)
 
@@ -477,7 +478,7 @@ def test_matrix_route_matches_closed_form_under_feedback(d):
     if d == 1:
         closed, mat, pert, m = base, MATRIX_D1, FEEDBACK, 7
     else:
-        closed = LinearSystem(3, 2, coordinate_projection(3, 2), U=base.U, V=base.V)
+        closed = LinearSystem(3, 2, U=base.U, V=base.V)
         mat = matrix_system(lambda t: np.diag([-1.0, -1.0, 1.0]), 3, 2)
         pert, m = FEEDBACK_D2, 5
     cfg = SolverConfig(s_grid=(0.0, 0.5), delta=None, C=2.0, nodes_per_axis=m, h=0.05,
@@ -505,7 +506,7 @@ def test_inner_trajectory_tolerates_unstable_overflow(solved):
     # only the outer map reads V
     _, pert, graph, _ = solved
     base = rate_power_system(EXP, a=-1.0, b=1.0)
-    system = LinearSystem(2, 1, coordinate_projection(2, 1), U=base.U,
+    system = LinearSystem(2, 1, U=base.U,
                           V=lambda t, s: np.exp(2.0 * (np.asarray(t) - s)))
     with np.errstate(over="ignore"):
         t, _, sweeps, _ = inner_path(graph, system, EXP, EXP, PARAMS, pert,
@@ -766,14 +767,14 @@ def test_operator_matches_node_loop_reference(monkeypatch, system, pert, sweeps)
 @pytest.mark.parametrize("d, m", [(1, 5), (1, 41), (1, 81), (2, 5), (2, 21), (3, 9)])
 def test_lattice_targets_hold_no_negative_zero(d, m):
     # the linear-path stop of the inner sweep is exact for every xi but -0.0
-    _, _, targets = manifold._build_lattice(d, m)
+    _, targets = manifold._build_lattice(d, m)
     assert (targets == 0.0).any()
     assert not np.signbit(targets[targets == 0.0]).any()
 
 
 def _random_graph(d: int, seed: int) -> ManifoldGraph:
     m = 5
-    lattice, in_ball, targets = manifold._build_lattice(d, m)
+    in_ball, targets = manifold._build_lattice(d, m)
     s_grid = np.array([0.0, 0.7, 1.5])
     radii = np.array([0.03, 0.025, 0.02])
 
@@ -781,8 +782,8 @@ def _random_graph(d: int, seed: int) -> ManifoldGraph:
         t = np.asarray(t, dtype=float)
         return np.interp(t, s_grid, radii) * np.exp(-np.maximum(t - s_grid[-1], 0.0))
 
-    values = np.random.default_rng(seed).uniform(-1e-3, 1e-3, size=(3, len(lattice), 1))
-    return ManifoldGraph(s_grid, radii, lattice, in_ball, targets, values, n_stable=d,
+    values = np.random.default_rng(seed).uniform(-1e-3, 1e-3, size=(3, len(targets), 1))
+    return ManifoldGraph(s_grid, radii, in_ball, targets, values, n_stable=d,
                          n_unstable=1, delta=0.02, C=2.0, nodes_per_axis=m,
                          radius_fn=radius)
 
@@ -798,7 +799,7 @@ def test_eval_phi_many_matches_eval_phi(d, data):
     xi = np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d),
                                      min_size=n, max_size=n)))
     batch = eval_phi_many(graph, t, xi)
-    rows = np.stack([eval_phi(graph, t[i], xi[i]) for i in range(n)])
+    rows = np.concatenate([eval_phi_many(graph, t[i:i + 1], xi[i:i + 1]) for i in range(n)])
     assert np.array_equal(batch, rows)
 
 
@@ -943,7 +944,7 @@ def test_cubic_forcing_is_within_one_ulp_of_the_power(coef):
 def _bundled_problem(name):
     """(system, mu, nu, params, pert, cfg) of a bundled config."""
     path = str(resources.files("stablemanifold") / "configs" / f"{name}.json")
-    resolved = resolve_config(load_config(path), label_default=name)
+    resolved = resolve_config(load_run_input(path)[0], label_default=name)
     mu, nu = build_rates(resolved)
     system = build_system(resolved, mu, nu)
     pert = build_perturbation(resolved["perturbation"], system.n)

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -61,3 +62,40 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Imported names that the module never references, lists in ``__all__`` or marks
+    ``# noqa: F401`` on the name's own line."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if (name not in used and name not in exported
+                    and "# noqa: F401" not in lines[alias.lineno - 1]):
+                unused.append(f"{name} (line {alias.lineno})")
+    return unused
+
+
+def test_unused_import_check_flags_a_leftover():
+    source = ("import math\nimport os  # noqa: F401\nfrom x import (a,\n    b)\n"
+              "__all__ = ['b']\nprint(math.pi)\n")
+    assert _unused_imports(source) == ["a (line 3)"]
+
+
+def test_every_import_is_used_exported_or_marked():
+    package = Path(stablemanifold.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -8,7 +8,7 @@ import pytest
 from stablemanifold import verify
 from stablemanifold.dichotomy import DichotomyParams, rate_power_system
 from stablemanifold.errors import BlowupError
-from stablemanifold.manifold import (SolverConfig, cubic_perturbation, eval_phi,
+from stablemanifold.manifold import (SolverConfig, cubic_perturbation, eval_phi_many,
                                      expression_perturbation, flow_steps, nonlinear_flow,
                                      solve_manifold)
 from stablemanifold.rates import builtin_rate
@@ -118,7 +118,7 @@ def test_check_flows_raises_for_a_blown_decay_seed(solved):
     pairs = [(0.5, np.array([0.001]), np.array([0.002]), 1.5),
              (0.5, np.array([0.001]), np.array([100.0]), 30.5)]
     with pytest.raises(BlowupError) as one:
-        nonlinear_flow(system, pert, 0.5, np.array([100.0, *eval_phi(graph, 0.5, [100.0])]),
+        nonlinear_flow(system, pert, 0.5, np.array([100.0, *eval_phi_many(graph, [0.5], [[100.0]])[0]]),
                        30.0, h=1e-2)
     with pytest.raises(BlowupError) as batch:
         check_flows(graph, system, EXP, EXP, PARAMS, pert, samples, pairs, h=1e-2)
