@@ -12,7 +12,9 @@ beta is computed from the tail integral by adaptive Simpson quadrature with a
 certified truncation point; closed forms for the builtin rate pairs are kept
 separately so they can serve as independent cross-checks and as cheap
 extrapolators, never as the quadrature's own shortcut.  The tail integrals of
-many s run in lockstep, each bit-identical to computing its s alone.
+many s run in lockstep: the walk from s stops at its anchor, the least power
+of two >= max(s, 1), and each anchor's walk runs once for all the s that
+reach it.  Each I(s) is bit-identical to computing its s alone.
 
 All rate evaluations run in log space so large-t probes degrade to underflow
 instead of inf*0 artifacts.
@@ -199,14 +201,32 @@ def _rate_integrand(mu: GrowthRate, nu: GrowthRate, p: float,
     return integrand
 
 
-def _tail_walk(info: TailBoundInfo | None, s: float, scale: float, rel_tol: float,
-               max_span: float):
-    """Coroutine over the doubling windows from s: yields (lo, hi, tol), is sent
-    each window's mass and returns the integral once truncation is certified."""
+def _anchor(s: float) -> float:
+    """The least power of two >= max(s, 1), where the walk from s hands over its tail;
+    s itself where that power is no float."""
+    if s <= 1.0:
+        return 1.0
+    mant, expo = math.frexp(s)
+    return s if mant == 0.5 or expo > 1023 or not math.isfinite(s) else math.ldexp(1.0, expo)
+
+
+def _span_error(s: float, rel_tol: float, max_span: float) -> TailBoundError:
+    return TailBoundError(
+        f"no truncation certifying rel_tol={rel_tol:g} within span {max_span:g}", s=s)
+
+
+def _walk(info: TailBoundInfo | None, s: float, stop: float, scale: float, rel_tol: float,
+          max_span: float):
+    """Coroutine over the doubling windows from s, the last one cut at ``stop``.
+
+    Yields (lo, hi, tol), is sent each window's mass and returns (mass, certified):
+    certified once truncation is, uncertified when a window reaches ``stop``.  A
+    window that ends more than ``max_span`` beyond s without ending the walk
+    raises TailBoundError.
+    """
     total = 0.0
     deltas: list[float] = []
-    lo = s
-    hi = s + 1.0
+    lo, hi = s, min(s + 1.0, stop)
     first_ref = scale * (hi - lo)
     while True:
         ref = total if total > 0.0 else first_ref
@@ -221,20 +241,20 @@ def _tail_walk(info: TailBoundInfo | None, s: float, scale: float, rel_tol: floa
             bound = info.fn(hi)
             if math.isfinite(bound):
                 if bound <= 0.2 * rel_tol * total:
-                    return total
+                    return total, True
                 if info.exact and len(deltas) >= 2 and (
                         bound <= 1e-3 * total
                         or (hi - s >= 1e10 and bound <= total)):
                     # doubly-log tails never reach the 1e-3 fraction; past a
                     # huge span settle for quadrature >= half the mass
-                    return total + bound
+                    return total + bound, True
         elif info is None and len(deltas) >= 2 and total > 0.0:
             if deltas[-1] < 0.1 * rel_tol * total and deltas[-2] > 0.0:
                 theta = deltas[-1] / deltas[-2]
                 if theta < 1.0:
                     tail_est = deltas[-1] * theta / (1.0 - theta)
                     if tail_est <= rel_tol * total:
-                        return total
+                        return total, True
         if (len(deltas) >= 3 and deltas[-1] > 4.0 * deltas[-2] > 0.0
                 and 2.0 * deltas[-1] > total):
             raise DivergenceError("window masses are growing; partial integrals not Cauchy")
@@ -242,11 +262,36 @@ def _tail_walk(info: TailBoundInfo | None, s: float, scale: float, rel_tol: floa
             raise DivergenceError(
                 f"window mass still {deltas[-1] / total:.2e} of the total at span {hi - s:.1e}; "
                 "partial integrals not Cauchy")
+        if hi >= stop:
+            return total, False
         if hi - s > max_span:
-            raise TailBoundError(
-                f"no truncation certifying rel_tol={rel_tol:g} within span {max_span:g}", s=s)
+            raise _span_error(s, rel_tol, max_span)
         lo = hi
-        hi = s + 2.0 * (hi - s)
+        hi = min(s + 2.0 * (hi - s), stop)
+
+
+def _tail_walk(info: TailBoundInfo | None, s: float, scale: float, rel_tol: float,
+               max_span: float):
+    """Coroutine returning I(s): the walk from s up to its anchor A, then A's walk.
+
+    Where the walk from s is certified before A it ends there.  Otherwise it
+    yields A and is sent the outcome of A's walk (its value or its error) and
+    the start of that walk's last window: every other window s relies on ends
+    there or before, so that start decides the span rule of s.
+    """
+    anchor = _anchor(s)
+    total, certified = 0.0, False
+    if s < anchor:
+        total, certified = yield from _walk(info, s, anchor, scale, rel_tol, max_span)
+    if certified:
+        return total
+    outcome, last_lo = yield anchor
+    # A's own span error: s, behind A, overruns its span no later
+    if last_lo - s > max_span or isinstance(outcome, TailBoundError):
+        raise _span_error(s, rel_tol, max_span)
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return total + outcome
 
 
 def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
@@ -263,15 +308,31 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     rel_tol, which keeps slowly decaying (logarithmic) tails reachable while
     leaving >= 99.9% of the value to genuine quadrature.
     Raises DivergenceError when window masses refuse to decay and
-    TailBoundError when no truncation can be certified within ``max_span``.
+    TailBoundError when a window ending more than ``max_span`` beyond s
+    leaves the tail uncertified.
 
     Each window's absolute tolerance is 0.01 rel_tol times the mass before it,
     raised to 0.01 rel_tol times the window's own 3-point Simpson estimate
     when that is finite and larger (``rel_floor``), so a window that dwarfs
     the mass before it is integrated to a reachable tolerance and the growth
     rule can judge it.
-    Each round integrates the current window of every unfinished s in one
-    ``adaptive_simpson_many`` call; the rules are applied per s, so each value
+
+    Anchors.  I(s) = P(s) + I(A), with A the least power of two >= max(s, 1).
+    The piece P(s) is the walk from s with its last window cut at A; where its
+    truncation is certified before A, I(s) is the piece alone.  I(A) is the
+    walk from A, run once per distinct anchor of the batch, so the far tail
+    is walked once per anchor, not once per s.  The error budget is that of a
+    walk from s: the windows of I(A) are integrated to 0.01 rel_tol times
+    masses of I(A) and its truncation is certified to 0.2 rel_tol I(A); as
+    the integrand is nonnegative, I(A) <= I(s), so the piece tolerances plus
+    the anchor's certified error stay within rel_tol I(s).  Each s keeps its
+    own rules: the span is measured from s over every window it relied on,
+    the anchor's included, and the anchor's error is the error of every s
+    that reaches it.
+
+    Each round integrates the current window of every unfinished walk in one
+    ``adaptive_simpson_many`` call, each distinct window once.  A window's
+    mass does not depend on its batch and A depends only on s, so each value
     equals a one-element call, and the error raised is that of the first
     failing s in ``s_values``.
     """
@@ -281,27 +342,49 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
         raise DivergenceError(
             f"integral of {mu.label}^{p:g} * {nu.label}^{eps:g} diverges (family analysis)")
     s_values = np.array(s_values, dtype=float).ravel()
-    out = np.zeros(s_values.size)
-    w0, w1 = np.split(integrand(np.concatenate([s_values, s_values + 1.0])), 2)
+    n = s_values.size
+    out = np.zeros(n)
+    anchors = list(dict.fromkeys(map(_anchor, s_values.tolist())))
+    starts = np.concatenate([s_values, anchors])
+    w0, w1 = np.split(integrand(np.concatenate([starts, starts + 1.0])), 2)
     zero = np.flatnonzero((w0 == 0.0) & (w1 == 0.0))
-    below = zero[integrand(s_values[zero] + 100.0) == 0.0]  # below float range: 0.0
-    walks = {i: _tail_walk(info, s, max(x0, x1), rel_tol, max_span)
-             for i, (s, x0, x1) in enumerate(zip(s_values.tolist(), w0.tolist(), w1.tolist()))
-             if i not in below}
-    windows = {i: next(walk) for i, walk in walks.items()}  # ascending in i
+    below = set(zero[integrand(starts[zero] + 100.0) == 0.0].tolist())  # below float range: 0.0
+    scales = [None if i in below else max(x0, x1)
+              for i, (x0, x1) in enumerate(zip(w0.tolist(), w1.tolist()))]
+    # anchor k walks under key -1 - k, ahead of the s (keys 0 to n - 1) that wait for it;
+    # ended maps an anchor to its value or error and the start of its last window
+    walks = {-1 - k: _walk(info, a, math.inf, scales[n + k], rel_tol, max_span)
+             for k, a in enumerate(anchors) if scales[n + k] is not None}
+    ended = {a: (0.0, -math.inf) for k, a in enumerate(anchors) if scales[n + k] is None}
+    walks.update((i, _tail_walk(info, s, scales[i], rel_tol, max_span))
+                 for i, s in enumerate(s_values.tolist()) if scales[i] is not None)
+    steps = {i: next(walk) for i, walk in walks.items()}
+    masses: dict[tuple[float, float, float], float] = {}
     failed = None
-    while windows:
-        masses = adaptive_simpson_many(integrand, *np.array(list(windows.values())).T,
-                                       rel_floor=0.01 * rel_tol)
-        for i, mass in zip(list(windows), masses.tolist()):
+    while any(i >= 0 for i in steps):
+        new = [w for w in dict.fromkeys(steps.values())
+               if isinstance(w, tuple) and w not in masses]
+        if new:
+            masses.update(zip(new, adaptive_simpson_many(
+                integrand, *np.array(new).T, rel_floor=0.01 * rel_tol).tolist()))
+        for i, step in list(steps.items()):
+            if not isinstance(step, tuple) and step not in ended:
+                continue  # waits for its anchor's walk
             try:
-                windows[i] = walks[i].send(mass)
+                steps[i] = walks[i].send(masses[step] if isinstance(step, tuple) else ended[step])
             except StopIteration as done:
-                out[i] = done.value
-                del windows[i]
+                if i < 0:
+                    ended[anchors[-1 - i]] = (done.value[0], step[0])
+                else:
+                    out[i] = done.value
+                del steps[i]
             except NumericalError as exc:
+                if i < 0:
+                    ended[anchors[-1 - i]] = (exc, step[0])
+                    del steps[i]
+                    continue
                 failed = exc  # only an earlier s can still fail before this one
-                windows = {j: w for j, w in windows.items() if j < i}
+                steps = {j: w for j, w in steps.items() if j < i}
                 break
     if failed is not None:
         raise failed
@@ -393,7 +476,7 @@ class BetaFunction:
         return np.array([self._integrals[s] for s in keys])
 
     def _logs(self, s_values: Sequence[float]):
-        """s, log mu(s), log nu(s) and log I(s) as arrays.
+        """s, I(s), log mu(s), log nu(s), log I(s) and beta(s) as arrays.
 
         Raises TailBoundError at the first s whose I(s) has underflowed to
         0.0, since beta(s) then has no float value.
@@ -405,42 +488,54 @@ class BetaFunction:
             bad = float(s[low[0]])
             raise TailBoundError(f"tail integral I(s) underflows to {integrals[low[0]]:g} at "
                                  f"s={bad:g}; beta(s) needs log I(s)", s=bad)
-        return (s, np.asarray(self.mu.log_eval(s), dtype=float),
-                np.asarray(self.nu.log_eval(s), dtype=float), _map(math.log, integrals))
+        log_mu = np.asarray(self.mu.log_eval(s), dtype=float)
+        log_nu = np.asarray(self.nu.log_eval(s), dtype=float)
+        log_i = _map(math.log, integrals)
+        beta = _map(math.exp, self.a * log_mu - self.eps * (1.0 + 1.0 / self.q) * log_nu
+                    - log_i / self.q)
+        return s, integrals, log_mu, log_nu, log_i, beta
 
     def beta(self, s_values: Sequence[float]) -> np.ndarray:
         """beta(s) = mu(s)^a / (nu(s)^(eps(1+1/q)) I(s)^(1/q)) at every s."""
-        _, log_mu, log_nu, log_i = self._logs(s_values)
-        return _map(math.exp, self.a * log_mu - self.eps * (1.0 + 1.0 / self.q) * log_nu
-                    - log_i / self.q)
+        return self._logs(s_values)[-1]
+
+    def table(self, s_values: Sequence[float]) -> dict[str, np.ndarray]:
+        """The columns of ``beta.csv`` at every s, from one evaluation of beta.
+
+        s, beta, its closed form (NaN without one), beta_tilde = beta nu^-eps,
+        mu^a/beta, I(s) and the identity residual
+        |mu^(-aq) nu^(eps(q+1)) beta^q I - 1|.  The relation is algebraically
+        exact, so with beta taken from the closed form (when the rate pair has
+        one) the residual isolates the quadrature error of I(s).  Without a
+        closed form both factors share the quadrature value and the residual
+        only reflects round-off.
+        """
+        s, integrals, log_mu, log_nu, log_i, beta = self._logs(s_values)
+        if self._closed_fn is not None:
+            # one scalar call per s: numpy's array power differs in the last bit
+            closed = np.array([self._closed_fn(x) for x in s.tolist()], dtype=float)
+        else:
+            closed = np.full(s.size, math.nan)
+        log_term = (-self.a * self.q * log_mu + self.eps * (self.q + 1.0) * log_nu
+                    + self.q * _map(math.log, beta if self._closed_fn is None else closed)
+                    + log_i)
+        return {"s": s, "beta_quadrature": beta, "beta_closed_form": closed,
+                "beta_tilde": beta * _map(math.exp, -self.eps * log_nu),
+                "mu_pow_a_over_beta": _map(math.exp, self.a * log_mu) / beta,
+                "tail_integral": integrals,
+                "identity_residual": np.abs(_map(math.expm1, log_term))}
 
     def beta_tilde(self, s_values: Sequence[float]) -> np.ndarray:
         """beta(s) nu(s)^-eps at every s."""
-        s = np.array(s_values, dtype=float).ravel()
-        return self.beta(s) * _map(math.exp, -self.eps * np.asarray(self.nu.log_eval(s)))
+        return self.table(s_values)["beta_tilde"]
 
     def mu_a_over_beta(self, s_values: Sequence[float]) -> np.ndarray:
         """mu(s)^a / beta(s) at every s."""
-        s = np.array(s_values, dtype=float).ravel()
-        return _map(math.exp, self.a * np.asarray(self.mu.log_eval(s))) / self.beta(s)
+        return self.table(s_values)["mu_pow_a_over_beta"]
 
     def identity_residual(self, s_values: Sequence[float]) -> np.ndarray:
-        """|mu(s)^(-aq) nu(s)^(eps(q+1)) beta(s)^q I(s) - 1| at every s.
-
-        The relation is algebraically exact, so with beta taken from the
-        closed form (when the rate pair has one) the residual isolates the
-        quadrature error of I(s).  Without a closed form both factors share
-        the quadrature value and the residual only reflects round-off.
-        """
-        s, log_mu, log_nu, log_i = self._logs(s_values)
-        if self._closed_fn is not None:
-            # one scalar call per s: numpy's array power differs in the last bit
-            betas = np.array([self._closed_fn(x) for x in s.tolist()], dtype=float)
-        else:
-            betas = self.beta(s)
-        log_term = (-self.a * self.q * log_mu + self.eps * (self.q + 1.0) * log_nu
-                    + self.q * _map(math.log, betas) + log_i)
-        return np.abs(_map(math.expm1, log_term))
+        """|mu(s)^(-aq) nu(s)^(eps(q+1)) beta(s)^q I(s) - 1| at every s; see ``table``."""
+        return self.table(s_values)["identity_residual"]
 
     def closed_form_value(self, s: float) -> float | None:
         return self._closed_fn(s) if self._closed_fn is not None else None
@@ -465,8 +560,8 @@ def check_monotonicity(beta: BetaFunction, grid: Sequence[float]) -> Monotonicit
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("monotonicity grid must be increasing with at least two points")
-    betas = beta.beta(grid)
-    ratios = beta.mu_a_over_beta(grid)
+    table = beta.table(grid)
+    betas, ratios = table["beta_quadrature"], table["mu_pow_a_over_beta"]
 
     def worst_uptick(vals: np.ndarray) -> float:
         rel = (vals[1:] - vals[:-1]) / vals[:-1]

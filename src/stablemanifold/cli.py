@@ -195,23 +195,16 @@ class Runner:
         # the solver's slices come from the same rule, so it finds them in beta's cache
         s_values = uniform_grid(ch["beta_s_max"], ch["beta_points"])
         mono_grid = uniform_grid(ch["beta_s_max"], ch["monotonicity_points"])
-        integrals = beta.integrals(s_values + mono_grid)[:len(s_values)]
-        b_quad = beta.beta(s_values)
-        resid = beta.identity_residual(s_values)
-        worst_resid = float(resid.max())
+        beta.integrals(s_values + mono_grid)  # both grids' I(s) in one batch
+        table = beta.table(s_values)
+        b_quad = table["beta_quadrature"]
+        worst_resid = float(table["identity_residual"].max())
         if beta.closed_form is not None:
-            # one scalar call per s, as in identity_residual
-            b_closed = np.array([beta.closed_form_value(s) for s in s_values], dtype=float)
-            worst_match = float(np.abs(b_quad / b_closed - 1.0).max())
+            worst_match = float(np.abs(b_quad / table["beta_closed_form"] - 1.0).max())
         else:
-            b_closed, worst_match = np.full(len(s_values), math.nan), 0.0
-        _write_csv(self.path("beta.csv"),
-                   ["s", "beta_quadrature", "beta_closed_form", "beta_tilde",
-                    "mu_pow_a_over_beta", "tail_integral", "identity_residual"],
-                   zip(s_values, b_quad.tolist(), b_closed.tolist(),
-                       beta.beta_tilde(s_values).tolist(),
-                       beta.mu_a_over_beta(s_values).tolist(), integrals.tolist(),
-                       resid.tolist()))
+            worst_match = 0.0
+        _write_csv(self.path("beta.csv"), list(table),
+                   zip(*(column.tolist() for column in table.values())))
         mono = check_monotonicity(beta, mono_grid)
         cap, certified = solver_radius(self.params, self.pert, replace(self.cfg, delta=None))
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])

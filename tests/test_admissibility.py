@@ -8,6 +8,7 @@ from stablemanifold.admissibility import (BetaFunction, _rate_integrand, analyti
                                           closed_form_beta, default_capacity, delta_max,
                                           delta_max_bounds, improper_rate_integral,
                                           improper_rate_integrals)
+from stablemanifold.config import uniform_grid
 from stablemanifold.errors import DivergenceError, NumericalError, TailBoundError
 from stablemanifold.rates import builtin_rate, expression_rate
 
@@ -342,6 +343,43 @@ def test_beta_of_an_underflowed_tail_raises_with_s():
     with pytest.raises(TailBoundError, match="underflows") as info:
         bf.beta([0.0, 400.0, 500.0])
     assert info.value.s == 400.0
+
+
+ANCHOR_S = [0.0, 0.3, 1.0, 1.7, 2.0, 5.5, 40.0, 257.0]
+
+
+@pytest.mark.parametrize("mu,p,eps,exact", [
+    (EXP, -1.0, 0.1, lambda s: math.exp(-0.9 * s) / 0.9),
+    (POLY, -2.0, 0.1, lambda s: (1.0 + s) ** -0.9 / 0.9)], ids=["exp", "poly"])
+def test_anchored_tails_match_the_exact_tails(mu, p, eps, exact):
+    # anchors 1, 1, 1, 2, 2, 8, 64 and 512: s = 1 and 2 are their own anchors, the
+    # other pieces run from one window to eight (s = 257 on the slow polynomial tail)
+    got = improper_rate_integrals(mu, mu, p, eps, ANCHOR_S)
+    for s, value in zip(ANCHOR_S, got.tolist()):
+        assert abs(value / exact(s) - 1.0) <= 1e-8, s
+
+
+def test_points_below_one_share_one_anchor_walk(monkeypatch):
+    # the 248 admissibility points of the matrix-d2 benchmark config lie in [0, 1]:
+    # each s < 1 integrates its window [s, 1], and the walk from 1 runs once
+    from stablemanifold import admissibility
+    windows = []
+    quadrature = admissibility.adaptive_simpson_many
+
+    def counting(f, a, b, tol, **kw):
+        windows.extend(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
+        return quadrature(f, a, b, tol, **kw)
+
+    monkeypatch.setattr(admissibility, "adaptive_simpson_many", counting)
+    improper_rate_integral(EXP, EXP, -2.0, 0.0, 1.0)
+    walk = windows[:]
+    windows.clear()
+    s_values = list(dict.fromkeys(uniform_grid(1.0, 200) + uniform_grid(1.0, 50)))
+    improper_rate_integrals(EXP, EXP, -2.0, 0.0, s_values)
+    assert len(s_values) == 248 and len(walk) >= 2
+    assert sorted(w for w in windows if w[0] < 1.0) == sorted((s, 1.0) for s in s_values
+                                                              if s < 1.0)
+    assert [w for w in windows if w[0] >= 1.0] == walk
 
 
 def reference_beta(mu, nu, a, eps, q, s, integral):

@@ -179,14 +179,17 @@ def test_slice_points_on_admissibility_grids_are_the_grid_doubles(tmp_path, monk
     assert matched > 4
 
 
-def test_shared_beta_changes_no_artifact(tmp_path):
-    assert main(["all", "--config", LOGLOG, "--out", str(tmp_path / "all")]) == 0
+@pytest.mark.parametrize("config", [LOGLOG, ORACLE], ids=["loglog", "oracle"])
+def test_shared_beta_changes_no_artifact(tmp_path, config):
+    # on the oracle the solve's batch holds the ten odd tenths, which no admissibility
+    # grid has: I(s) must not depend on the batch it is computed in
+    assert main(["all", "--config", config, "--out", str(tmp_path / "all")]) == 0
     together = tree_bytes(tmp_path / "all")
     for command, tables in (("admissibility", ["beta.csv"]),
                             ("solve-manifold", ["graph.csv", "convergence.csv"]),
                             ("perturb-compare", ["compare.csv"])):
         out = tmp_path / command
-        assert main([command, "--config", LOGLOG, "--out", str(out)]) == 0
+        assert main([command, "--config", config, "--out", str(out)]) == 0
         alone = tree_bytes(out)
         for name in tables + [f"report-{command}.json"]:
             assert alone[name] == together[name], name

@@ -366,6 +366,24 @@ def test_quadrature_cut_matches_the_analytic_cut():
     assert np.all((1.0 + CUT_S + spans / 2.0) ** -2.9 / 2.9 > CUT_TARGETS)
 
 
+def test_quadrature_cuts_share_the_anchor_walks(monkeypatch):
+    # each walk from s + 2^k hands its tail beyond the next power of two to one walk
+    # shared by the batch: 946 adaptive Simpson intervals, where a full walk from
+    # every s + 2^k takes 1821
+    from stablemanifold import admissibility
+    intervals = []
+    quadrature = admissibility.adaptive_simpson_many
+
+    def counting(f, a, *rest, **kw):
+        intervals.append(np.size(a))
+        return quadrature(f, a, *rest, **kw)
+
+    monkeypatch.setattr(admissibility, "adaptive_simpson_many", counting)
+    expr = expression_rate("1 + t")
+    manifold._truncation_points(expr, expr, -4.0, 0.1, CUT_S, CUT_TARGETS, 5000.0)
+    assert sum(intervals) <= 1000
+
+
 @pytest.mark.parametrize("rate", [POLY, expression_rate("1 + t")], ids=["analytic", "quadrature"])
 def test_cut_beyond_t_cut_max_names_the_first_failing_slice(rate):
     # spans of 8 and 16 reach the first four targets; the fifth (s = 0.4) needs 32
