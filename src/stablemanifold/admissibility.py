@@ -11,10 +11,10 @@ order q, the manifold construction is admissible when
 beta is computed from the tail integral by adaptive Simpson quadrature with a
 certified truncation point; closed forms for the builtin rate pairs are kept
 separately so they can serve as independent cross-checks and as cheap
-extrapolators, never as the quadrature's own shortcut.  The tail integrals of
-many s run in lockstep: the walk from s stops at its anchor, the least power
-of two >= max(s, 1), and each anchor's walk runs once for all the s that
-reach it.  Each I(s) is bit-identical to computing its s alone.
+extrapolators, never as the quadrature's own shortcut.  I(s) is the walk from
+s cut at its anchor, the least power of two >= max(s, 1), plus the anchor's
+walk unless the cut walk is certified; a batch runs all these walks in lockstep
+and combines them per s, each I(s) bit-identical to computing its s alone.
 
 All rate evaluations run in log space so large-t probes degrade to underflow
 instead of inf*0 artifacts.
@@ -237,7 +237,7 @@ def _walk(info: TailBoundInfo | None, s: float, stop: float, scale: float, rel_t
                 f"window [{lo:g}, {hi:g}] mass overflows the float range")
         total += delta
         deltas.append(delta)
-        if info is not None and info.fn is not None and total > 0.0:
+        if info is not None and total > 0.0:
             bound = info.fn(hi)
             if math.isfinite(bound):
                 if bound <= 0.2 * rel_tol * total:
@@ -270,30 +270,6 @@ def _walk(info: TailBoundInfo | None, s: float, stop: float, scale: float, rel_t
         hi = min(s + 2.0 * (hi - s), stop)
 
 
-def _tail_walk(info: TailBoundInfo | None, s: float, scale: float, rel_tol: float,
-               max_span: float):
-    """Coroutine returning I(s): the walk from s up to its anchor A, then A's walk.
-
-    Where the walk from s is certified before A it ends there.  Otherwise it
-    yields A and is sent the outcome of A's walk (its value or its error) and
-    the start of that walk's last window: every other window s relies on ends
-    there or before, so that start decides the span rule of s.
-    """
-    anchor = _anchor(s)
-    total, certified = 0.0, False
-    if s < anchor:
-        total, certified = yield from _walk(info, s, anchor, scale, rel_tol, max_span)
-    if certified:
-        return total
-    outcome, last_lo = yield anchor
-    # A's own span error: s, behind A, overruns its span no later
-    if last_lo - s > max_span or isinstance(outcome, TailBoundError):
-        raise _span_error(s, rel_tol, max_span)
-    if isinstance(outcome, NumericalError):
-        raise outcome
-    return total + outcome
-
-
 def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
                             s_values: Sequence[float], rel_tol: float = 1e-8,
                             max_span: float = 1e30) -> np.ndarray:
@@ -318,10 +294,11 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     rule can judge it.
 
     Anchors.  I(s) = P(s) + I(A), with A the least power of two >= max(s, 1).
-    The piece P(s) is the walk from s with its last window cut at A; where its
-    truncation is certified before A, I(s) is the piece alone.  I(A) is the
-    walk from A, run once per distinct anchor of the batch, so the far tail
-    is walked once per anchor, not once per s.  The error budget is that of a
+    The piece P(s) is the walk from s with its last window cut at A, and I(A)
+    the walk from A.  Pieces and anchor walks run independently, each distinct
+    s and anchor once, so the far tail is walked once per anchor, not once
+    per s.  Then each I(s) is combined: the piece alone where its truncation
+    is certified before A, else P(s) + I(A).  The error budget is that of a
     walk from s: the windows of I(A) are integrated to 0.01 rel_tol times
     masses of I(A) and its truncation is certified to 0.2 rel_tol I(A); as
     the integrand is nonnegative, I(A) <= I(s), so the piece tolerances plus
@@ -331,64 +308,76 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     that reaches it.
 
     Each round integrates the current window of every unfinished walk in one
-    ``adaptive_simpson_many`` call, each distinct window once.  A window's
-    mass does not depend on its batch and A depends only on s, so each value
-    equals a one-element call, and the error raised is that of the first
-    failing s in ``s_values``.
+    ``adaptive_simpson_many`` call while an s waits on a walk; each I(s) is
+    formed in order once its walks end.  A window's mass does not depend on
+    its batch and A depends only on s, so each value equals a one-element
+    call, and the error raised is that of the first failing s in ``s_values``.
     """
     integrand = _rate_integrand(mu, nu, p, eps)
     info = analytic_tail_bound(mu, nu, p, eps)
     if info is not None and info.divergent:
         raise DivergenceError(
             f"integral of {mu.label}^{p:g} * {nu.label}^{eps:g} diverges (family analysis)")
-    s_values = np.array(s_values, dtype=float).ravel()
-    n = s_values.size
-    out = np.zeros(n)
-    anchors = list(dict.fromkeys(map(_anchor, s_values.tolist())))
-    starts = np.concatenate([s_values, anchors])
-    w0, w1 = np.split(integrand(np.concatenate([starts, starts + 1.0])), 2)
+    s_list = np.array(s_values, dtype=float).ravel().tolist()
+    distinct = list(dict.fromkeys(s_list))
+    anchors = list(dict.fromkeys(map(_anchor, distinct)))
+    starts = distinct + anchors
+    x = np.array(starts)
+    w0, w1 = np.split(integrand(np.concatenate([x, x + 1.0])), 2)
     zero = np.flatnonzero((w0 == 0.0) & (w1 == 0.0))
-    below = set(zero[integrand(starts[zero] + 100.0) == 0.0].tolist())  # below float range: 0.0
-    scales = [None if i in below else max(x0, x1)
-              for i, (x0, x1) in enumerate(zip(w0.tolist(), w1.tolist()))]
-    # anchor k walks under key -1 - k, ahead of the s (keys 0 to n - 1) that wait for it;
-    # ended maps an anchor to its value or error and the start of its last window
-    walks = {-1 - k: _walk(info, a, math.inf, scales[n + k], rel_tol, max_span)
-             for k, a in enumerate(anchors) if scales[n + k] is not None}
-    ended = {a: (0.0, -math.inf) for k, a in enumerate(anchors) if scales[n + k] is None}
-    walks.update((i, _tail_walk(info, s, scales[i], rel_tol, max_span))
-                 for i, s in enumerate(s_values.tolist()) if scales[i] is not None)
-    steps = {i: next(walk) for i, walk in walks.items()}
-    masses: dict[tuple[float, float, float], float] = {}
-    failed = None
-    while any(i >= 0 for i in steps):
-        new = [w for w in dict.fromkeys(steps.values())
-               if isinstance(w, tuple) and w not in masses]
-        if new:
-            masses.update(zip(new, adaptive_simpson_many(
-                integrand, *np.array(new).T, rel_floor=0.01 * rel_tol).tolist()))
-        for i, step in list(steps.items()):
-            if not isinstance(step, tuple) and step not in ended:
-                continue  # waits for its anchor's walk
+    # integrand below the float range from these starts on: I = 0.0
+    below = {starts[i] for i in zero[integrand(x[zero] + 100.0) == 0.0].tolist()}
+    scales = dict(zip(starts, map(max, w0.tolist(), w1.tolist())))
+    keys = [(s, _anchor(s)) for s in distinct if s < _anchor(s)] + [(a, math.inf) for a in anchors]
+    walks = {(lo, stop): _walk(info, lo, stop, scales[lo], rel_tol, max_span)
+             for lo, stop in keys if lo not in below}
+    steps = {key: next(walk) for key, walk in walks.items()}
+    ended = {}  # (start, stop) -> (mass and certified, or the error; start of the last window)
+    values = {}  # s -> I(s), formed in the order of s
+
+    def tail(s: float) -> float | None:
+        """I(s) from the ended walks, None while one it needs runs; raises its error."""
+        anchor = _anchor(s)
+        total, certified = 0.0, s in below
+        if s < anchor and not certified:
+            if (s, anchor) not in ended:
+                return None
+            outcome = ended[s, anchor][0]
+            if isinstance(outcome, NumericalError):
+                raise outcome
+            total, certified = outcome
+        if certified or anchor in below:
+            return total
+        if (anchor, math.inf) not in ended:
+            return None
+        outcome, last_lo = ended[anchor, math.inf]
+        # A's own span error: s, behind A, overruns its span no later
+        if last_lo - s > max_span or isinstance(outcome, TailBoundError):
+            raise _span_error(s, rel_tol, max_span)
+        if isinstance(outcome, NumericalError):
+            raise outcome
+        return total + outcome[0]
+
+    def pending() -> bool:
+        """Whether an s still waits on a walk; forms the I(s) before it, in order."""
+        for s in distinct[len(values):]:
+            value = tail(s)
+            if value is None:
+                return True
+            values[s] = value
+        return False
+
+    while pending():
+        masses = adaptive_simpson_many(integrand, *np.array(list(steps.values())).T,
+                                       rel_floor=0.01 * rel_tol)
+        for key, mass in zip(list(steps), masses.tolist()):
             try:
-                steps[i] = walks[i].send(masses[step] if isinstance(step, tuple) else ended[step])
+                steps[key] = walks[key].send(mass)
             except StopIteration as done:
-                if i < 0:
-                    ended[anchors[-1 - i]] = (done.value[0], step[0])
-                else:
-                    out[i] = done.value
-                del steps[i]
+                ended[key] = done.value, steps.pop(key)[0]
             except NumericalError as exc:
-                if i < 0:
-                    ended[anchors[-1 - i]] = (exc, step[0])
-                    del steps[i]
-                    continue
-                failed = exc  # only an earlier s can still fail before this one
-                steps = {j: w for j, w in steps.items() if j < i}
-                break
-    if failed is not None:
-        raise failed
-    return out
+                ended[key] = exc, steps.pop(key)[0]
+    return np.array([values[s] for s in s_list])
 
 
 def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: float,
@@ -521,9 +510,13 @@ class BetaFunction:
                     + log_i)
         return {"s": s, "beta_quadrature": beta, "beta_closed_form": closed,
                 "beta_tilde": beta * _map(math.exp, -self.eps * log_nu),
-                "mu_pow_a_over_beta": _map(math.exp, self.a * log_mu) / beta,
+                "mu_pow_a_over_beta": self._over_beta(log_mu, beta),
                 "tail_integral": integrals,
                 "identity_residual": np.abs(_map(math.expm1, log_term))}
+
+    def _over_beta(self, log_mu: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """mu(s)^a / beta(s) from log mu(s) and beta(s)."""
+        return _map(math.exp, self.a * log_mu) / beta
 
     def beta_tilde(self, s_values: Sequence[float]) -> np.ndarray:
         """beta(s) nu(s)^-eps at every s."""
@@ -560,8 +553,8 @@ def check_monotonicity(beta: BetaFunction, grid: Sequence[float]) -> Monotonicit
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("monotonicity grid must be increasing with at least two points")
-    table = beta.table(grid)
-    betas, ratios = table["beta_quadrature"], table["mu_pow_a_over_beta"]
+    _, _, log_mu, _, _, betas = beta._logs(grid)
+    ratios = beta._over_beta(log_mu, betas)
 
     def worst_uptick(vals: np.ndarray) -> float:
         rel = (vals[1:] - vals[:-1]) / vals[:-1]

@@ -363,23 +363,38 @@ def test_points_below_one_share_one_anchor_walk(monkeypatch):
     # the 248 admissibility points of the matrix-d2 benchmark config lie in [0, 1]:
     # each s < 1 integrates its window [s, 1], and the walk from 1 runs once
     from stablemanifold import admissibility
-    windows = []
+    calls = []
     quadrature = admissibility.adaptive_simpson_many
 
     def counting(f, a, b, tol, **kw):
-        windows.extend(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
+        calls.append(list(zip(np.ravel(a).tolist(), np.ravel(b).tolist())))
         return quadrature(f, a, b, tol, **kw)
 
     monkeypatch.setattr(admissibility, "adaptive_simpson_many", counting)
     improper_rate_integral(EXP, EXP, -2.0, 0.0, 1.0)
-    walk = windows[:]
-    windows.clear()
+    walk = [w for call in calls for w in call]
     s_values = list(dict.fromkeys(uniform_grid(1.0, 200) + uniform_grid(1.0, 50)))
-    improper_rate_integrals(EXP, EXP, -2.0, 0.0, s_values)
-    assert len(s_values) == 248 and len(walk) >= 2
-    assert sorted(w for w in windows if w[0] < 1.0) == sorted((s, 1.0) for s in s_values
-                                                              if s < 1.0)
-    assert [w for w in windows if w[0] >= 1.0] == walk
+    assert len(s_values) == 248 and len(walk) == 3
+    # a repeated s adds no window: one round of every piece and the anchor's first
+    # window, then one round per further window of the anchor
+    for batch in (s_values, s_values[:10] + s_values):
+        calls.clear()
+        improper_rate_integrals(EXP, EXP, -2.0, 0.0, batch)
+        windows = [w for call in calls for w in call]
+        assert [len(call) for call in calls] == [248, 1, 1]
+        assert sorted(w for w in windows if w[0] < 1.0) == sorted((s, 1.0) for s in s_values
+                                                                  if s < 1.0)
+        assert [w for w in windows if w[0] >= 1.0] == walk
+
+
+def test_piece_before_an_underflowed_anchor_stands_alone():
+    # e^(-1.46 r) from s = 500 is about 1e-317, and subnormal, up to the anchor 512,
+    # where it underflows: the uncertified piece [500, 512] is I(500) with I(512) = 0.0
+    mu = expression_rate("exp(t)")
+    s_values = [0.0, 500.0, 3.0]
+    _assert_batch_equals_singles(mu, mu, -1.46, 0.0, s_values)
+    got = improper_rate_integrals(mu, mu, -1.46, 0.0, s_values)[1]
+    assert abs(got / (math.exp(-730.0) / 1.46) - 1.0) <= 1e-6
 
 
 def reference_beta(mu, nu, a, eps, q, s, integral):

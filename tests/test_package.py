@@ -64,6 +64,25 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_failing_property_test_is_reported(tmp_path):
+    # under the project's warning filters a failing @given test must end as one
+    # failure with its falsifying example, and the session must run on
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_after():\n"
+        "    pass\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           "test_property.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout[-2000:]
+    assert proc.returncode == 1 and "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
+    assert "Falsifying example: test_small(" in proc.stdout
+
+
 def _unused_imports(source: str) -> list[str]:
     """Imported names that the module never references, lists in ``__all__`` or marks
     ``# noqa: F401`` on the name's own line."""
