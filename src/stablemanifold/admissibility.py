@@ -222,11 +222,13 @@ def _walk(info: TailBoundInfo | None, s: float, stop: float, scale: float, rel_t
     Yields (lo, hi, tol), is sent each window's mass and returns (mass, certified):
     certified once truncation is, uncertified when a window reaches ``stop``.  A
     window that ends more than ``max_span`` beyond s without ending the walk
-    raises TailBoundError.
+    raises TailBoundError, as does a first window of no width (s + 1 == s, or NaN).
     """
     total = 0.0
     deltas: list[float] = []
     lo, hi = s, min(s + 1.0, stop)
+    if not hi > lo:
+        raise TailBoundError(f"no window of positive width starts at s={s:g}", s=s)
     first_ref = scale * (hi - lo)
     while True:
         ref = total if total > 0.0 else first_ref
@@ -285,7 +287,7 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     leaving >= 99.9% of the value to genuine quadrature.
     Raises DivergenceError when window masses refuse to decay and
     TailBoundError when a window ending more than ``max_span`` beyond s
-    leaves the tail uncertified.
+    leaves the tail uncertified, or when s + 1 == s (or s is NaN).
 
     Each window's absolute tolerance is 0.01 rel_tol times the mass before it,
     raised to 0.01 rel_tol times the window's own 3-point Simpson estimate
@@ -331,7 +333,7 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     keys = [(s, _anchor(s)) for s in distinct if s < _anchor(s)] + [(a, math.inf) for a in anchors]
     walks = {(lo, stop): _walk(info, lo, stop, scales[lo], rel_tol, max_span)
              for lo, stop in keys if lo not in below}
-    steps = {key: next(walk) for key, walk in walks.items()}
+    steps = {}  # (start, stop) -> the running walk's window (lo, hi, tol)
     ended = {}  # (start, stop) -> (mass and certified, or the error; start of the last window)
     values = {}  # s -> I(s), formed in the order of s
 
@@ -351,8 +353,8 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
         if (anchor, math.inf) not in ended:
             return None
         outcome, last_lo = ended[anchor, math.inf]
-        # A's own span error: s, behind A, overruns its span no later
-        if last_lo - s > max_span or isinstance(outcome, TailBoundError):
+        # A's own span error: s, behind A, overruns its span no later (s = A: A's error is s's)
+        if s < anchor and (last_lo - s > max_span or isinstance(outcome, TailBoundError)):
             raise _span_error(s, rel_tol, max_span)
         if isinstance(outcome, NumericalError):
             raise outcome
@@ -367,17 +369,20 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
             values[s] = value
         return False
 
-    while pending():
-        masses = adaptive_simpson_many(integrand, *np.array(list(steps.values())).T,
-                                       rel_floor=0.01 * rel_tol)
-        for key, mass in zip(list(steps), masses.tolist()):
+    sends = dict.fromkeys(walks)  # what each walk is sent this round: None starts it
+    while True:
+        for key, mass in sends.items():
             try:
                 steps[key] = walks[key].send(mass)
             except StopIteration as done:
                 ended[key] = done.value, steps.pop(key)[0]
-            except NumericalError as exc:
-                ended[key] = exc, steps.pop(key)[0]
-    return np.array([values[s] for s in s_list])
+            except NumericalError as exc:  # one failing as it starts ran no window from key[0]
+                ended[key] = exc, steps.pop(key, key)[0]
+        if not pending():
+            return np.array([values[s] for s in s_list])
+        masses = adaptive_simpson_many(integrand, *np.array(list(steps.values())).T,
+                                       rel_floor=0.01 * rel_tol)
+        sends = dict(zip(steps, masses.tolist()))
 
 
 def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: float,

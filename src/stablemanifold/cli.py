@@ -93,10 +93,8 @@ class Runner:
         self.params = build_params(resolved)
         self.system = build_system(resolved, self.mu, self.nu)
         self.pert = build_perturbation(resolved["perturbation"], self.system.n)
-        cfg = build_solver_config(resolved)
-        self.cfg = replace(cfg, beta_fn=BetaFunction(self.mu, self.nu, self.params.a,
-                                                     self.params.eps, self.pert.q,
-                                                     cfg.quad_rel_tol))
+        self.cfg = replace(build_solver_config(resolved), beta_fn=BetaFunction(
+            self.mu, self.nu, self.params.a, self.params.eps, self.pert.q))
         self._solved = None
         self._check_solver_inputs()
 
@@ -412,9 +410,6 @@ def main(argv: list[str] | None = None) -> int:
                         {"passed": False, "error": {"type": type(exc).__name__,
                                                     "message": str(exc), **context}})
             return 1
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
         report = {"command": name, **report, "passed": passed}
         _write_json(runner.path(f"report-{name}.json"), report)
         if passed:

@@ -247,12 +247,9 @@ def _resolve_solver(obj: Any, path: str) -> dict:
         if isinstance(default, int):
             out[key] = _integer(obj.get(key, default), f"{path}.{key}", lo=1)
         else:
-            out[key] = _number(obj.get(key, default), f"{path}.{key}", lo=0.0,
-                               strict_lo=key != "decay_slack")
+            out[key] = _number(obj.get(key, default), f"{path}.{key}", lo=0.0, strict_lo=True)
     if out["nodes_per_axis"] < 3 or out["nodes_per_axis"] % 2 == 0:
         raise ConfigError(f"{path}.nodes_per_axis", "must be an odd integer >= 3")
-    if out["decay_slack"] < 1.0:
-        raise ConfigError(f"{path}.decay_slack", "must be >= 1")
     return out
 
 

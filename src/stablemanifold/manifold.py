@@ -95,6 +95,11 @@ _CHUNK_SAMPLES = 4096
 _INNER_WORK = ("node_paths", "points", "simpson_sweeps")
 # Picard sweeps an inner chunk may take before ConvergenceError
 _MAX_SWEEPS = 80
+# sweep distance that settles a node, node-metric distance that ends the outer iteration
+# and its budget of operator applications
+_PICARD_TOL, _OUTER_TOL, _MAX_OUTER = 1e-10, 1e-8, 30
+# certificate slacks: of the decay envelope and of the Lipschitz-1 bound
+_DECAY_SLACK, _LIPSCHITZ_TOL = 1.05, 1e-3
 
 
 @dataclass(frozen=True)
@@ -250,8 +255,6 @@ def eval_phi_many(graph: ManifoldGraph, t: np.ndarray, xi: np.ndarray) -> np.nda
     over = norms > rho_t
     scale[over] = rho_t[over] / norms[over]
     xi_c = xi * scale[:, None]
-    if len(s_grid) == 1:
-        return _slice_eval(graph, np.zeros(len(t), dtype=np.int64), xi_c)
     idx = np.searchsorted(s_grid, t, side="right") - 1
     np.clip(idx, 0, len(s_grid) - 1, out=idx)
     idx2 = np.minimum(idx + 1, len(s_grid) - 1)
@@ -370,13 +373,12 @@ def _forcing(graph: ManifoldGraph, pert: Perturbation, t_grid: np.ndarray,
 
 
 def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
-                xi: np.ndarray, picard_tol: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+                xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Inner paths x (B, T, n_E) of the nodes xi (B, n_E), f along them, sweeps per
     node and the number of node paths summed over the cumulative Simpson passes.
 
     Every sweep updates the whole chunk; a node leaves once its own sweep
-    distance is <= picard_tol and keeps that sweep's f-values if the sweep left
+    distance is <= _PICARD_TOL and keeps that sweep's f-values if the sweep left
     its path unchanged bit for bit.  When the pulled-back stable forcing of the
     linear paths is zero everywhere, the chunk stops there with one sweep and
     no Simpson pass: the pass would add +-0 to xi, and no lattice target is
@@ -398,7 +400,7 @@ def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
         cum = cumulative_simpson(np.moveaxis(pulled, 1, 0), table.h)
         passes += len(active)
         x_new = table.stable(xi[active, None, :] + np.moveaxis(cum, 1, 0))
-        done = np.abs(x_new - x_old).max(axis=(1, 2)) <= picard_tol
+        done = np.abs(x_new - x_old).max(axis=(1, 2)) <= _PICARD_TOL
         same = (x_new.view(np.int64) == x_old.view(np.int64)).all(axis=(1, 2))
         x[active] = x_new
         fv[active[done & same]] = fv_old[done & same]
@@ -412,27 +414,27 @@ def _node_paths(graph: ManifoldGraph, pert: Perturbation, table: _SliceTable,
         if sweep < _MAX_SWEEPS:
             fv_old = _forcing(graph, pert, table.t, x[active])
             pulled = table.pull_stable(fv_old)
-    raise ConvergenceError(f"inner Picard sweeps stalled above tolerance {picard_tol:g}")
+    raise ConvergenceError(f"inner Picard sweeps stalled above tolerance {_PICARD_TOL:g}")
 
 
-def _check_decay(table: _SliceTable, x: np.ndarray, xi: np.ndarray, slack: float,
+def _check_decay(table: _SliceTable, x: np.ndarray, xi: np.ndarray,
                  first_node: int = 0) -> float:
     """Worst ratio of |x(t)|_1 to the decay envelope of the paths x (B, T, n_E).
 
-    A ratio above ``slack`` raises DecayBoundError naming s, node and ratio.
+    A ratio above ``_DECAY_SLACK`` raises DecayBoundError naming s, node and ratio.
     """
     xi_norm = np.abs(xi).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.abs(x).sum(axis=2) / (table.envelope * xi_norm[:, None])
     worst = np.where(xi_norm > 0.0, ratios.max(axis=1), 0.0)
-    bad = np.flatnonzero(~(worst <= slack))
+    bad = np.flatnonzero(~(worst <= _DECAY_SLACK))
     if bad.size:
         b = int(bad[0])
         j = int(np.argmax(ratios[b]))
         raise DecayBoundError(
             f"inner trajectory from s={table.s:g}, node {first_node + b} "
             f"(|xi|={xi_norm[b]:g}) broke its decay envelope: ratio {worst[b]:.6f} "
-            f"at t={table.t[j]:g} (slack {slack:g})",
+            f"at t={table.t[j]:g} (slack {_DECAY_SLACK:g})",
             s=table.s, node=first_node + b, ratio=float(worst[b]))
     return float(worst.max())
 
@@ -466,11 +468,13 @@ def _truncation_points(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Resolution and tolerance knobs of the manifold solver.
+    """What a run varies in the manifold solver: its slices, radius and resolution.
 
+    Budgets and certificate slacks are module constants (``_PICARD_TOL``,
+    ``_OUTER_TOL``, ``_MAX_OUTER``, ``_DECAY_SLACK``, ``_LIPSCHITZ_TOL``).
     ``beta_fn`` is no knob and no config key sets it: a ``BetaFunction`` of the
-    solve's (mu, nu, a, eps, q, quad_rel_tol) lets solves share its cached tail
-    integrals I(s); None gives each solve its own.
+    solve's (mu, nu, a, eps, q) lets solves share its cached tail integrals
+    I(s); None gives each solve its own.
     """
 
     s_grid: tuple[float, ...]
@@ -478,14 +482,8 @@ class SolverConfig:
     C: float | None = None           # None: default_capacity(D)
     nodes_per_axis: int = 41
     h: float = 0.01                  # inner-grid step in the system's clock (see _inner_grid)
-    outer_tol: float = 1e-8
-    max_outer: int = 30
-    picard_tol: float = 1e-10
     tail_abs_tol: float = 1e-12
     t_cut_max: float = 1e5
-    lipschitz_tol: float = 1e-3
-    quad_rel_tol: float = 1e-8
-    decay_slack: float = 1.05
     delta_cap: float = 1.0
     beta_fn: BetaFunction | None = field(default=None, compare=False, repr=False)
 
@@ -499,8 +497,8 @@ def graph_metric_distance(old: np.ndarray, new: np.ndarray, graph: ManifoldGraph
     return float(scaled.max()) if scaled.size else 0.0
 
 
-def _check_lipschitz(graph: ManifoldGraph, values: np.ndarray, tol: float):
-    """Adjacent in-ball nodes must satisfy |Dphi|_1 <= (1 + tol) |Dxi|_1."""
+def _check_lipschitz(graph: ManifoldGraph, values: np.ndarray):
+    """Adjacent in-ball nodes must satisfy |Dphi|_1 <= (1 + _LIPSCHITZ_TOL) |Dxi|_1."""
     m = graph.nodes_per_axis
     d = graph.n_stable
     shape = (m,) * d
@@ -523,7 +521,7 @@ def _check_lipschitz(graph: ManifoldGraph, values: np.ndarray, tol: float):
             if ratio > worst:
                 worst = ratio
                 where = (float(graph.s_grid[k]), axis)
-    if worst > 1.0 + tol:
+    if worst > 1.0 + _LIPSCHITZ_TOL:
         raise LipschitzError(
             f"graph iterate violated the Lipschitz-1 bound: ratio {worst:.6f} "
             f"at slice s={where[0]:g}", worst_ratio=worst, location=where)
@@ -560,9 +558,9 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
     Node values at lattice corners outside the slice ball are computed at
     their radially clamped targets, which keeps the interpolant consistent
     with the Lipschitz extension.  Every node path must respect its decay
-    envelope up to ``cfg.decay_slack``; the worst ratio is returned in
+    envelope up to ``_DECAY_SLACK``; the worst ratio is returned in
     ``meta["max_decay_ratio"]``.  The worst ratio of |Dphi|_1 to |Dxi|_1 over
-    adjacent in-ball nodes, bounded by 1 + ``cfg.lipschitz_tol``, is returned
+    adjacent in-ball nodes, bounded by 1 + ``_LIPSCHITZ_TOL``, is returned
     in ``meta["max_lipschitz_ratio"]``.  ``meta["inner"]`` counts the work of
     this application: ``node_paths``, their grid ``points`` (each path times its
     grid length) and ``simpson_sweeps`` (each path times its cumulative Simpson
@@ -578,14 +576,14 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
         chunk = max(1, _CHUNK_SAMPLES // len(table.t))
         for lo in range(0, len(targets), chunk):
             xi = targets[lo:lo + chunk]
-            x, fv, _, passes = _node_paths(graph, pert, table, xi, cfg.picard_tol)
-            worst = max(worst, _check_decay(table, x, xi, cfg.decay_slack, lo))
+            x, fv, _, passes = _node_paths(graph, pert, table, xi)
+            worst = max(worst, _check_decay(table, x, xi, lo))
             integrand = np.moveaxis(table.pull_unstable(fv), 1, 0)
             new_values[k, lo:lo + chunk] = -composite_simpson(integrand, table.h)
             inner["node_paths"] += len(xi)
             inner["points"] += len(xi) * len(table.t)
             inner["simpson_sweeps"] += passes
-    lipschitz = _check_lipschitz(graph, new_values, cfg.lipschitz_tol)
+    lipschitz = _check_lipschitz(graph, new_values)
     return replace(graph, values=new_values, meta={**graph.meta, "max_decay_ratio": worst,
                                                    "max_lipschitz_ratio": lipschitz,
                                                    "inner": inner})
@@ -678,15 +676,16 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     and inner-grid length ``grid_points``, and ``meta["inner"]`` the work
     counters of ``apply_phi_operator`` summed over the applications.  The
     measured contraction ratio must stay within 10% of the certified factor;
-    persistent excess raises ContractionError, exhaustion of the budget raises
-    ConvergenceError.  The slice tables are built once here and dropped on return.
+    persistent excess raises ContractionError, a distance above ``_OUTER_TOL``
+    after ``_MAX_OUTER`` steps ConvergenceError.  The slice tables are built
+    once here and dropped on return.
     When f reads no unstable component, Phi ignores the graph: the first
     iterate Phi(0) is the fixed point and serves as every later iterate
     unchanged, so the operator runs once.  ``cfg.beta_fn`` supplies the radius
     function beta, built here when None.
     ValueError rejects a perturbation that does not vanish at the origin or
     whose ``reads`` f contradicts (see ``_check_reads``), and a ``cfg.beta_fn``
-    built for another (mu, nu, a, eps, q, quad_rel_tol).
+    built for another (mu, nu, a, eps, q).
     """
     n_e, n_f = system.n_stable, system.n_unstable
     cap, delta = solver_radius(params, pert, cfg)
@@ -696,10 +695,10 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     check_vanishes_at_origin(pert, s_grid, system.n)
     if pert.reads is not None:
         _check_reads(pert, s_grid, system.n)
-    key = (mu, nu, params.a, params.eps, pert.q, cfg.quad_rel_tol)
+    key = (mu, nu, params.a, params.eps, pert.q)
     beta_fn = cfg.beta_fn if cfg.beta_fn is not None else BetaFunction(*key)
-    if (beta_fn.mu, beta_fn.nu, beta_fn.a, beta_fn.eps, beta_fn.q, beta_fn.rel_tol) != key:
-        raise ValueError("cfg.beta_fn was built for another (mu, nu, a, eps, q, quad_rel_tol)")
+    if (beta_fn.mu, beta_fn.nu, beta_fn.a, beta_fn.eps, beta_fn.q) != key:
+        raise ValueError("cfg.beta_fn was built for another (mu, nu, a, eps, q)")
     radii = delta * beta_fn.beta(s_grid)
     in_ball, targets = _build_lattice(n_e, cfg.nodes_per_axis)
     graph = ManifoldGraph(
@@ -719,7 +718,7 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     prev_distance = None
     constant = _ignores_graph(pert, n_e)
     inner = dict.fromkeys(_INNER_WORK, 0)
-    for iteration in range(1, cfg.max_outer + 1):
+    for iteration in range(1, _MAX_OUTER + 1):
         if constant and iteration > 1:
             new_graph = graph  # Phi does not read graph.values: Phi(graph) is graph
         else:
@@ -731,9 +730,9 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
                         "max_decay_ratio": new_graph.meta["max_decay_ratio"],
                         "max_lipschitz_ratio": new_graph.meta["max_lipschitz_ratio"]})
         graph = new_graph
-        if distance <= cfg.outer_tol:
+        if distance <= _OUTER_TOL:
             return replace(graph, meta={**graph.meta, "inner": inner}), history
-        if ratio is not None and ratio > 1.1 * factor and distance > 10.0 * cfg.outer_tol:
+        if ratio is not None and ratio > 1.1 * factor and distance > 10.0 * _OUTER_TOL:
             strikes += 1
             if strikes >= 2:
                 raise ContractionError(
@@ -743,7 +742,7 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
             strikes = 0
         prev_distance = distance
     raise ConvergenceError(
-        f"outer iteration did not reach {cfg.outer_tol:g} in {cfg.max_outer} steps",
+        f"outer iteration did not reach {_OUTER_TOL:g} in {_MAX_OUTER} steps",
         history=history)
 
 

@@ -313,6 +313,41 @@ def test_batched_tail_raises_the_first_failing_s_in_order():
         _assert_batch_equals_singles(hump, one, 1.0, 0.0, s_values, max_span=8.0)
 
 
+@pytest.mark.parametrize("s", [2.0 ** 53, 1.7e308, math.nan])
+def test_walk_without_a_window_of_width_raises_at_once(s):
+    # s + 1 == s (or s is NaN): every window would be [s, s], of mass 0, and no rule
+    # would end the walk; a few sends bound the test where the guard is missing
+    from stablemanifold.admissibility import _walk
+    walk = _walk(None, s, math.inf, 1.0, 1e-8, 1e30)
+    with pytest.raises(TailBoundError, match="no window of positive width") as info:
+        next(walk)
+        for _ in range(3):
+            walk.send(0.0)
+    assert info.value.s == s or math.isnan(s) and math.isnan(info.value.s)
+
+
+@pytest.mark.parametrize("p,s", [(-1.46, 1.7e308), (1.0, 1e308), (1.0, math.nan)])
+def test_tail_from_a_point_without_window_width_raises_with_s(p, s):
+    # exp(t) rates: the integrand is NaN or inf there, so s is no point below the float range
+    rate = expression_rate("exp(t)")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TailBoundError, match="no window of positive width") as info:
+        improper_rate_integrals(rate, rate, p, 0.0, [s])
+    assert info.value.s == s or math.isnan(s) and math.isnan(info.value.s)
+
+
+def test_walk_failing_at_its_start_keeps_the_order_of_s():
+    # the walk from 1.7e308 fails before its first window; 20.0 fails in round five
+    hump, one = expression_rate("(1 + t)^8 * exp(-t)"), builtin_rate("polynomial")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TailBoundError, match="span 8") as info:
+            improper_rate_integrals(hump, one, 1.0, 0.0, [20.0, 1.7e308], max_span=8.0)
+        assert info.value.s == 20.0
+        with pytest.raises(TailBoundError, match="no window") as info:
+            improper_rate_integrals(hump, one, 1.0, 0.0, [1.7e308, 20.0], max_span=8.0)
+        assert info.value.s == 1.7e308
+
+
 def test_beta_function_integrals_fill_the_cache_in_one_batch(monkeypatch):
     from stablemanifold import admissibility
     batches = []

@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from stablemanifold import cli
+from stablemanifold import cli, manifold
 from stablemanifold.cli import main
 
 CONFIG_DIR = resources.files("stablemanifold") / "configs"
@@ -65,7 +65,7 @@ def test_manifest_records_run(tmp_path):
     assert manifest["command"] == "admissibility"
     assert manifest["cli"] == {"seed": 3, "tol_scale": 1.0, "out": out}
     # the embedded config is fully materialized, defaults included
-    assert manifest["config"]["solver"]["max_outer"] == 30
+    assert manifest["config"]["solver"]["tail_abs_tol"] == 1e-12
     assert manifest["config"]["checks"]["beta_points"] == 10
     assert manifest["config"]["label"] == "oracle_cubic"
 
@@ -200,8 +200,7 @@ def test_solve_rejects_a_beta_function_of_another_order(tmp_path):
     from stablemanifold.config import load_run_input, resolve_config
     from stablemanifold.manifold import solve_manifold
     r = cli.Runner(resolve_config(load_run_input(LOGLOG)[0]), str(tmp_path), 0)
-    other = BetaFunction(r.mu, r.nu, r.params.a, r.params.eps, r.pert.q + 1.0,
-                         r.cfg.quad_rel_tol)
+    other = BetaFunction(r.mu, r.nu, r.params.a, r.params.eps, r.pert.q + 1.0)
     with pytest.raises(ValueError, match="beta_fn was built for another"):
         solve_manifold(r.system, r.mu, r.nu, r.params, r.pert, replace(r.cfg, beta_fn=other))
 
@@ -402,10 +401,8 @@ def test_nonmonotone_rate_exits_one(tmp_path, capsys):
 
 
 def test_numerical_failure_report_carries_error_context(tmp_path, monkeypatch, capsys):
-    # decay_slack >= 1 in configs; a slack below the ratio 0.5 at t = s forces the error
-    build = cli.build_solver_config
-    monkeypatch.setattr(cli, "build_solver_config",
-                        lambda resolved: replace(build(resolved), decay_slack=0.4))
+    # the decay slack is 1.05; a slack below the ratio 0.5 at t = s forces the error
+    monkeypatch.setattr(manifold, "_DECAY_SLACK", 0.4)
     out = str(tmp_path / "run")
     assert main(["solve-manifold", "--config", ORACLE, "--out", out]) == 1
     captured = capsys.readouterr()

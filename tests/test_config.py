@@ -2,13 +2,14 @@ import copy
 import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from stablemanifold.config import (build_comparison, build_params, build_perturbation,
-                                   build_rates, build_solver_config, build_system,
-                                   load_run_input, resolve_config, scale_tolerances,
-                                   uniform_grid)
+from stablemanifold.config import (_SOLVER_DEFAULTS, build_comparison, build_params,
+                                   build_perturbation, build_rates, build_solver_config,
+                                   build_system, load_run_input, resolve_config,
+                                   scale_tolerances, uniform_grid)
 from stablemanifold.errors import ConfigError
 from stablemanifold.manifold import SolverConfig
 
@@ -67,9 +68,17 @@ def test_resolved_config_is_stable_under_reresolve():
     (lambda c: c["solver"].update(s_grid=[0.0, 1.0]), "solver.s_grid"),
     (lambda c: c.update(comparison={"scale": 1.0}), "comparison.scale"),
     (lambda c: c.update(seed=-1), "seed"),
+    # solver budgets and certificate slacks are constants, at these values, not keys
+    (lambda c: c["solver"].update(outer_tol=1e-8), "solver.outer_tol"),
+    (lambda c: c["solver"].update(max_outer=30), "solver.max_outer"),
+    (lambda c: c["solver"].update(picard_tol=1e-10), "solver.picard_tol"),
+    (lambda c: c["solver"].update(lipschitz_tol=1e-3), "solver.lipschitz_tol"),
+    (lambda c: c["solver"].update(quad_rel_tol=1e-8), "solver.quad_rel_tol"),
+    (lambda c: c["solver"].update(decay_slack=1.05), "solver.decay_slack"),
 ], ids=["extra-top", "extra-rates", "bad-family", "stray-lam", "zero-a", "neg-b",
         "small-D", "bad-kind", "zero-coef", "even-nodes", "slack", "grid-xor",
-        "unit-scale", "neg-seed"])
+        "unit-scale", "neg-seed", "outer-tol", "max-outer", "picard-tol", "lipschitz-tol",
+        "quad-rel-tol", "decay-slack"])
 def test_violations_name_the_key(mutate, key):
     raw = base_config()
     mutate(raw)
@@ -184,6 +193,19 @@ def test_auto_delta_maps_to_none():
     assert cfg.delta is None and cfg.C is None
 
 
+# solver keys that no bundled config sets, each with the reason it stays a key
+UNSET_SOLVER_KEYS = {"delta_cap": "perfbench/tracer.py's solve_key reads SolverConfig.delta_cap"}
+
+
+def test_every_solver_key_is_set_by_a_bundled_config():
+    # a key no config sets is a knob no run varies: make it a constant or delete it
+    paths = sorted((resources.files("stablemanifold") / "configs").glob("*.json"))
+    assert len(paths) == 6
+    set_keys = set().union(*(json.loads(path.read_text())["solver"] for path in paths))
+    assert set(UNSET_SOLVER_KEYS) <= set(_SOLVER_DEFAULTS) - set_keys
+    assert set(_SOLVER_DEFAULTS) - set_keys - set(UNSET_SOLVER_KEYS) == set()
+
+
 def test_minimal_solver_block_resolves_to_solver_config_defaults():
     raw = base_config()
     raw["solver"] = {"s_max": 1.0}
@@ -230,7 +252,7 @@ def test_scale_tolerances_changes_exactly_four_values():
     changed = {path for path in before if before[path] != after[path]}
     assert changed == {"verification.tol", "checks.dichotomy_tol", "checks.identity_tol",
                        "checks.beta_match_tol"}
-    assert "solver.lipschitz_tol" in before and "solver.decay_slack" in before
+    assert not {"solver.lipschitz_tol", "solver.decay_slack"} & before.keys()
 
 
 def test_sharp_oscillating_kind():

@@ -49,8 +49,8 @@ def inner_path(graph, system, mu, nu, params, pert, s, xi, t_max, h):
     """Grid, path, sweeps and worst decay ratio of the node xi at slice s, as a solve has them."""
     table = manifold._slice_table(system, mu, nu, params, pert, graph.C, s, t_max, h)
     xi = np.atleast_1d(np.asarray(xi, dtype=float)).reshape(1, graph.n_stable)
-    x, _, sweeps, _ = manifold._node_paths(graph, pert, table, xi, 1e-10)
-    return table.t, x[0], int(sweeps[0]), manifold._check_decay(table, x, xi, 1.05)
+    x, _, sweeps, _ = manifold._node_paths(graph, pert, table, xi)
+    return table.t, x[0], int(sweeps[0]), manifold._check_decay(table, x, xi)
 
 
 def test_perturbation_validation():
@@ -419,7 +419,7 @@ def test_matrix_route_reproduces_graph():
     # same dynamics entering through the coefficient-matrix interface
     mat = matrix_system(lambda t: np.diag([-1.0, 1.0]), 2, 1)
     cfg = SolverConfig(s_grid=(0.0, 0.5), delta=0.02, C=2.0, nodes_per_axis=7,
-                       h=0.05, tail_abs_tol=1e-9, outer_tol=1e-10)
+                       h=0.05, tail_abs_tol=1e-9)
     graph, history = solve_manifold(mat, EXP, EXP, PARAMS, cubic_perturbation(1.0), cfg)
     assert len(history) == 2
     for k in range(graph.n_slices):
@@ -468,13 +468,13 @@ def test_history_records_lipschitz_margin(solved, d):
     assert history[-1]["max_lipschitz_ratio"] == _largest_adjacent_node_ratio(graph)
     assert graph.meta["max_lipschitz_ratio"] == history[-1]["max_lipschitz_ratio"]
     for row in history:
-        assert 0.0 < row["max_lipschitz_ratio"] <= 1.0 + CFG.lipschitz_tol
+        assert 0.0 < row["max_lipschitz_ratio"] <= 1.0 + manifold._LIPSCHITZ_TOL
 
 
-def test_decay_slack_is_enforced():
+def test_decay_slack_is_enforced(monkeypatch):
     system = rate_power_system(EXP, a=-1.0, b=1.0)
-    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05,
-                       decay_slack=0.4)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05)
+    monkeypatch.setattr(manifold, "_DECAY_SLACK", 0.4)
     with pytest.raises(DecayBoundError, match="node") as info:
         solve_manifold(system, EXP, EXP, PARAMS, cubic_perturbation(1.0), cfg)
     assert info.value.s == 0.0
@@ -500,7 +500,7 @@ def test_matrix_route_matches_closed_form_under_feedback(d):
         mat = matrix_system(lambda t: np.diag([-1.0, -1.0, 1.0]), 3, 2)
         pert, m = FEEDBACK_D2, 5
     cfg = SolverConfig(s_grid=(0.0, 0.5), delta=None, C=2.0, nodes_per_axis=m, h=0.05,
-                       tail_abs_tol=1e-9, outer_tol=1e-10)
+                       tail_abs_tol=1e-9)
     ref, _ = solve_manifold(closed, EXP, EXP, PARAMS, pert, cfg)
     graph, _ = solve_manifold(mat, EXP, EXP, PARAMS, pert, cfg)
     assert graph.n_stable == d
@@ -778,7 +778,7 @@ def test_operator_matches_node_loop_reference(monkeypatch, system, pert, sweeps)
     assert (new.meta["inner"]["simpson_sweeps"] > 0) == sweeps
     for k, table in enumerate(tables):
         for j, xi in enumerate(graph.node_points(k)):
-            ref = _node_loop_value(graph, pert, table, xi, cfg.picard_tol)
+            ref = _node_loop_value(graph, pert, table, xi, manifold._PICARD_TOL)
             assert np.array_equal(new.values[k, j], ref)
 
 
@@ -819,6 +819,27 @@ def test_eval_phi_many_matches_eval_phi(d, data):
     batch = eval_phi_many(graph, t, xi)
     rows = np.concatenate([eval_phi_many(graph, t[i:i + 1], xi[i:i + 1]) for i in range(n)])
     assert np.array_equal(batch, rows)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_slice_graph_reads_slice_zero(d):
+    # one slice: every t reads slice 0 at the radially clamped point, bit for bit
+    many = _random_graph(d, seed=d)
+    values = many.values[:1].copy()
+    values[0, ::2] = -0.0
+    graph = replace(many, s_grid=many.s_grid[:1], radii=many.radii[:1], values=values)
+    rng = np.random.default_rng(7)
+    t = np.concatenate([[-0.5, 0.0, 0.7, 3.0], rng.uniform(-0.5, 3.0, 60)])
+    xi = rng.uniform(-0.05, 0.05, size=(len(t), d))
+    xi[:4] = 0.0
+    rho, norms = graph.radius_fn(t), np.abs(xi).sum(axis=1)
+    over = norms > rho
+    assert over.any() and not over.all()
+    scale = np.ones(len(t))
+    scale[over] = rho[over] / norms[over]
+    expected = manifold._slice_eval(graph, np.zeros(len(t), dtype=np.int64),
+                                    xi * scale[:, None])
+    assert eval_phi_many(graph, t, xi).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
