@@ -28,7 +28,8 @@ from .manifold import (ManifoldGraph, Perturbation, SolverConfig, apply_phi_oper
                        solver_radius)
 from .verify import (DecayReport, FlowReport, InvarianceReport, PerturbationBoundReport,
                      PerturbationDistance, check_decay, check_flows, check_invariance,
-                     check_perturbation_bound, default_perturbation_samples,
+                     check_perturbation_bound, common_solver_config,
+                     default_perturbation_samples,
                      perturbation_distance, random_decay_pairs,
                      random_invariance_samples, small_ball_radius, stability_constant)
 from .config import (build_comparison, build_params, build_perturbation, build_rate,
@@ -48,7 +49,8 @@ __all__ = [
     "build_rate", "build_rates", "build_solver_config", "build_system",
     "builtin_rate", "check_decay", "check_flows", "check_growth_axioms", "check_invariance",
     "check_limit_condition", "check_monotonicity", "check_perturbation_bound",
-    "check_vanishes_at_origin", "closed_form_beta", "compile_expression", "composite_simpson",
+    "check_vanishes_at_origin", "closed_form_beta", "common_solver_config",
+    "compile_expression", "composite_simpson",
     "cubic_perturbation", "cumulative_simpson",
     "default_capacity", "default_perturbation_samples", "delta_max",
     "delta_max_bounds", "eval_phi_many", "expression_perturbation",

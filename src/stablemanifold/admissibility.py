@@ -260,7 +260,9 @@ def _walk(info: TailBoundInfo | None, s: float, stop: float, scale: float, rel_t
         if (len(deltas) >= 3 and deltas[-1] > 4.0 * deltas[-2] > 0.0
                 and 2.0 * deltas[-1] > total):
             raise DivergenceError("window masses are growing; partial integrals not Cauchy")
-        if hi - s > 1e12 and total > 0.0 and deltas[-1] > 1e-3 * total:
+        # the span limit is 1e12 max(1, 1 + s): a convergent tail from a huge s spreads
+        # its mass over spans of order s
+        if hi - s > 1e12 and hi - s > 1e12 * (1.0 + s) and total > 0.0 and deltas[-1] > 1e-3 * total:
             raise DivergenceError(
                 f"window mass still {deltas[-1] / total:.2e} of the total at span {hi - s:.1e}; "
                 "partial integrals not Cauchy")

@@ -35,7 +35,8 @@ from .rates import check_growth_axioms
 # check_invariance and check_decay are not called here; perfbench/tracer.py wraps
 # them in this namespace
 from .verify import (check_decay, check_flows, check_invariance,  # noqa: F401
-                     check_perturbation_bound, random_decay_pairs, random_invariance_samples)
+                     check_perturbation_bound, common_solver_config, random_decay_pairs,
+                     random_invariance_samples)
 
 COMMANDS = ("check-rates", "check-dichotomy", "admissibility", "solve-manifold",
             "verify", "perturb-compare", "all")
@@ -79,7 +80,11 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
 
 
 class Runner:
-    """Shared state for one CLI invocation (solved graphs are reused by `all`).
+    """Shared state for one CLI invocation.
+
+    f is solved once per run, at the radius its comparison with f_bar needs:
+    solve-manifold, verify and perturb-compare read that one graph, and
+    perturb-compare solves only f_bar.
 
     One ``BetaFunction`` serves the whole run: ``cfg.beta_fn`` carries it into
     admissibility and every solve, so each tail integral I(s) is computed once.
@@ -93,20 +98,30 @@ class Runner:
         self.params = build_params(resolved)
         self.system = build_system(resolved, self.mu, self.nu)
         self.pert = build_perturbation(resolved["perturbation"], self.system.n)
+        self.pert_bar = build_comparison(resolved, self.system.n)
         self.cfg = replace(build_solver_config(resolved), beta_fn=BetaFunction(
             self.mu, self.nu, self.params.a, self.params.eps, self.pert.q))
         self._solved = None
         self._check_solver_inputs()
+        # one delta per run: "auto" is delta_max at max(c, c_bar), so the solve,
+        # verify and perturb-compare share one graph of f
+        self.cfg = common_solver_config(self.params, self.pert, self.pert_bar, self.cfg)
+        self.delta_c = (max(self.pert.c, self.pert_bar.c)
+                        if resolved["solver"]["delta"] == "auto" else None)
 
     def _check_solver_inputs(self) -> None:
-        """ConfigError naming the key, before any stage runs, for inputs a solve rejects."""
+        """ConfigError naming the key, before any stage runs, for inputs a solve rejects.
+
+        A fixed ``solver.delta`` must not exceed delta_max at max(c, c_bar), the
+        radius that f and f_bar are compared at.
+        """
         s_grid, n, cfg = np.asarray(self.cfg.s_grid), self.system.n, self.cfg
+        larger_c = max(self.pert, self.pert_bar, key=lambda p: p.c)
         checks = {
             "solver.C": lambda: solver_radius(self.params, self.pert, replace(cfg, delta=None)),
-            "solver.delta": lambda: solver_radius(self.params, self.pert, cfg),
+            "solver.delta": lambda: solver_radius(self.params, larger_c, cfg),
             "perturbation.components": lambda: check_vanishes_at_origin(self.pert, s_grid, n),
-            "comparison.components": lambda: check_vanishes_at_origin(
-                build_comparison(self.resolved, n), s_grid, n),
+            "comparison.components": lambda: check_vanishes_at_origin(self.pert_bar, s_grid, n),
         }
         for key, check in checks.items():
             try:
@@ -251,7 +266,8 @@ class Runner:
         factor = outer_contraction_factor(self.pert.c, self.pert.q, graph.C,
                                           self.params.D, graph.delta)
         report = {
-            "passed": True, "delta": graph.delta, "C": graph.C,
+            "passed": True, "delta": graph.delta, "delta_resolved_at_c": self.delta_c,
+            "C": graph.C,
             "certified_contraction_factor": factor,
             "iterations": history, "n_slices": graph.n_slices,
             "nodes_per_slice": len(graph.targets_unit),
@@ -292,11 +308,9 @@ class Runner:
         }
 
     def perturb_compare(self) -> tuple[bool, dict]:
-        pert_bar = build_comparison(self.resolved, self.system.n)
-        # reuses the base solve only if an earlier stage of this run made it
         rep = check_perturbation_bound(self.system, self.mu, self.nu, self.params,
-                                       self.pert, pert_bar, self.cfg, rng=self.rng(2),
-                                       solved=self._solved)
+                                       self.pert, self.pert_bar, self.cfg, rng=self.rng(2),
+                                       solved=self.solve())
         _write_csv(self.path("compare.csv"),
                    ["graph_distance", "f_distance", "stability_constant", "quotient",
                     "delta"],
@@ -307,7 +321,7 @@ class Runner:
             "f_distance": rep.f_distance.value,
             "f_distance_samples": rep.f_distance.n_samples,
             "stability_constant": rep.stability_k, "quotient": rep.quotient,
-            "delta": rep.delta, "comparison_label": pert_bar.label,
+            "delta": rep.delta, "comparison_label": self.pert_bar.label,
             "notes": list(rep.notes),
         }
 

@@ -650,7 +650,8 @@ def solver_radius(params: DichotomyParams, pert: Perturbation,
     certified = delta_max(pert.c, pert.q, cap, params.D, cfg.delta_cap)
     delta = cfg.delta if cfg.delta is not None else certified
     if delta > certified * (1.0 + 1e-12):
-        raise ValueError(f"delta={delta:g} exceeds the certified delta_max={certified:g}")
+        raise ValueError(f"delta={delta:g} exceeds the certified delta_max={certified:g} "
+                         f"at c={pert.c:g}")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     return cap, delta

@@ -49,7 +49,8 @@ from .rates import GrowthRate
 __all__ = ["InvarianceReport", "check_invariance", "DecayReport", "check_decay",
            "FlowReport", "check_flows",
            "PerturbationDistance", "perturbation_distance", "default_perturbation_samples",
-           "PerturbationBoundReport", "check_perturbation_bound", "small_ball_radius",
+           "PerturbationBoundReport", "check_perturbation_bound", "common_solver_config",
+           "small_ball_radius",
            "random_invariance_samples", "random_decay_pairs", "stability_constant"]
 
 
@@ -311,6 +312,22 @@ class PerturbationBoundReport:
     notes: tuple[str, ...] = ()
 
 
+def common_solver_config(params: DichotomyParams, pert: Perturbation,
+                         pert_bar: Perturbation, cfg: SolverConfig) -> SolverConfig:
+    """``cfg`` at the one radius that f and f_bar are solved and compared at.
+
+    C is that of ``cfg`` and delta = min(cfg.delta, delta_max at
+    c = max(c_f, c_fbar)); delta_max decreases in c, so the solve of either
+    perturbation is certified at it.  ValueError if the orders q differ.
+    """
+    if pert.q != pert_bar.q:
+        raise ValueError("perturbation orders q must match for the stability bound")
+    cap, certified = solver_radius(params, max(pert, pert_bar, key=lambda p: p.c),
+                                   replace(cfg, delta=None))
+    delta = certified if cfg.delta is None else min(cfg.delta, certified)
+    return replace(cfg, delta=delta, C=cap)
+
+
 def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
                              params: DichotomyParams, pert: Perturbation,
                              pert_bar: Perturbation, cfg: SolverConfig,
@@ -319,23 +336,23 @@ def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRat
                              ) -> PerturbationBoundReport:
     """Solve with f and f_bar at one common certified radius and compare graphs.
 
-    Both solves share delta = min(requested, delta_max at c = max(c_f, c_fbar)),
-    hence identical slice radii, so node values are directly comparable.
-    ``solved`` is an optional (graph, history) of ``pert`` already solved
-    under ``cfg``; it stands in for the f solve when its delta and C equal the
-    common ones, which is then exactly the solve it saves.  A ``cfg.beta_fn``
-    serves both solves, which then share their tail integrals.
+    Both graphs share the delta and C of ``common_solver_config``, hence
+    identical slice radii, so node values are directly comparable.
+    ``solved`` is an optional (graph, history) of ``pert`` already solved at
+    that delta and C; it stands in for the f solve, so only f_bar is solved.
+    A ``solved`` graph at another delta or C raises ValueError.  Without
+    ``solved`` both are solved here.  A ``cfg.beta_fn`` serves both solves,
+    which then share their tail integrals.
     """
-    if pert.q != pert_bar.q:
-        raise ValueError("perturbation orders q must match for the stability bound")
-    cap, certified = solver_radius(params, max(pert, pert_bar, key=lambda p: p.c),
-                                   replace(cfg, delta=None))
-    delta = certified if cfg.delta is None else min(cfg.delta, certified)
-    common_cfg = replace(cfg, delta=delta, C=cap)
-    if solved is not None and solved[0].delta == delta and solved[0].C == cap:
-        graph = solved[0]
-    else:
+    common_cfg = common_solver_config(params, pert, pert_bar, cfg)
+    if solved is None:
         graph, _ = solve_manifold(system, mu, nu, params, pert, common_cfg)
+    elif (solved[0].delta, solved[0].C) != (common_cfg.delta, common_cfg.C):
+        raise ValueError(f"solved graph has delta={solved[0].delta!r}, C={solved[0].C!r}; "
+                         f"the comparison needs delta={common_cfg.delta!r}, "
+                         f"C={common_cfg.C!r}")
+    else:
+        graph = solved[0]
     graph_bar, _ = solve_manifold(system, mu, nu, params, pert_bar, common_cfg)
     gd = graph_metric_distance(graph.values, graph_bar.values, graph)
     radii = [0.25, 0.5, 1.0]

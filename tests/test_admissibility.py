@@ -142,6 +142,17 @@ def test_tail_bound_error_when_span_exhausted():
         improper_rate_integral(LOG4, LOG_NU, -1.0, 0.0, 0.0, max_span=10.0)
 
 
+@pytest.mark.parametrize("mu, nu, p, exact, s_values", [
+    (POLY, POLY, -1.5, lambda s: 2.0 / math.sqrt(1.0 + s), [1e12, 1e13]),
+    (LOG4, LOG_NU, -1.0, lambda s: 1.0 / (3.0 * (1.0 + math.log1p(s)) ** 3), [3e9, 1e10]),
+], ids=["polynomial", "log"])
+def test_convergent_tail_from_a_huge_s_returns_its_value(mu, nu, p, exact, s_values):
+    # these tails spread their mass over spans of order s, so the "not Cauchy" span
+    # limit must grow with s
+    got = improper_rate_integrals(mu, nu, p, 0.0, s_values)
+    assert got.tolist() == pytest.approx([exact(s) for s in s_values], rel=1e-8)
+
+
 def test_analytic_tail_bound_flags():
     assert analytic_tail_bound(EXP, EXP, -2.0, 0.1).exact
     assert analytic_tail_bound(POLY, POLY, -2.0, 0.1).exact

@@ -25,6 +25,22 @@ def read_json(path):
         return json.load(fh)
 
 
+def track_stages(monkeypatch):
+    """Wrap every stage of ``cli._DISPATCH``; the returned list's one item names the
+    stage that runs (None before the first)."""
+    stage = [None]
+
+    def staged(command, run):
+        def wrapper(runner):
+            stage[0] = command
+            return run(runner)
+        return wrapper
+
+    for command, run in list(cli._DISPATCH.items()):
+        monkeypatch.setitem(cli._DISPATCH, command, staged(command, run))
+    return stage
+
+
 def tree_bytes(root):
     out = {}
     for name in sorted(os.listdir(root)):
@@ -119,23 +135,15 @@ def test_all_computes_each_tail_integral_once(tmp_path, monkeypatch, name):
     # s values are compared by value, so a point one ulp off a cached one counts twice
     from stablemanifold import admissibility, manifold
     calls = []
-    stage = [None]
+    stage = track_stages(monkeypatch)
     quadrature = admissibility.improper_rate_integrals
 
     def counting(mu, nu, p, eps, s_values, *rest):
         calls.extend((stage[0], p, eps, float(s)) for s in s_values)
         return quadrature(mu, nu, p, eps, s_values, *rest)
 
-    def staged(command, run):
-        def wrapper(runner):
-            stage[0] = command
-            return run(runner)
-        return wrapper
-
     monkeypatch.setattr(admissibility, "improper_rate_integrals", counting)
     monkeypatch.setattr(manifold, "improper_rate_integrals", counting)
-    for command, run in list(cli._DISPATCH.items()):
-        monkeypatch.setitem(cli._DISPATCH, command, staged(command, run))
     assert main(["all", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
     assert calls
     for i, (_, p, eps, s) in enumerate(calls):
@@ -144,6 +152,36 @@ def test_all_computes_each_tail_integral_once(tmp_path, monkeypatch, name):
                 (p, eps, s, s2)
     if name != "oracle_cubic.json":  # oracle's odd tenths lie on no admissibility grid
         assert not [c for c in calls if c[0] == "solve-manifold"]
+
+
+@pytest.mark.parametrize("name", ALL_CONFIGS)
+def test_one_solve_per_perturbation(tmp_path, monkeypatch, name):
+    # f is solved once, at the radius of its comparison with f_bar, and perturb-compare
+    # solves only f_bar; run alone, perturb-compare solves f through Runner.solve first
+    from stablemanifold import verify
+    calls = []
+    stage = track_stages(monkeypatch)
+    solve = manifold.solve_manifold
+
+    def counting(system, mu, nu, params, pert, cfg):
+        calls.append((stage[0], pert.label, cfg.delta))
+        return solve(system, mu, nu, params, pert, cfg)
+
+    monkeypatch.setattr(cli, "solve_manifold", counting)
+    monkeypatch.setattr(verify, "solve_manifold", counting)
+    config = str(CONFIG_DIR / name)
+    assert main(["all", "--config", config, "--out", str(tmp_path / "all")]) == 0
+    assert [c[0] for c in calls] == ["solve-manifold", "perturb-compare"]
+    report = read_json(tmp_path / "all" / "report-perturb-compare.json")
+    assert calls[0][1] != calls[1][1] == report["comparison_label"]
+    assert calls[0][2] == calls[1][2] == report["delta"]
+    # every bundled config compares the cubic of coef 1 with its scale 1.05
+    auto = read_json(config)["solver"]["delta"] == "auto"
+    solve_report = read_json(tmp_path / "all" / "report-solve-manifold.json")
+    assert solve_report["delta_resolved_at_c"] == (1.05 if auto else None)
+    calls.clear()
+    assert main(["perturb-compare", "--config", config, "--out", str(tmp_path / "alone")]) == 0
+    assert [c[0] for c in calls] == ["perturb-compare"] * 2
 
 
 @pytest.mark.parametrize("name", ALL_CONFIGS)
@@ -357,9 +395,12 @@ NOT_AT_ORIGIN = {"kind": "expr", "components": ["0", "u1^3 + 1e-3"], "c": 1.0, "
 @pytest.mark.parametrize("section, value, key", [
     ("solver", {"C": 0.5}, "solver.C"),                    # C must exceed D = 1
     ("solver", {"delta": 0.5}, "solver.delta"),            # above the certified 0.029
+    # certified for f alone (0.029168 at c = 1), but above the 0.028465 at
+    # max(c, c_bar) = 1.05 where f and f_bar are compared
+    ("solver", {"delta": 0.0288}, "solver.delta"),
     (None, {"perturbation": NOT_AT_ORIGIN}, "perturbation.components"),
     (None, {"comparison": NOT_AT_ORIGIN}, "comparison.components"),
-], ids=["capacity", "delta", "perturbation", "comparison"])
+], ids=["capacity", "delta", "delta-common", "perturbation", "comparison"])
 def test_solver_input_mistakes_exit_two_before_any_stage(tmp_path, capsys, section, value,
                                                          key):
     bad = tmp_path / "bad.json"

@@ -229,12 +229,14 @@ def test_perturbation_bound_reuses_a_matching_base_solve(monkeypatch):
     reused = check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg, solved=base)
     assert reused == fresh
     assert calls == [g.label]
-    # a base solve at another delta is not the common-radius solve: solve afresh
-    other = solve_manifold(system, EXP, EXP, PARAMS, f, replace(cfg, delta=0.01))
+    # a base solve at another delta or C is not the common-radius solve: it raises
+    # before anything is solved, rather than solving f a second time
     calls.clear()
-    assert check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg,
-                                    solved=other) == fresh
-    assert calls == [f.label, g.label]
+    for change in ({"delta": 0.01}, {"C": 2.5}):
+        other = solve_manifold(system, EXP, EXP, PARAMS, f, replace(cfg, **change))
+        with pytest.raises(ValueError, match="the comparison needs delta=0.02, C=2.0"):
+            check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg, solved=other)
+    assert calls == []
 
 
 def test_perturbation_bound_rejects_mismatched_order():
