@@ -16,7 +16,7 @@ from .rates import (BUILTIN_FAMILIES, AxiomReport, GrowthRate, builtin_rate,
                     check_growth_axioms, expression_rate)
 from .dichotomy import (DichotomyCertificate, DichotomyParams, LinearSystem, matrix_system,
                         pair_grid, rate_power_system, sharp_oscillating_system,
-                        sharpness_probe, transition, transition_inverse, verify_dichotomy)
+                        sharpness_probe, verify_dichotomy)
 from .admissibility import (BetaFunction, LimitCheck, MonotonicityCheck, TailBoundInfo,
                             analytic_tail_bound, check_limit_condition, check_monotonicity,
                             closed_form_beta, default_capacity, delta_max, delta_max_bounds,
@@ -35,7 +35,7 @@ from .verify import (DecayReport, FlowReport, InvarianceReport, PerturbationBoun
 from .config import (build_comparison, build_params, build_perturbation, build_rate,
                      build_rates, build_solver_config, build_system, resolve_config)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AxiomReport", "BUILTIN_FAMILIES", "BetaFunction", "BlowupError", "ConfigError",
@@ -62,5 +62,5 @@ __all__ = [
     "rate_power_system", "resolve_config", "rk4_propagate", "rk4_step",
     "sharp_oscillating_system", "sharpness_probe", "small_ball_radius",
     "solve_manifold", "solver_radius", "spectral_norm", "stability_constant",
-    "transition", "transition_inverse", "verify_dichotomy", "__version__",
+    "verify_dichotomy", "__version__",
 ]

@@ -203,11 +203,11 @@ def _rate_integrand(mu: GrowthRate, nu: GrowthRate, p: float,
 
 def _anchor(s: float) -> float:
     """The least power of two >= max(s, 1), where the walk from s hands over its tail;
-    s itself where that power is no float."""
+    s itself from 2^52 on, where a power of two above s has no window of width 1."""
     if s <= 1.0:
         return 1.0
     mant, expo = math.frexp(s)
-    return s if mant == 0.5 or expo > 1023 or not math.isfinite(s) else math.ldexp(1.0, expo)
+    return s if mant == 0.5 or expo >= 53 or not math.isfinite(s) else math.ldexp(1.0, expo)
 
 
 def _span_error(s: float, rel_tol: float, max_span: float) -> TailBoundError:
@@ -281,8 +281,14 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
 
     Windows double in span from s; truncation is certified by the analytic
     tail bound when the family pair has one, otherwise by geometric
-    extrapolation of the window masses (conservative for power-law decay,
-    whose doubling-window masses shrink by an asymptotically constant ratio).
+    extrapolation of the window masses.  Once the last window holds under
+    0.1 rel_tol of the mass and shrank by a ratio theta < 1, the rest is
+    taken as delta theta / (1 - theta), the sum of the later windows if each
+    keeps shrinking by theta.  That is an estimate, not a bound: it holds
+    where window masses shrink at least geometrically from there on.  A power
+    law r^-k shrinks by 2^(1-k) per window, and reaches rel_tol only at a
+    span near rel_tol^(-1/(k-1)): (1 + r)^-1.2 would need about 1e40, so it
+    raises TailBoundError at the default ``max_span``.
     When the analytic tail is exact (not just an upper bound) and has fallen
     below 1e-3 of the accumulated mass, it is added instead of walked down to
     rel_tol, which keeps slowly decaying (logarithmic) tails reachable while
@@ -524,18 +530,6 @@ class BetaFunction:
     def _over_beta(self, log_mu: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """mu(s)^a / beta(s) from log mu(s) and beta(s)."""
         return _map(math.exp, self.a * log_mu) / beta
-
-    def beta_tilde(self, s_values: Sequence[float]) -> np.ndarray:
-        """beta(s) nu(s)^-eps at every s."""
-        return self.table(s_values)["beta_tilde"]
-
-    def mu_a_over_beta(self, s_values: Sequence[float]) -> np.ndarray:
-        """mu(s)^a / beta(s) at every s."""
-        return self.table(s_values)["mu_pow_a_over_beta"]
-
-    def identity_residual(self, s_values: Sequence[float]) -> np.ndarray:
-        """|mu(s)^(-aq) nu(s)^(eps(q+1)) beta(s)^q I(s) - 1| at every s; see ``table``."""
-        return self.table(s_values)["identity_residual"]
 
     def closed_form_value(self, s: float) -> float | None:
         return self._closed_fn(s) if self._closed_fn is not None else None

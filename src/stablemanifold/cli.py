@@ -41,6 +41,9 @@ from .verify import (check_decay, check_flows, check_invariance,  # noqa: F401
 COMMANDS = ("check-rates", "check-dichotomy", "admissibility", "solve-manifold",
             "verify", "perturb-compare", "all")
 
+# report grids: rate axioms at 201 points of [0, 50], dichotomy pairs on [0, 10], k <= 5
+_AXIOM_T_MAX, _AXIOM_POINTS, _DICHOTOMY_T_MAX, _SHARPNESS_K_MAX = 50.0, 201, 10.0, 5
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -146,8 +149,7 @@ class Runner:
     # ------------------------------------------------------------- commands
 
     def check_rates(self) -> tuple[bool, dict]:
-        ch = self.resolved["checks"]
-        grid = np.linspace(0.0, ch["axiom_t_max"], ch["axiom_points"])
+        grid = np.linspace(0.0, _AXIOM_T_MAX, _AXIOM_POINTS)
         reports = {}
         rows = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -167,13 +169,13 @@ class Runner:
                 "notes": list(rep.notes),
             }
             passed = passed and rep.passed
-        return passed, {"rates": reports, "grid_max": ch["axiom_t_max"],
-                        "grid_points": ch["axiom_points"]}
+        return passed, {"rates": reports, "grid_max": _AXIOM_T_MAX,
+                        "grid_points": _AXIOM_POINTS}
 
     def check_dichotomy(self) -> tuple[bool, dict]:
         ch = self.resolved["checks"]
         tol = ch["dichotomy_tol"]
-        pairs = pair_grid(ch["dichotomy_t_max"], ch["dichotomy_pairs"])
+        pairs = pair_grid(_DICHOTOMY_T_MAX, ch["dichotomy_pairs"])
         cert = verify_dichotomy(self.system, self.mu, self.nu, self.params, pairs,
                                 tol=tol, h=ch["dichotomy_h"])
         _write_csv(self.path("dichotomy-pairs.csv"),
@@ -184,18 +186,17 @@ class Runner:
             "max_stable_ratio": cert.max_stable_ratio,
             "max_unstable_ratio": cert.max_unstable_ratio,
             "max_commutation_residual": cert.max_commutation_residual,
-            "notes": list(cert.notes),
         }
         passed = cert.passed
         if self.system.meta.get("kind") == "sharp_oscillating":
-            probe = sharpness_probe(self.system, range(1, ch["sharpness_k_max"] + 1))
+            probe = sharpness_probe(self.system, range(1, _SHARPNESS_K_MAX + 1))
             _write_csv(self.path("sharpness.csv"),
                        ["k", "t", "s", "observed", "expected", "residual"],
                        [[r["k"], r["t"], r["s"], r["observed"], r["expected"],
                          r["residual"]] for r in probe])
             worst = max(r["residual"] for r in probe)
             report["sharpness"] = {"worst_residual": worst, "attained": worst <= tol,
-                                   "k_max": ch["sharpness_k_max"]}
+                                   "k_max": _SHARPNESS_K_MAX}
             passed = passed and worst <= tol
         return passed, report
 
@@ -206,8 +207,8 @@ class Runner:
         limit = check_limit_condition(self.mu, self.nu, d["a"], d["b"], d["eps"])
         beta = self.cfg.beta_fn
         # the solver's slices come from the same rule, so it finds them in beta's cache
-        s_values = uniform_grid(ch["beta_s_max"], ch["beta_points"])
-        mono_grid = uniform_grid(ch["beta_s_max"], ch["monotonicity_points"])
+        s_values = uniform_grid(self.cfg.s_grid[-1], ch["beta_points"])
+        mono_grid = uniform_grid(self.cfg.s_grid[-1], ch["monotonicity_points"])
         beta.integrals(s_values + mono_grid)  # both grids' I(s) in one batch
         table = beta.table(s_values)
         b_quad = table["beta_quadrature"]

@@ -198,9 +198,7 @@ _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)
                     if f.default is not MISSING and f.default is not None}
 
 _CHECK_DEFAULTS = {
-    "axiom_t_max": 50.0, "axiom_points": 201,
-    "dichotomy_t_max": 10.0, "dichotomy_pairs": 40, "dichotomy_tol": 1e-9,
-    "dichotomy_h": 1e-3, "sharpness_k_max": 5,
+    "dichotomy_pairs": 40, "dichotomy_tol": 1e-9, "dichotomy_h": 1e-3,
     "beta_points": 10, "identity_tol": 1e-6, "beta_match_tol": 1e-6,
     "monotonicity_points": 11,
 }
@@ -267,9 +265,9 @@ def _resolve_verification(obj: Any, path: str, default_h: float) -> dict:
     }
 
 
-def _resolve_checks(obj: Any, path: str, s_grid: list[float]) -> dict:
+def _resolve_checks(obj: Any, path: str) -> dict:
     obj = _mapping(obj, path)
-    _reject_extras(obj, path, set(_CHECK_DEFAULTS) | {"beta_s_max"})
+    _reject_extras(obj, path, set(_CHECK_DEFAULTS))
     out = {}
     for key, default in _CHECK_DEFAULTS.items():
         if isinstance(default, int):
@@ -277,9 +275,7 @@ def _resolve_checks(obj: Any, path: str, s_grid: list[float]) -> dict:
         else:
             out[key] = _number(obj.get(key, default), f"{path}.{key}", lo=0.0,
                                strict_lo=True)
-    out["beta_s_max"] = _number(obj.get("beta_s_max", s_grid[-1]), f"{path}.beta_s_max",
-                                lo=0.0, strict_lo=True)
-    for key in ("axiom_points", "beta_points", "monotonicity_points"):
+    for key in ("beta_points", "monotonicity_points"):
         if out[key] < 2:
             raise ConfigError(f"{path}.{key}", "need at least two sample points")
     return out
@@ -311,7 +307,7 @@ def resolve_config(raw: dict, label_default: str = "run") -> dict:
     solver = _resolve_solver(_get(raw, "", "solver"), "solver")
     verification = _resolve_verification(raw.get("verification", {}), "verification",
                                          solver["h"])
-    checks = _resolve_checks(raw.get("checks", {}), "checks", solver["s_grid"])
+    checks = _resolve_checks(raw.get("checks", {}), "checks")
 
     output = _mapping(raw.get("output", {}), "output")
     _reject_extras(output, "output", {"dir"})

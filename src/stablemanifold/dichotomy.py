@@ -4,8 +4,9 @@ A system is either *closed form* (scalar propagators U, V on the stable and
 unstable coordinate blocks) or *matrix form* (a coefficient matrix A(t) whose
 transition matrix is obtained by fixed-step 4th-order propagation).  The
 diagonal of a closed-form T(t, s) is built in one place, ``closed_form_diagonal``,
-for scalar times and for batches; ``verify_dichotomy`` propagates each matrix
-pair forward once and inverts that same matrix.
+for scalar times and for batches.  ``verify_dichotomy`` steps each matrix pair
+as the solver's slice tables do: T(t, s) by a forward scan and T(s, t) by a
+right-multiplied backward scan, so no matrix is inverted.
 
 The splitting is the coordinate one: the stable block is the first ``n_stable``
 coordinates, so P(t) is the constant projection onto them and Q = I - P.  The
@@ -30,8 +31,8 @@ from .rates import GrowthRate
 
 __all__ = ["DichotomyParams", "LinearSystem", "DichotomyCertificate",
            "rate_power_system", "sharp_oscillating_system",
-           "matrix_system", "closed_form_diagonal", "transition", "transition_inverse",
-           "verify_dichotomy", "sharpness_probe", "pair_grid"]
+           "matrix_system", "closed_form_diagonal", "verify_dichotomy",
+           "sharpness_probe", "pair_grid"]
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,6 @@ def matrix_system(coeff: Callable[[np.ndarray], np.ndarray], n: int, n_stable: i
     return LinearSystem(n, n_stable, A=coeff, label=label, meta={"kind": "matrix"})
 
 
-# condition number of T(t, s) above which its inverse comes from backward propagation
-_COND_LIMIT = 1e8
-
-
 def closed_form_diagonal(system: LinearSystem, t, s) -> np.ndarray:
     """Diagonal of T(t, s) on a closed-form system: U(t, s) on the stable block, V(t, s)
     on the unstable one.  Scalar t and s give shape (n,), times of shape (B,) give (B, n).
@@ -188,52 +185,6 @@ def closed_form_diagonal(system: LinearSystem, t, s) -> np.ndarray:
     g[..., :system.n_stable] = u[..., None]
     g[..., system.n_stable:] = np.asarray(system.V(t, s), dtype=float)[..., None]
     return g
-
-
-def transition(system: LinearSystem, t: float, s: float, h: float = 1e-3) -> np.ndarray:
-    """Transition matrix T(t, s) mapping states at time s to states at time t >= s."""
-    if t < s:
-        raise ValueError(f"transition requires t >= s, got t={t}, s={s}")
-    if system.form == "closed_form":
-        return np.diag(closed_form_diagonal(system, t, s))
-    return _propagate(system, s, t, h)
-
-
-def _propagate(system: LinearSystem, t0: float, t1: float, h: float) -> np.ndarray:
-    """T(t1, t0) of a matrix system by equal RK4 steps of size at most h (t1 < t0 too)."""
-    n_steps = max(1, int(np.ceil(abs(t1 - t0) / h)))
-    dt = np.full(n_steps, (t1 - t0) / n_steps)
-    return rk4_propagate(system.A, np.add.accumulate(np.r_[t0, dt[1:]]), dt, np.eye(system.n))[-1]
-
-
-def _invert_transition(system: LinearSystem, fwd: np.ndarray, t: float, s: float,
-                       h: float, cond_limit: float) -> tuple[np.ndarray, list[str]]:
-    """``transition_inverse`` of a matrix system whose T(t, s) = fwd is already known."""
-    # inf for a singular fwd; nan for a non-finite one, which numpy's SVD rejects
-    cond = float(np.linalg.cond(fwd)) if np.isfinite(fwd).all() else np.nan
-    if cond <= cond_limit:
-        return np.linalg.inv(fwd), []
-    return _propagate(system, t, s, h), [f"condition number {cond:.3e} above "
-                                         f"{cond_limit:.1e}; using backward propagation"]
-
-
-def transition_inverse(system: LinearSystem, t: float, s: float, h: float = 1e-3,
-                       cond_limit: float = _COND_LIMIT) -> tuple[np.ndarray, list[str]]:
-    """T(t, s)^-1 = T(s, t), with a conditioning-aware route for matrix systems.
-
-    Direct inversion is used while the (spectral) condition number stays below
-    ``cond_limit``; beyond it, or on a singular factor, the inverse is obtained
-    by propagating the system backward from t to s.  Returns (matrix, notes).
-    """
-    if t < s:
-        raise ValueError(f"transition_inverse requires t >= s, got t={t}, s={s}")
-    if system.form == "closed_form":
-        g = closed_form_diagonal(system, t, s)
-        if np.any(g == 0.0):
-            return (np.full((system.n, system.n), np.nan),
-                    [f"singular closed-form factor at (t={t}, s={s})"])
-        return np.diag(1.0 / g), []
-    return _invert_transition(system, transition(system, t, s, h), t, s, h, cond_limit)
 
 
 def pair_grid(t_max: float, n_pairs: int) -> list[tuple[float, float]]:
@@ -260,7 +211,6 @@ class DichotomyCertificate:
     tol: float
     n_pairs: int
     rows: tuple[tuple[float, float, float, float, float], ...]
-    notes: tuple[str, ...] = ()
 
 
 def verify_dichotomy(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
@@ -270,15 +220,19 @@ def verify_dichotomy(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
 
     Each row records (t, s, stable_ratio, unstable_ratio, commutation_residual)
     where the ratios are measured norm over claimed bound.  The certificate
-    passes iff all ratios are <= 1 + tol and all residuals <= tol.
+    passes iff all ratios are <= 1 + tol and all residuals <= tol.  A matrix
+    pair is stepped from s to t in max(1, ceil((t - s)/h)) equal RK4 steps.
     """
     if len(pairs) == 0:
         raise ValueError("pairs must not be empty")
+    for t, s in pairs:
+        if t < s:
+            raise ValueError(f"verify_dichotomy requires t >= s, got t={t}, s={s}")
     rows = []
-    notes: list[str] = []
     p = np.zeros((system.n, system.n))
     p[:system.n_stable, :system.n_stable] = np.eye(system.n_stable)
-    q = np.eye(system.n) - p
+    eye = np.eye(system.n)
+    q = eye - p
     for t, s in pairs:
         log_ratio = mu.log_eval(t) - mu.log_eval(s)
         stable_bound = params.D * np.exp(params.a * log_ratio + params.eps * nu.log_eval(s))
@@ -289,9 +243,11 @@ def verify_dichotomy(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
             unstable_norm = 1.0 / v if v > 0.0 else np.inf
             commut = 0.0
         else:
-            fwd = transition(system, t, s, h)
-            inv, inv_notes = _invert_transition(system, fwd, t, s, h, _COND_LIMIT)
-            notes.extend(inv_notes)
+            n_steps = max(1, int(np.ceil((t - s) / h)))
+            dt = np.full(n_steps, (t - s) / n_steps)
+            t0 = np.add.accumulate(np.r_[s, dt[1:]])
+            fwd = rk4_propagate(system.A, t0, dt, eye)[-1]
+            inv = rk4_propagate(lambda r: -system.A(r), t0, dt, eye, right=True)[-1]
             stable_norm = spectral_norm(fwd @ p)
             unstable_norm = spectral_norm(inv @ q)
             commut = spectral_norm(p @ fwd - fwd @ p)
@@ -300,7 +256,7 @@ def verify_dichotomy(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     max_s, max_u, max_c = np.asarray(rows)[:, 2:].max(axis=0).tolist()
     passed = bool(max_s <= 1.0 + tol and max_u <= 1.0 + tol and max_c <= tol)
     return DichotomyCertificate(passed, max_s, max_u, max_c, tol, len(rows),
-                                tuple(tuple(r) for r in rows), tuple(dict.fromkeys(notes)))
+                                tuple(tuple(r) for r in rows))
 
 
 def sharpness_probe(system: LinearSystem, ks: Sequence[int]) -> list[dict]:

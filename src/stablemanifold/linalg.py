@@ -1,6 +1,6 @@
 """Small dense linear-algebra and ODE-stepping helpers.
 
-Spectral norms, like the condition numbers of ``dichotomy``, come from numpy's
+Spectral norms come from numpy's
 SVD: a power iteration from a fixed start vector misses a top singular
 direction orthogonal to that start, and so would understate a norm that
 certifies a bound.  One 4th-order Runge-Kutta step, ``rk4_step``, serves every

@@ -57,7 +57,8 @@ def test_beta_exponential_spot_value():
                          ids=["exp", "poly", "log", "loglog"])
 def test_identity_residual_small(mu, nu, a, eps, q, _):
     rng = np.random.default_rng(7)
-    for resid in BetaFunction(mu, nu, a, eps, q).identity_residual(rng.uniform(0.0, 4.0, 5)):
+    table = BetaFunction(mu, nu, a, eps, q).table(rng.uniform(0.0, 4.0, 5))
+    for resid in table["identity_residual"]:
         assert resid <= 1e-6
 
 
@@ -65,7 +66,7 @@ def test_identity_residual_without_closed_form():
     # expression rates share the quadrature value, so only round-off remains
     mu = expression_rate("exp(t)")
     nu = expression_rate("exp(t)")
-    assert BetaFunction(mu, nu, -1.0, 0.1, 2.0).identity_residual([0.5])[0] <= 1e-12
+    assert BetaFunction(mu, nu, -1.0, 0.1, 2.0).table([0.5])["identity_residual"][0] <= 1e-12
 
 
 def test_closed_form_none_when_divergent():
@@ -81,7 +82,7 @@ def test_beta_function_cache_and_tilde():
     assert bf.closed_form == "exponential"
     v1 = bf.beta([1.0])[0]
     assert bf.beta([1.0])[0] == v1
-    assert bf.beta_tilde([1.0])[0] == pytest.approx(v1 * math.exp(-0.1), rel=1e-14)
+    assert bf.table([1.0])["beta_tilde"][0] == pytest.approx(v1 * math.exp(-0.1), rel=1e-14)
     assert bf.closed_form_value(1.0) == pytest.approx(v1, rel=1e-6)
 
 
@@ -151,6 +152,31 @@ def test_convergent_tail_from_a_huge_s_returns_its_value(mu, nu, p, exact, s_val
     # limit must grow with s
     got = improper_rate_integrals(mu, nu, p, 0.0, s_values)
     assert got.tolist() == pytest.approx([exact(s) for s in s_values], rel=1e-8)
+
+
+@pytest.mark.parametrize("s", [2.0 ** 52 + 5, 2.0 ** 53 + 2])
+def test_tail_from_s_whose_next_power_of_two_has_no_unit_window(s):
+    # above 2^52 the power of two after s has no window of width 1; s is its own anchor
+    got = improper_rate_integral(POLY, POLY, -1.5, 0.0, s)
+    assert got == pytest.approx(2.0 / math.sqrt(1.0 + s), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [2.0 ** 53, 1e17])
+def test_tail_from_s_without_a_unit_window_names_s(s):
+    with pytest.raises(TailBoundError, match="no window of positive width") as info:
+        improper_rate_integrals(POLY, POLY, -1.5, 0.0, [s])
+    assert info.value.s == s
+
+
+def test_slow_power_law_tail_by_extrapolation_raises():
+    # (1 + r)^-1.2 has I(s) = 5 (1 + s)^-0.2, but its doubling windows shrink by
+    # 2^-0.2: extrapolation certifies rel_tol 1e-8 only past a span near 1e40
+    mu, nu = expression_rate("(1+t)^2"), expression_rate("1+t")
+    assert analytic_tail_bound(mu, nu, -0.6, 0.0) is None
+    for s in (0.0, 10.0, 1e4):
+        with pytest.raises(TailBoundError, match=r"span 1e\+30") as info:
+            improper_rate_integrals(mu, nu, -0.6, 0.0, [s])
+        assert info.value.s == s
 
 
 def test_analytic_tail_bound_flags():
@@ -264,7 +290,7 @@ def test_random_admissible_params_keep_identity_tight():
         q = float(rng.uniform(1.0, 3.0))
         eps = float(rng.uniform(0.0, min(0.5, -a * q - 0.1)))
         s = float(rng.uniform(0.0, 2.0))
-        assert BetaFunction(EXP, EXP, a, eps, q).identity_residual([s])[0] <= 1e-6
+        assert BetaFunction(EXP, EXP, a, eps, q).table([s])["identity_residual"][0] <= 1e-6
 
 
 BUILTIN_RATES = [EXP, POLY, LOG4, LOG_NU, LLOG4, LLOG_NU]
@@ -469,8 +495,9 @@ def test_array_methods_equal_the_scalar_formulas(mu, nu, a, eps, q):
     s_values = np.linspace(0.0, 4.0, 161)
     bf = BetaFunction(mu, nu, a, eps, q)
     integrals = bf.integrals(s_values).tolist()
-    beta, tilde, ratio, resid = (bf.beta(s_values), bf.beta_tilde(s_values),
-                                 bf.mu_a_over_beta(s_values), bf.identity_residual(s_values))
+    table = bf.table(s_values)
+    beta, tilde, ratio, resid = (bf.beta(s_values), table["beta_tilde"],
+                                 table["mu_pow_a_over_beta"], table["identity_residual"])
     for k, (s, integral) in enumerate(zip(s_values.tolist(), integrals)):
         b = reference_beta(mu, nu, a, eps, q, s, integral)
         assert beta[k] == b, s

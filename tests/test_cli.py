@@ -208,7 +208,7 @@ def test_slice_points_on_admissibility_grids_are_the_grid_doubles(tmp_path, monk
     matched = 0
     for grid, n in zip(grids, (checks["monotonicity_points"], checks["beta_points"])):
         assert len(grid) == n
-        on_grid = {Fraction(checks["beta_s_max"]) * i / (n - 1): g for i, g in enumerate(grid)}
+        on_grid = {Fraction(slices[-1]) * i / (n - 1): g for i, g in enumerate(grid)}
         for k, s in enumerate(slices):
             exact = Fraction(raw["solver"]["s_max"]) * k / (len(slices) - 1)
             if exact in on_grid:
@@ -253,6 +253,23 @@ def test_manifest_with_fractional_seed_exits_two(tmp_path, capsys):
     out = tmp_path / "b"
     assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
     assert "cli.seed: expected an integer, got 2.7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_of_0_2_0_exits_two_on_a_dropped_checks_key(tmp_path, capsys):
+    # 0.2.0 materialized five report-only checks keys that are constants since 0.3.0
+    first = tmp_path / "a"
+    assert main(["check-rates", "--config", ORACLE, "--out", str(first)]) == 0
+    manifest = read_json(first / "manifest.json")
+    manifest["package"]["version"] = "0.2.0"
+    manifest["config"]["checks"].update(axiom_t_max=50.0, axiom_points=201,
+                                        dichotomy_t_max=10.0, sharpness_k_max=5,
+                                        beta_s_max=2.0)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "b"
+    assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: checks.axiom_points: unknown key\n"
     assert not out.exists()
 
 
@@ -415,9 +432,9 @@ def test_solver_input_mistakes_exit_two_before_any_stage(tmp_path, capsys, secti
     assert not out.exists() or not os.listdir(out)
 
 
-@pytest.mark.parametrize("key", ["axiom_points", "beta_points", "monotonicity_points"])
+@pytest.mark.parametrize("key", ["beta_points", "monotonicity_points"])
 def test_one_point_check_grid_exits_two(tmp_path, capsys, key):
-    # check-rates would pass monotonicity on the one-point grid [0] without testing it
+    # admissibility would pass monotonicity on the one-point grid [0] without testing it
     bad = tmp_path / "bad.json"
     cfg = read_json(ORACLE)
     cfg["checks"] = {key: 1}
@@ -460,7 +477,7 @@ def test_underflowed_tail_integral_exits_one_with_report(tmp_path, capsys):
     # I(400) = e^(-760)/1.9 underflows to 0.0, so beta(400) has no float value
     cfg_path = tmp_path / "far.json"
     cfg = read_json(EXPONENTIAL)
-    cfg["checks"] = {"beta_s_max": 400}
+    cfg["solver"]["s_max"] = 400.0
     cfg_path.write_text(json.dumps(cfg))
     out = str(tmp_path / "o")
     assert main(["admissibility", "--config", cfg_path.as_posix(), "--out", out]) == 1

@@ -6,10 +6,10 @@ from importlib import resources
 
 import pytest
 
-from stablemanifold.config import (_SOLVER_DEFAULTS, build_comparison, build_params,
-                                   build_perturbation, build_rates, build_solver_config,
-                                   build_system, load_run_input, resolve_config,
-                                   scale_tolerances, uniform_grid)
+from stablemanifold.config import (_CHECK_DEFAULTS, _SOLVER_DEFAULTS, build_comparison,
+                                   build_params, build_perturbation, build_rates,
+                                   build_solver_config, build_system, load_run_input,
+                                   resolve_config, scale_tolerances, uniform_grid)
 from stablemanifold.errors import ConfigError
 from stablemanifold.manifold import SolverConfig
 
@@ -34,7 +34,6 @@ def test_defaults_are_materialized():
     assert resolved["verification"]["n_invariance"] == 50
     assert resolved["verification"]["flow_h"] == resolved["solver"]["h"]
     assert resolved["checks"]["identity_tol"] == 1e-6
-    assert resolved["checks"]["beta_s_max"] == 1.0
     assert resolved["output"]["dir"] == "out"
     assert resolved["seed"] == 0
     assert resolved["dichotomy"]["eps"] == 0.0
@@ -75,10 +74,17 @@ def test_resolved_config_is_stable_under_reresolve():
     (lambda c: c["solver"].update(lipschitz_tol=1e-3), "solver.lipschitz_tol"),
     (lambda c: c["solver"].update(quad_rel_tol=1e-8), "solver.quad_rel_tol"),
     (lambda c: c["solver"].update(decay_slack=1.05), "solver.decay_slack"),
+    # report grids are constants too
+    (lambda c: c.update(checks={"axiom_t_max": 50.0}), "checks.axiom_t_max"),
+    (lambda c: c.update(checks={"axiom_points": 201}), "checks.axiom_points"),
+    (lambda c: c.update(checks={"dichotomy_t_max": 10.0}), "checks.dichotomy_t_max"),
+    (lambda c: c.update(checks={"sharpness_k_max": 5}), "checks.sharpness_k_max"),
+    (lambda c: c.update(checks={"beta_s_max": 1.0}), "checks.beta_s_max"),
 ], ids=["extra-top", "extra-rates", "bad-family", "stray-lam", "zero-a", "neg-b",
         "small-D", "bad-kind", "zero-coef", "even-nodes", "slack", "grid-xor",
         "unit-scale", "neg-seed", "outer-tol", "max-outer", "picard-tol", "lipschitz-tol",
-        "quad-rel-tol", "decay-slack"])
+        "quad-rel-tol", "decay-slack", "axiom-t-max", "axiom-points", "dichotomy-t-max",
+        "sharpness-k-max", "beta-s-max"])
 def test_violations_name_the_key(mutate, key):
     raw = base_config()
     mutate(raw)
@@ -193,17 +199,27 @@ def test_auto_delta_maps_to_none():
     assert cfg.delta is None and cfg.C is None
 
 
-# solver keys that no bundled config sets, each with the reason it stays a key
+# solver and checks keys that no bundled config sets, each with the reason it stays a key
 UNSET_SOLVER_KEYS = {"delta_cap": "perfbench/tracer.py's solve_key reads SolverConfig.delta_cap"}
+UNSET_CHECK_KEYS = {
+    **dict.fromkeys(["dichotomy_pairs", "dichotomy_h", "beta_points", "monotonicity_points"],
+                    "the benchmark's matrix-d2 workload sets it"),
+    **dict.fromkeys(["dichotomy_tol", "identity_tol", "beta_match_tol"],
+                    "--tol-scale scales it"),
+}
 
 
 def test_every_solver_key_is_set_by_a_bundled_config():
-    # a key no config sets is a knob no run varies: make it a constant or delete it
+    # a key no config sets is a knob no run varies: make it a constant or delete it;
+    # the rule holds for the checks keys too
     paths = sorted((resources.files("stablemanifold") / "configs").glob("*.json"))
     assert len(paths) == 6
-    set_keys = set().union(*(json.loads(path.read_text())["solver"] for path in paths))
-    assert set(UNSET_SOLVER_KEYS) <= set(_SOLVER_DEFAULTS) - set_keys
-    assert set(_SOLVER_DEFAULTS) - set_keys - set(UNSET_SOLVER_KEYS) == set()
+    configs = [json.loads(path.read_text()) for path in paths]
+    for section, defaults, unset in (("solver", _SOLVER_DEFAULTS, UNSET_SOLVER_KEYS),
+                                     ("checks", _CHECK_DEFAULTS, UNSET_CHECK_KEYS)):
+        set_keys = set().union(*(cfg.get(section, {}) for cfg in configs))
+        assert set(unset) <= set(defaults) - set_keys, section
+        assert set(defaults) - set_keys - set(unset) == set(), section
 
 
 def test_minimal_solver_block_resolves_to_solver_config_defaults():

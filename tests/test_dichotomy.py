@@ -4,8 +4,8 @@ import pytest
 from stablemanifold import dichotomy
 from stablemanifold.dichotomy import (DichotomyParams, LinearSystem, closed_form_diagonal,
                                       matrix_system, pair_grid, rate_power_system,
-                                      sharp_oscillating_system, sharpness_probe, transition,
-                                      transition_inverse, verify_dichotomy)
+                                      sharp_oscillating_system, sharpness_probe,
+                                      verify_dichotomy)
 from stablemanifold.config import build_system
 from stablemanifold.expr import compile_expression
 from stablemanifold.linalg import rk4_step, spectral_norm
@@ -20,6 +20,21 @@ def _stable_projection(n, n_stable):
     p = np.zeros((n, n))
     p[:n_stable, :n_stable] = np.eye(n_stable)
     return p
+
+
+def _recorded_scans(monkeypatch):
+    """Each ``rk4_propagate`` call of ``verify_dichotomy``, in order, as
+    (step start times, step sizes, right, final state)."""
+    calls = []
+    propagate = dichotomy.rk4_propagate
+
+    def recording(A, t, dt, y0, right=False):
+        out = propagate(A, t, dt, y0, right=right)
+        calls.append((t, dt, right, out[-1]))
+        return out
+
+    monkeypatch.setattr(dichotomy, "rk4_propagate", recording)
+    return calls
 
 
 def test_params_validation():
@@ -54,41 +69,56 @@ def test_rate_power_scalar_factors():
 
 def test_transition_block_diagonal():
     sys_ = rate_power_system(POLY, a=-2.0, b=0.5)
-    M = transition(sys_, 3.0, 1.0)
     u = (4.0 / 2.0) ** -2.0
     v = (4.0 / 2.0) ** 0.5
-    assert np.allclose(M, np.diag([u, v]), rtol=1e-14)
+    assert np.allclose(closed_form_diagonal(sys_, 3.0, 1.0), [u, v], rtol=1e-14)
 
 
-def test_transition_rejects_backward_pairs():
-    sys_ = rate_power_system(EXP, a=-1.0, b=1.0)
+@pytest.mark.parametrize("system", [rate_power_system(EXP, a=-1.0, b=1.0),
+                                    matrix_system(lambda t: np.diag([-1.0, 1.0]), 2, 1)],
+                         ids=["closed_form", "matrix"])
+def test_verify_dichotomy_rejects_backward_pairs(system, monkeypatch):
+    # rejected before any pair is propagated, the valid first pair included
+    calls = _recorded_scans(monkeypatch)
+    params = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.0)
     with pytest.raises(ValueError, match="t >= s"):
-        transition(sys_, 1.0, 2.0)
+        verify_dichotomy(system, EXP, EXP, params, [(1.0, 0.0), (1.0, 2.0)])
+    assert calls == []
 
 
-def test_matrix_form_matches_closed_form():
+def test_matrix_form_matches_closed_form(monkeypatch):
     closed = rate_power_system(EXP, a=-1.0, b=1.0)
     mat = matrix_system(lambda t: np.diag([-1.0, 1.0]), 2, 1)
-    for t, s in [(1.0, 0.0), (2.5, 1.25), (4.0, 3.9)]:
-        assert np.allclose(transition(mat, t, s, h=1e-3), transition(closed, t, s),
-                           rtol=1e-10)
+    params = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.0)
+    pairs = [(1.0, 0.0), (2.5, 1.25), (4.0, 3.9)]
+    calls = _recorded_scans(monkeypatch)
+    rows = verify_dichotomy(mat, EXP, EXP, params, pairs, h=1e-3).rows
+    assert np.allclose(rows, verify_dichotomy(closed, EXP, EXP, params, pairs).rows,
+                       rtol=1e-10, atol=0.0)
+    for (t, s), (*_, fwd), (*_, back) in zip(pairs, calls[::2], calls[1::2]):
+        g = closed_form_diagonal(closed, t, s)
+        assert np.allclose(fwd, np.diag(g), rtol=1e-10)
+        assert np.allclose(back, np.diag(1.0 / g), rtol=1e-10)
 
 
-def test_transition_inverse_is_inverse():
+def test_backward_scan_inverts_the_forward_scan(monkeypatch):
     mat = matrix_system(lambda t: np.array([[-1.0, 0.3], [0.0, 1.0]]), 2, 1)
-    fwd = transition(mat, 2.0, 0.5, h=1e-3)
-    inv, notes = transition_inverse(mat, 2.0, 0.5, h=1e-3)
-    assert np.allclose(inv @ fwd, np.eye(2), atol=1e-9)
+    params = DichotomyParams(D=2.0, a=-1.0, b=1.0, eps=0.0)
+    calls = _recorded_scans(monkeypatch)
+    verify_dichotomy(mat, EXP, EXP, params, [(2.0, 0.5)], h=1e-3)
+    (*_, fwd), (*_, back) = calls
+    assert np.allclose(back @ fwd, np.eye(2), atol=1e-9)
 
 
-def test_transition_inverse_fallback_when_ill_conditioned():
-    # over a long window the forward map has condition number ~e^(2(t-s)),
-    # far above the default limit, forcing the backward-propagation route
+def test_backward_scan_of_an_ill_conditioned_pair(monkeypatch):
+    # over a long window the forward map has condition number ~e^(2(t-s)) = e^24;
+    # the backward scan gives its inverse without inverting it
     mat = matrix_system(lambda t: np.diag([-1.0, 1.0]), 2, 1)
-    inv, notes = transition_inverse(mat, 12.0, 0.0, h=1e-2)
-    assert notes
-    expected = np.diag([np.exp(12.0), np.exp(-12.0)])
-    assert np.allclose(inv, expected, rtol=1e-6)
+    params = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.0)
+    calls = _recorded_scans(monkeypatch)
+    cert = verify_dichotomy(mat, EXP, EXP, params, [(12.0, 0.0)], h=1e-2)
+    assert np.allclose(calls[1][3], np.diag([np.exp(12.0), np.exp(-12.0)]), rtol=1e-6)
+    assert cert.max_unstable_ratio == pytest.approx(1.0, rel=1e-6)
 
 
 def _three_state_closed_form():
@@ -113,7 +143,6 @@ def test_closed_form_diagonal_batch_equals_scalar_calls(system):
         expected = np.array([u] * system.n_stable + [v] * system.n_unstable)
         assert row.tobytes() == expected.tobytes()
         assert closed_form_diagonal(system, tt, ss).tobytes() == expected.tobytes()
-        assert transition(system, tt, ss).tobytes() == np.diag(expected).tobytes()
 
 
 def test_verify_dichotomy_closed_form_exact():
@@ -135,32 +164,23 @@ def test_verify_dichotomy_matrix_route():
 
 
 def test_verify_dichotomy_propagates_each_matrix_pair_once(monkeypatch):
-    # the last pair's forward map is ill conditioned: its inverse comes from
-    # one more, backward, propagation
+    # one grid of ceil((t - s) / h) equal steps per pair, scanned twice: forward for
+    # T(t, s), then right-multiplied for T(s, t); the ill-conditioned (12, 0) included
     mat = matrix_system(lambda t: np.array([[-1.0, 0.3], [0.0, 1.0]]), 2, 1)
     params = DichotomyParams(D=2.0, a=-1.0, b=1.0, eps=0.0)
     pairs = pair_grid(3.0, 6) + [(12.0, 0.0)]
     h = 1e-2
-    calls = []
-    propagate = dichotomy.rk4_propagate
-
-    def counting(A, t, dt, y0):
-        calls.append((t[0], t[-1] + dt[-1]))
-        return propagate(A, t, dt, y0)
-
-    monkeypatch.setattr(dichotomy, "rk4_propagate", counting)
+    calls = _recorded_scans(monkeypatch)
     cert = verify_dichotomy(mat, EXP, EXP, params, pairs, h=h)
-    expected = [(s, t) for t, s in pairs] + [(12.0, 0.0)]
-    assert np.shape(calls) == np.shape(expected)
-    assert np.asarray(calls) == pytest.approx(np.asarray(expected), abs=1e-12)
-    assert len(cert.notes) == 1 and "backward" in cert.notes[0]
-    monkeypatch.setattr(dichotomy, "rk4_propagate", propagate)
+    assert [right for _, _, right, _ in calls] == [False, True] * len(pairs)
     p = _stable_projection(2, 1)
-    for (t, s), row in zip(pairs, cert.rows):
-        fwd = transition(mat, t, s, h)
-        inv, _ = transition_inverse(mat, t, s, h)
-        q_t = np.eye(2) - p
-        unstable = spectral_norm(inv @ q_t) / (params.D * np.exp(-params.b * (t - s)))
+    for (t, s), row, fwd_call, back_call in zip(pairs, cert.rows, calls[::2], calls[1::2]):
+        grid, dt, _, fwd = fwd_call
+        assert grid.tobytes() == back_call[0].tobytes() and dt.tobytes() == back_call[1].tobytes()
+        assert len(dt) == max(1, int(np.ceil((t - s) / h)))
+        assert grid[0] == s and grid[-1] + dt[-1] == pytest.approx(t, abs=1e-12)
+        unstable = spectral_norm(back_call[3] @ (np.eye(2) - p)) / (
+            params.D * np.exp(-params.b * (t - s)))
         stable = spectral_norm(fwd @ p) / (params.D * np.exp(params.a * (t - s)))
         assert row[2:4] == (stable, unstable)
 
@@ -190,36 +210,30 @@ def _close(a, b, rel=1e-12):
     return np.shape(a) == np.shape(b) and np.abs(a - b).max() <= rel * np.abs(b).max()
 
 
-def test_matrix_transitions_match_per_stage_reference():
+def test_matrix_transitions_match_per_stage_reference(monkeypatch):
     # config-built A(t) against A evaluated entry by entry at every scalar stage time,
-    # within 1e-12 (the propagator composes its step matrices in another order);
-    # (12, 0) is ill conditioned, so verify_dichotomy inverts it by backward propagation
+    # within 1e-12 (the propagator composes its step matrices in another order), for
+    # Y' = A Y and Y' = -Y A; (12, 0) is ill conditioned
     system = build_system({"system": {"kind": "matrix", "coeff": TIME_DEPENDENT, "n_stable": 2},
                            "dichotomy": {}}, EXP, EXP)
     entries = [[compile_expression(e, variables=("t",)) for e in row] for row in TIME_DEPENDENT]
 
-    def deriv(r, m):
-        return np.array([[float(fn(t=r)) for fn in row] for row in entries]) @ m
+    def coeff(r):
+        return np.array([[float(fn(t=r)) for fn in row] for row in entries])
 
     params = DichotomyParams(D=3.0, a=-0.5, b=0.5, eps=0.0)
     pairs = pair_grid(4.0, 6) + [(12.0, 0.0)]
     h = 0.01
+    calls = _recorded_scans(monkeypatch)
     cert = verify_dichotomy(system, EXP, EXP, params, pairs, h=h)
-    assert len(cert.notes) == 1 and "backward" in cert.notes[0]
     eye = np.eye(3)
     p = _stable_projection(3, 2)
-    for (t, s), row in zip(pairs, cert.rows):
-        fwd = transition(system, t, s, h)
-        back = transition_inverse(system, t, s, h, cond_limit=0.0)[0]
-        assert _close(fwd, _per_stage_propagate(deriv, s, eye, t, h))
-        assert _close(back, _per_stage_propagate(deriv, t, eye, s, h))
-        inv = np.linalg.inv(fwd)
-        if np.linalg.cond(fwd) > 1e8:
-            inv = back
-        assert transition_inverse(system, t, s, h)[0].tobytes() == inv.tobytes()
+    for (t, s), row, (*_, fwd), (*_, back) in zip(pairs, cert.rows, calls[::2], calls[1::2]):
+        assert _close(fwd, _per_stage_propagate(lambda r, m: coeff(r) @ m, s, eye, t, h))
+        assert _close(back, _per_stage_propagate(lambda r, m: -m @ coeff(r), s, eye, t, h))
         log_ratio = EXP.log_eval(t) - EXP.log_eval(s)
         stable = spectral_norm(fwd @ p) / (params.D * np.exp(params.a * log_ratio))
-        unstable = spectral_norm(inv @ (eye - p)) / (params.D * np.exp(-params.b * log_ratio))
+        unstable = spectral_norm(back @ (eye - p)) / (params.D * np.exp(-params.b * log_ratio))
         assert row == (t, s, stable, unstable, spectral_norm(p @ fwd - fwd @ p))
 
 
@@ -320,12 +334,18 @@ def test_pair_grid_deterministic_and_ordered():
         assert 0.0 <= s <= t <= 10.0
 
 
-def test_sharp_matrix_route_cross_check():
+def test_sharp_matrix_route_cross_check(monkeypatch):
     # the sharp system's coefficient matrix must reproduce its closed form
     sys_ = sharp_oscillating_system(EXP, EXP, a=-1.0, b=1.0, eps=0.2)
     assert sys_.A is not None
     mat = matrix_system(sys_.A, 2, 1)
-    for t, s in [(1.0, 0.0), (4.0, 2.0)]:
-        M_closed = transition(sys_, t, s)
-        M_rk = transition(mat, t, s, h=1e-3)
-        assert np.allclose(M_rk, M_closed, rtol=1e-9, atol=1e-12)
+    params = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.2)
+    pairs = [(1.0, 0.0), (4.0, 2.0)]
+    calls = _recorded_scans(monkeypatch)
+    rows = verify_dichotomy(mat, EXP, EXP, params, pairs, h=1e-3).rows
+    assert np.allclose(rows, verify_dichotomy(sys_, EXP, EXP, params, pairs).rows,
+                       rtol=1e-9, atol=1e-12)
+    for (t, s), (*_, fwd), (*_, back) in zip(pairs, calls[::2], calls[1::2]):
+        g = closed_form_diagonal(sys_, t, s)
+        assert np.allclose(fwd, np.diag(g), rtol=1e-9, atol=1e-12)
+        assert np.allclose(back, np.diag(1.0 / g), rtol=1e-9, atol=1e-12)

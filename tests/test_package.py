@@ -44,7 +44,7 @@ def test_readme_key_entry_points_resolve():
     section = readme_section("## Library")
     entry_points = section[section.index("Key entry points:"):].split("\n#")[0]
     names = re.findall(r"`([A-Za-z_][\w.]*)", entry_points)
-    assert "BetaFunction.identity_residual" in names and "solver_radius" in names
+    assert "BetaFunction.table" in names and "solver_radius" in names
     for name in names:
         obj = stablemanifold
         for part in name.split("."):
