@@ -15,6 +15,8 @@ extrapolators, never as the quadrature's own shortcut.  I(s) is the walk from
 s cut at its anchor, the least power of two >= max(s, 1), plus the anchor's
 walk unless the cut walk is certified; a batch runs all these walks in lockstep
 and combines them per s, each I(s) bit-identical to computing its s alone.
+Each round integrates a block of windows per walk, 1, 2, 4, ... up to
+``_BLOCK_CAP``, so the slow log tails, 35 doubling windows from 1, take 10 rounds.
 
 All rate evaluations run in log space so large-t probes degrade to underflow
 instead of inf*0 artifacts.
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError, TailBoundError
+from .errors import ConvergenceError, DivergenceError, NumericalError, TailBoundError
 # adaptive_simpson is not called here; perfbench/tracer.py wraps it in this namespace
 from .quadrature import adaptive_simpson, adaptive_simpson_many  # noqa: F401
 from .rates import GrowthRate, _l1, _l2
@@ -41,6 +43,7 @@ __all__ = ["LimitCheck", "check_limit_condition", "TailBoundInfo", "analytic_tai
 _DEFAULT_LIMIT_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 _MONOTONICITY_SLACK = 1e-9  # largest relative uptick that still counts as nonincreasing
+_BLOCK_CAP = 4  # most windows a tail walk integrates per round: blocks of 1, 2, 4, 4, ...
 
 
 @dataclass(frozen=True)
@@ -219,59 +222,95 @@ def _walk(info: TailBoundInfo | None, s: float, stop: float, scale: float, rel_t
           max_span: float):
     """Coroutine over the doubling windows from s, the last one cut at ``stop``.
 
-    Yields (lo, hi, tol), is sent each window's mass and returns (mass, certified):
-    certified once truncation is, uncertified when a window reaches ``stop``.  A
-    window that ends more than ``max_span`` beyond s without ending the walk
-    raises TailBoundError, as does a first window of no width (s + 1 == s, or NaN).
+    Yields the windows (lo, hi, tol) in blocks of 1, 2, 4, ... up to ``_BLOCK_CAP``,
+    each tol 0.01 rel_tol times the mass when the block is issued, and is sent
+    each block's masses: floats, or the ConvergenceError of a window's
+    quadrature.  It judges the windows in order and discards the masses past
+    the one that ends it.  Returns (outcome, lo), lo the start of the last
+    window judged; the outcome is (mass, certified), certified once truncation
+    is and uncertified when a window reaches ``stop``, or the NumericalError
+    that ended the walk.  A window that ends more than ``max_span`` beyond s
+    without ending the walk is a TailBoundError, as is a first window of no
+    width (s + 1 == s, or NaN), which ends the walk before its first block.
     """
     total = 0.0
     deltas: list[float] = []
     lo, hi = s, min(s + 1.0, stop)
     if not hi > lo:
-        raise TailBoundError(f"no window of positive width starts at s={s:g}", s=s)
+        return TailBoundError(f"no window of positive width starts at s={s:g}", s=s), lo
     first_ref = scale * (hi - lo)
+    size = 1
     while True:
-        ref = total if total > 0.0 else first_ref
-        tol = 0.01 * rel_tol * ref
-        delta = yield lo, hi, max(tol, 5e-324)
-        if not math.isfinite(delta):
-            raise DivergenceError(
-                f"window [{lo:g}, {hi:g}] mass overflows the float range")
-        total += delta
-        deltas.append(delta)
-        if info is not None and total > 0.0:
-            bound = info.fn(hi)
-            if math.isfinite(bound):
-                if bound <= 0.2 * rel_tol * total:
-                    return total, True
-                if info.exact and len(deltas) >= 2 and (
-                        bound <= 1e-3 * total
-                        or (hi - s >= 1e10 and bound <= total)):
-                    # doubly-log tails never reach the 1e-3 fraction; past a
-                    # huge span settle for quadrature >= half the mass
-                    return total + bound, True
-        elif info is None and len(deltas) >= 2 and total > 0.0:
-            if deltas[-1] < 0.1 * rel_tol * total and deltas[-2] > 0.0:
-                theta = deltas[-1] / deltas[-2]
-                if theta < 1.0:
-                    tail_est = deltas[-1] * theta / (1.0 - theta)
-                    if tail_est <= rel_tol * total:
-                        return total, True
-        if (len(deltas) >= 3 and deltas[-1] > 4.0 * deltas[-2] > 0.0
-                and 2.0 * deltas[-1] > total):
-            raise DivergenceError("window masses are growing; partial integrals not Cauchy")
-        # the span limit is 1e12 max(1, 1 + s): a convergent tail from a huge s spreads
-        # its mass over spans of order s
-        if hi - s > 1e12 and hi - s > 1e12 * (1.0 + s) and total > 0.0 and deltas[-1] > 1e-3 * total:
-            raise DivergenceError(
-                f"window mass still {deltas[-1] / total:.2e} of the total at span {hi - s:.1e}; "
-                "partial integrals not Cauchy")
-        if hi >= stop:
-            return total, False
-        if hi - s > max_span:
-            raise _span_error(s, rel_tol, max_span)
-        lo = hi
-        hi = min(s + 2.0 * (hi - s), stop)
+        tol = max(0.01 * rel_tol * (total if total > 0.0 else first_ref), 5e-324)
+        block = [(lo, hi, tol)]
+        while len(block) < size and hi < stop and hi - s <= max_span:
+            lo, hi = hi, min(s + 2.0 * (hi - s), stop)
+            block.append((lo, hi, tol))
+        masses = yield block
+        for (lo, hi, _), delta in zip(block, masses):
+            if isinstance(delta, ConvergenceError):
+                return delta, lo
+            if not math.isfinite(delta):
+                return DivergenceError(
+                    f"window [{lo:g}, {hi:g}] mass overflows the float range"), lo
+            total += delta
+            deltas.append(delta)
+            if info is not None and total > 0.0:
+                bound = info.fn(hi)
+                if math.isfinite(bound):
+                    if bound <= 0.2 * rel_tol * total:
+                        return (total, True), lo
+                    if info.exact and len(deltas) >= 2 and (
+                            bound <= 1e-3 * total
+                            or (hi - s >= 1e10 and bound <= total)):
+                        # doubly-log tails never reach the 1e-3 fraction; past a
+                        # huge span settle for quadrature >= half the mass
+                        return (total + bound, True), lo
+            elif info is None and len(deltas) >= 2 and total > 0.0:
+                if deltas[-1] < 0.1 * rel_tol * total and deltas[-2] > 0.0:
+                    theta = deltas[-1] / deltas[-2]
+                    if theta < 1.0:
+                        tail_est = deltas[-1] * theta / (1.0 - theta)
+                        if tail_est <= rel_tol * total:
+                            return (total, True), lo
+            if (len(deltas) >= 3 and deltas[-1] > 4.0 * deltas[-2] > 0.0
+                    and 2.0 * deltas[-1] > total):
+                return DivergenceError(
+                    "window masses are growing; partial integrals not Cauchy"), lo
+            # the span limit is 1e12 max(1, 1 + s): a convergent tail from a huge s
+            # spreads its mass over spans of order s
+            if (hi - s > 1e12 and hi - s > 1e12 * (1.0 + s) and total > 0.0
+                    and deltas[-1] > 1e-3 * total):
+                return DivergenceError(
+                    f"window mass still {deltas[-1] / total:.2e} of the total at span "
+                    f"{hi - s:.1e}; partial integrals not Cauchy"), lo
+            if hi >= stop:
+                return (total, False), lo
+            if hi - s > max_span:
+                return _span_error(s, rel_tol, max_span), lo
+        lo, hi = hi, min(s + 2.0 * (hi - s), stop)
+        size = min(2 * size, _BLOCK_CAP)
+
+
+def _masses(integrand: Callable[[np.ndarray], np.ndarray], windows: list, rel_floor: float) -> list:
+    """The mass of every window (lo, hi, tol), integrated in one batch.
+
+    Where the batch outgrows the quadrature's level cap, each window is
+    integrated alone and one that still does gets its ConvergenceError, so
+    only a walk that reaches it fails.
+    """
+    try:
+        return adaptive_simpson_many(integrand, *np.array(windows).T,
+                                     rel_floor=rel_floor).tolist()
+    except ConvergenceError:
+        masses = []
+        for window in windows:
+            try:
+                masses.append(float(adaptive_simpson_many(integrand, *window,
+                                                          rel_floor=rel_floor)[0]))
+            except ConvergenceError as exc:
+                masses.append(exc)
+        return masses
 
 
 def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
@@ -297,7 +336,9 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     TailBoundError when a window ending more than ``max_span`` beyond s
     leaves the tail uncertified, or when s + 1 == s (or s is NaN).
 
-    Each window's absolute tolerance is 0.01 rel_tol times the mass before it,
+    A walk integrates its windows in blocks of 1, 2, 4, ... up to ``_BLOCK_CAP``
+    windows.  Each window's absolute tolerance is 0.01 rel_tol times the walk's
+    mass when its block is issued, a lower bound on the mass before the window,
     raised to 0.01 rel_tol times the window's own 3-point Simpson estimate
     when that is finite and larger (``rel_floor``), so a window that dwarfs
     the mass before it is integrated to a reachable tolerance and the growth
@@ -317,11 +358,15 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     the anchor's included, and the anchor's error is the error of every s
     that reaches it.
 
-    Each round integrates the current window of every unfinished walk in one
-    ``adaptive_simpson_many`` call while an s waits on a walk; each I(s) is
-    formed in order once its walks end.  A window's mass does not depend on
-    its batch and A depends only on s, so each value equals a one-element
-    call, and the error raised is that of the first failing s in ``s_values``.
+    Each round integrates the next block of every unfinished walk in one
+    ``adaptive_simpson_many`` call while an s waits on a walk.  A walk judges
+    its block's windows in order and discards the masses past the window that
+    ends it; where the round outgrows the quadrature's level cap, each window
+    is integrated alone, so a window past a walk's end cannot fail the walk.
+    Each I(s) is formed in order once its walks end.  A window's mass depends
+    only on (lo, hi, tol), a walk's blocks only on the walk and A only on s,
+    so each value equals a one-element call, and the error raised is that of
+    the first failing s in ``s_values``.
     """
     integrand = _rate_integrand(mu, nu, p, eps)
     info = analytic_tail_bound(mu, nu, p, eps)
@@ -341,7 +386,7 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
     keys = [(s, _anchor(s)) for s in distinct if s < _anchor(s)] + [(a, math.inf) for a in anchors]
     walks = {(lo, stop): _walk(info, lo, stop, scales[lo], rel_tol, max_span)
              for lo, stop in keys if lo not in below}
-    steps = {}  # (start, stop) -> the running walk's window (lo, hi, tol)
+    blocks = {}  # (start, stop) -> the running walk's block of windows (lo, hi, tol)
     ended = {}  # (start, stop) -> (mass and certified, or the error; start of the last window)
     values = {}  # s -> I(s), formed in the order of s
 
@@ -379,18 +424,17 @@ def improper_rate_integrals(mu: GrowthRate, nu: GrowthRate, p: float, eps: float
 
     sends = dict.fromkeys(walks)  # what each walk is sent this round: None starts it
     while True:
-        for key, mass in sends.items():
+        for key, masses in sends.items():
             try:
-                steps[key] = walks[key].send(mass)
+                blocks[key] = walks[key].send(masses)
             except StopIteration as done:
-                ended[key] = done.value, steps.pop(key)[0]
-            except NumericalError as exc:  # one failing as it starts ran no window from key[0]
-                ended[key] = exc, steps.pop(key, key)[0]
+                ended[key] = done.value
+                blocks.pop(key, None)
         if not pending():
             return np.array([values[s] for s in s_list])
-        masses = adaptive_simpson_many(integrand, *np.array(list(steps.values())).T,
-                                       rel_floor=0.01 * rel_tol)
-        sends = dict(zip(steps, masses.tolist()))
+        masses = iter(_masses(integrand, [w for block in blocks.values() for w in block],
+                              0.01 * rel_tol))
+        sends = {key: [next(masses) for _ in block] for key, block in blocks.items()}
 
 
 def improper_rate_integral(mu: GrowthRate, nu: GrowthRate, p: float, eps: float, s: float,

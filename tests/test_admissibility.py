@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablemanifold.admissibility import (BetaFunction, _rate_integrand, analytic_tail_bound,
                                           check_limit_condition, check_monotonicity,
@@ -9,8 +11,9 @@ from stablemanifold.admissibility import (BetaFunction, _rate_integrand, analyti
                                           delta_max_bounds, improper_rate_integral,
                                           improper_rate_integrals)
 from stablemanifold.config import uniform_grid
-from stablemanifold.errors import DivergenceError, NumericalError, TailBoundError
-from stablemanifold.rates import builtin_rate, expression_rate
+from stablemanifold.errors import (ConvergenceError, DivergenceError, NumericalError,
+                                   TailBoundError)
+from stablemanifold.rates import GrowthRate, builtin_rate, expression_rate
 
 EXP = builtin_rate("exponential")
 POLY = builtin_rate("polynomial")
@@ -353,14 +356,21 @@ def test_batched_tail_raises_the_first_failing_s_in_order():
 @pytest.mark.parametrize("s", [2.0 ** 53, 1.7e308, math.nan])
 def test_walk_without_a_window_of_width_raises_at_once(s):
     # s + 1 == s (or s is NaN): every window would be [s, s], of mass 0, and no rule
-    # would end the walk; a few sends bound the test where the guard is missing
+    # would end the walk; a few sends bound the test where the guard is missing.  The
+    # walk ends before its first block, with the error as its outcome and s as its lo
     from stablemanifold.admissibility import _walk
     walk = _walk(None, s, math.inf, 1.0, 1e-8, 1e30)
-    with pytest.raises(TailBoundError, match="no window of positive width") as info:
-        next(walk)
+    blocks = []
+    with pytest.raises(StopIteration) as done:
+        blocks.append(next(walk))
         for _ in range(3):
-            walk.send(0.0)
-    assert info.value.s == s or math.isnan(s) and math.isnan(info.value.s)
+            blocks.append(walk.send([0.0] * len(blocks[-1])))
+    assert blocks == []
+    error, lo = done.value.value
+    assert isinstance(error, TailBoundError)
+    assert "no window of positive width" in str(error)
+    for got in (error.s, lo):
+        assert got == s or math.isnan(s) and math.isnan(got)
 
 
 @pytest.mark.parametrize("p,s", [(-1.46, 1.7e308), (1.0, 1e308), (1.0, math.nan)])
@@ -383,6 +393,71 @@ def test_walk_failing_at_its_start_keeps_the_order_of_s():
         with pytest.raises(TailBoundError, match="no window") as info:
             improper_rate_integrals(hump, one, 1.0, 0.0, [1.7e308, 20.0], max_span=8.0)
         assert info.value.s == 1.7e308
+
+
+def _rate_bad_past(t0, bad):
+    """e^t up to t0, with log mu(t) = ``bad(t)`` beyond; no family, so walks certify by
+    extrapolation."""
+    def log_fn(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > t0, bad(t), t)
+    return GrowthRate(f"e^t up to {t0:g}", lambda t: np.exp(log_fn(t)), log_fn=log_fn)
+
+
+E_T = GrowthRate("e^t", np.exp, log_fn=lambda t: np.asarray(t, dtype=float))
+# mu^-2 = 2 + sin(1e6 t) past 40: no adaptive Simpson level resolves it before the cap
+NOISY = _rate_bad_past(40.0, lambda t: -0.5 * np.log(2.0 + np.sin(1e6 * t)))
+NAN_PAST = _rate_bad_past(40.0, lambda t: np.full(t.shape, math.nan))
+
+
+@pytest.mark.parametrize("bad,error", [(NOISY, ConvergenceError), (NAN_PAST, DivergenceError)],
+                         ids=["level-cap", "nan"])
+def test_walk_certified_before_a_failing_window_of_its_block(monkeypatch, bad, error):
+    # e^-2r from 1 certifies at its sixth window [17, 33]; its third block also holds
+    # [33, 65], where the bad integrand fails: a ConvergenceError, or a NaN mass
+    from stablemanifold import admissibility
+    quadrature = admissibility.adaptive_simpson_many
+    integrand = _rate_integrand(bad, E_T, -2.0, 0.0)
+    if bad is NOISY:
+        with pytest.raises(ConvergenceError):
+            quadrature(integrand, 33.0, 65.0, 1e-10)
+    else:
+        assert math.isnan(quadrature(integrand, 33.0, 65.0, 1e-10)[0])
+    expected = improper_rate_integral(E_T, E_T, -2.0, 0.0, 1.0)
+    assert abs(expected / (math.exp(-2.0) / 2.0) - 1.0) <= 1e-8
+    windows = []
+
+    def recording(f, a, b, tol, **kw):
+        windows.extend(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
+        return quadrature(f, a, b, tol, **kw)
+
+    monkeypatch.setattr(admissibility, "adaptive_simpson_many", recording)
+    assert improper_rate_integral(bad, E_T, -2.0, 0.0, 1.0) == expected
+    assert windows[-1] == (33.0, 65.0)
+    # a walk that reaches the bad windows fails, and a batch raises the first s's error
+    with pytest.raises(error):
+        improper_rate_integral(bad, E_T, -2.0, 0.0, 40.5)
+    _assert_batch_equals_singles(bad, E_T, -2.0, 0.0, [1.0, 40.5, 1.0])
+    _assert_batch_equals_singles(bad, E_T, -2.0, 0.0, [40.5, 1.0])
+
+
+# (mu, nu, p, eps): every builtin rate pair, the slow family tails and the hump, whose
+# windows grow from s <= 2
+TAIL_CASES = ([(mu, nu, -2.0, 0.1) for mu in BUILTIN_RATES for nu in BUILTIN_RATES]
+              + [(mu, nu, a * q, eps) for mu, nu, a, eps, q, _ in FAMILY_CASES]
+              + [(expression_rate("(1 + t)^8 * exp(-t)"), expression_rate("1 + t"), 1.0, 0.0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batches_equal_one_element_calls(data):
+    # duplicates and anchors from 1 to 1024; a span of 50 leaves slow tails uncertified
+    mu, nu, p, eps = data.draw(st.sampled_from(TAIL_CASES), label="case")
+    max_span = data.draw(st.sampled_from([1e30, 50.0]), label="max_span")
+    point = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 64.0]), st.floats(0.0, 600.0))
+    s_values = data.draw(st.lists(point, min_size=1, max_size=5), label="s")
+    s_values += data.draw(st.lists(st.sampled_from(s_values), max_size=2), label="repeats")
+    _assert_batch_equals_singles(mu, nu, p, eps, s_values, max_span=max_span)
 
 
 def test_beta_function_integrals_fill_the_cache_in_one_batch(monkeypatch):
@@ -448,12 +523,12 @@ def test_points_below_one_share_one_anchor_walk(monkeypatch):
     s_values = list(dict.fromkeys(uniform_grid(1.0, 200) + uniform_grid(1.0, 50)))
     assert len(s_values) == 248 and len(walk) == 3
     # a repeated s adds no window: one round of every piece and the anchor's first
-    # window, then one round per further window of the anchor
+    # window, then one round of the anchor's next block, its second and third windows
     for batch in (s_values, s_values[:10] + s_values):
         calls.clear()
         improper_rate_integrals(EXP, EXP, -2.0, 0.0, batch)
         windows = [w for call in calls for w in call]
-        assert [len(call) for call in calls] == [248, 1, 1]
+        assert [len(call) for call in calls] == [248, 2]
         assert sorted(w for w in windows if w[0] < 1.0) == sorted((s, 1.0) for s in s_values
                                                                   if s < 1.0)
         assert [w for w in windows if w[0] >= 1.0] == walk

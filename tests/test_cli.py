@@ -615,6 +615,32 @@ def test_bundled_configs_run_clean(tmp_path, name):
         assert read_json(os.path.join(out, f"report-{cmd}.json"))["passed"] is True
 
 
+@pytest.mark.parametrize("name,rounds", [
+    ("exponential", 2), ("polynomial", 5), ("log_example", 10), ("loglog_example", 10),
+    ("sharp_oscillating", 2)])
+def test_tail_batch_quadrature_rounds(tmp_path, monkeypatch, name, rounds):
+    # the admissibility stage computes its tails in one batch; walks integrate their
+    # windows in blocks of 1, 2, 4, 4, ...: the 35 windows of the log walks from 1
+    # take 10 adaptive Simpson calls instead of 35, the 14 of the polynomial 5
+    from stablemanifold import admissibility
+    batches, calls = [], []
+    quadrature, tails = admissibility.adaptive_simpson_many, admissibility.improper_rate_integrals
+
+    def counting(*args, **kw):
+        calls.append(np.size(args[1]))
+        return quadrature(*args, **kw)
+
+    def batch(*args, **kw):
+        batches.append(len(args[4]))
+        return tails(*args, **kw)
+
+    monkeypatch.setattr(admissibility, "adaptive_simpson_many", counting)
+    monkeypatch.setattr(admissibility, "improper_rate_integrals", batch)
+    assert main(["admissibility", "--config", str(CONFIG_DIR / f"{name}.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(batches) == 1 and 0 < len(calls) <= rounds
+
+
 def test_console_script_entry(tmp_path):
     # the child imports the package under test, installed or not
     out = str(tmp_path / "run")
