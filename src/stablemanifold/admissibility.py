@@ -44,6 +44,7 @@ _DEFAULT_LIMIT_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 _MONOTONICITY_SLACK = 1e-9  # largest relative uptick that still counts as nonincreasing
 _BLOCK_CAP = 4  # most windows a tail walk integrates per round: blocks of 1, 2, 4, 4, ...
+_DELTA_CAP = 1.0  # largest graph radius delta_max certifies, whatever the proof bounds
 
 
 @dataclass(frozen=True)
@@ -642,25 +643,25 @@ def delta_max_bounds(c: float, q: float, C: float, D: float) -> dict[str, float]
     }
 
 
-def delta_max_terms(bounds: dict[str, float], delta_cap: float = 1.0) -> dict[str, float]:
+def delta_max_terms(bounds: dict[str, float]) -> dict[str, float]:
     """The terms whose minimum is delta_max, keyed as ``bounds`` plus ``delta_cap``.
 
     ``ball_closure`` is non-strict and taken as is; the strict bounds carry a
-    0.99 safety factor.
+    0.99 safety factor; ``delta_cap`` is the constant ``_DELTA_CAP``.
     """
     terms = {k: v if k == "ball_closure" else 0.99 * v for k, v in bounds.items()}
-    terms["delta_cap"] = delta_cap
+    terms["delta_cap"] = _DELTA_CAP
     return terms
 
 
-def delta_max(c: float, q: float, C: float, D: float, delta_cap: float = 1.0) -> float:
+def delta_max(c: float, q: float, C: float, D: float) -> float:
     """Largest certified graph radius for perturbation constants (c, q) and capacity C.
 
     Exact minimum of ``delta_max_terms``: the six proof bounds, with a 0.99
-    safety factor on the strict ones, and ``delta_cap``.  Degenerate c = 0
-    returns ``delta_cap``.
+    safety factor on the strict ones, and ``_DELTA_CAP``.  Degenerate c = 0
+    returns ``_DELTA_CAP``.
     """
-    return min(delta_max_terms(delta_max_bounds(c, q, C, D), delta_cap).values())
+    return min(delta_max_terms(delta_max_bounds(c, q, C, D)).values())
 
 
 def default_capacity(D: float) -> float:

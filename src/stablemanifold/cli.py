@@ -35,8 +35,7 @@ from .rates import check_growth_axioms
 # check_invariance and check_decay are not called here; perfbench/tracer.py wraps
 # them in this namespace
 from .verify import (check_decay, check_flows, check_invariance,  # noqa: F401
-                     check_perturbation_bound, common_solver_config, random_decay_pairs,
-                     random_invariance_samples)
+                     check_perturbation_bound, random_decay_pairs, random_invariance_samples)
 
 COMMANDS = ("check-rates", "check-dichotomy", "admissibility", "solve-manifold",
             "verify", "perturb-compare", "all")
@@ -106,9 +105,6 @@ class Runner:
             self.mu, self.nu, self.params.a, self.params.eps, self.pert.q))
         self._solved = None
         self._check_solver_inputs()
-        # one delta per run: "auto" is delta_max at max(c, c_bar), so the solve,
-        # verify and perturb-compare share one graph of f
-        self.cfg = common_solver_config(self.params, self.pert, self.pert_bar, self.cfg)
         self.delta_c = (max(self.pert.c, self.pert_bar.c)
                         if resolved["solver"]["delta"] == "auto" else None)
 
@@ -116,7 +112,10 @@ class Runner:
         """ConfigError naming the key, before any stage runs, for inputs a solve rejects.
 
         A fixed ``solver.delta`` must not exceed delta_max at max(c, c_bar), the
-        radius that f and f_bar are compared at.
+        radius that f and f_bar are compared at.  That check's C and delta
+        become ``self.cfg``: one radius per run ("auto" is delta_max at
+        max(c, c_bar)), so the solve, verify and perturb-compare share one
+        graph of f.
         """
         s_grid, n, cfg = np.asarray(self.cfg.s_grid), self.system.n, self.cfg
         larger_c = max(self.pert, self.pert_bar, key=lambda p: p.c)
@@ -126,11 +125,14 @@ class Runner:
             "perturbation.components": lambda: check_vanishes_at_origin(self.pert, s_grid, n),
             "comparison.components": lambda: check_vanishes_at_origin(self.pert_bar, s_grid, n),
         }
+        results = {}
         for key, check in checks.items():
             try:
-                check()
+                results[key] = check()
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from exc
+        cap, delta = results["solver.delta"]
+        self.cfg = replace(cfg, C=cap, delta=delta)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -222,7 +224,7 @@ class Runner:
         mono = check_monotonicity(beta, mono_grid)
         cap, certified = solver_radius(self.params, self.pert, replace(self.cfg, delta=None))
         bounds = delta_max_bounds(self.pert.c, q, cap, d["D"])
-        terms = delta_max_terms(bounds, self.cfg.delta_cap)
+        terms = delta_max_terms(bounds)
         binding = sorted(k for k, v in terms.items() if v == certified)
         identity_ok = worst_resid <= ch["identity_tol"]
         match_ok = worst_match <= ch["beta_match_tol"] or beta.closed_form is None
@@ -309,9 +311,9 @@ class Runner:
         }
 
     def perturb_compare(self) -> tuple[bool, dict]:
-        rep = check_perturbation_bound(self.system, self.mu, self.nu, self.params,
-                                       self.pert, self.pert_bar, self.cfg, rng=self.rng(2),
-                                       solved=self.solve())
+        rep = check_perturbation_bound(self.solve()[0], self.system, self.mu, self.nu,
+                                       self.params, self.pert, self.pert_bar, self.cfg,
+                                       rng=self.rng(2))
         _write_csv(self.path("compare.csv"),
                    ["graph_distance", "f_distance", "stability_constant", "quotient",
                     "delta"],

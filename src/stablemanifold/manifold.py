@@ -484,7 +484,6 @@ class SolverConfig:
     h: float = 0.01                  # inner-grid step in the system's clock (see _inner_grid)
     tail_abs_tol: float = 1e-12
     t_cut_max: float = 1e5
-    delta_cap: float = 1.0
     beta_fn: BetaFunction | None = field(default=None, compare=False, repr=False)
 
 
@@ -647,7 +646,7 @@ def solver_radius(params: DichotomyParams, pert: Perturbation,
     cap = cfg.C if cfg.C is not None else default_capacity(params.D)
     if not cap > params.D:
         raise ValueError(f"capacity C={cap} must exceed D={params.D}")
-    certified = delta_max(pert.c, pert.q, cap, params.D, cfg.delta_cap)
+    certified = delta_max(pert.c, pert.q, cap, params.D)
     delta = cfg.delta if cfg.delta is not None else certified
     if delta > certified * (1.0 + 1e-12):
         raise ValueError(f"delta={delta:g} exceeds the certified delta_max={certified:g} "

@@ -20,6 +20,20 @@ from .errors import ConvergenceError
 __all__ = ["adaptive_simpson", "adaptive_simpson_many", "composite_simpson",
            "cumulative_simpson"]
 
+_LEVEL_CAP = 1 << 16  # most nodes of one level of one interval's bisection tree
+
+
+def _widest_tree(levels: list, n: int) -> int:
+    """Most nodes one of the n intervals has at the level after ``levels``.
+
+    Children follow their parents in order, so each level's owners are the
+    splitting owners of the level before, each twice.
+    """
+    owner = np.arange(n)
+    for leaf, _ in levels:
+        owner = np.repeat(owner[~leaf], 2)
+    return int(np.bincount(owner).max())
+
 
 def adaptive_simpson_many(f: Callable[[np.ndarray], np.ndarray], a, b, tol,
                           max_depth: int = 52, rel_floor: float = 0.0) -> np.ndarray:
@@ -31,9 +45,12 @@ def adaptive_simpson_many(f: Callable[[np.ndarray], np.ndarray], a, b, tol,
     The bisection trees of all intervals grow together, one call of ``f`` per
     level on the quarter points of every node still splitting.  They are then
     summed bottom-up in the recursion's order, so each result is bit-identical
-    to integrating its interval alone.  A level wider than 2^16 nodes, or 2^10
-    per interval, raises ConvergenceError: the tolerance is below round-off,
-    and the tree would grow toward 2^max_depth nodes.
+    to integrating its interval alone.  A level with more than 2^16 nodes on
+    one interval, or more than max(2^16, 1024 n) on the n intervals together,
+    raises ConvergenceError: the tolerance is below round-off, and the tree
+    would grow toward 2^max_depth nodes.  Nodes are counted per interval only
+    on levels wider than 2^16, so an interval raises in every batch where it
+    raises alone.
     """
     a, b, tol = (np.array(x, dtype=float).ravel() for x in np.broadcast_arrays(a, b, tol))
     out = np.zeros(a.shape)
@@ -49,9 +66,12 @@ def adaptive_simpson_many(f: Callable[[np.ndarray], np.ndarray], a, b, tol,
     depth = max_depth
     with np.errstate(over="ignore", invalid="ignore"):
         while a.size:
-            if a.size > max(1 << 16, 1024 * live.size):
-                raise ConvergenceError(f"adaptive Simpson level of {a.size} nodes: the "
-                                       "tolerance is below the integrand's round-off")
+            if a.size > _LEVEL_CAP:
+                widest = _widest_tree(levels, live.size)
+                if widest > _LEVEL_CAP or a.size > 1024 * live.size:
+                    raise ConvergenceError(
+                        f"adaptive Simpson level of {a.size} nodes ({widest} on one "
+                        "interval): the tolerance is below the integrand's round-off")
             m = 0.5 * (a + b)
             quarters = f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)]))
             flm, frm = quarters[:a.size], quarters[a.size:]

@@ -20,11 +20,11 @@ that order, as a sample-by-sample loop over the invariance samples and then
 the pairs would.  ``check_invariance`` and ``check_decay`` are its one-check
 forms.
 
-Perturbation stability: solving with f and f_bar at a common certified radius,
-the graph distance sup |phi - phi_bar|_1 / |xi|_1 is bounded by
+Perturbation stability: with the graphs of f and f_bar solved at one certified
+radius, the graph distance sup |phi - phi_bar|_1 / |xi|_1 is bounded by
 K * sup |f - f_bar|_1 / |u|_1^(q+1) with K = 4 * 3^(q+1) * C^(q+1) * D * delta^q.
-The f-distance is reported as a sampled lower bound (resolution attached), so
-a pass of the bound check is conservative.
+The f-distance is a sampled lower bound, so a pass of the bound check is
+conservative.
 
 All state norms here are sum norms.
 """
@@ -43,14 +43,13 @@ from .dichotomy import DichotomyParams, LinearSystem
 # perfbench/tracer.py wraps it; the checks below flow their samples in one batch
 from .manifold import (ManifoldGraph, Perturbation, SolverConfig, eval_phi_many,
                        flow_steps, graph_metric_distance, nonlinear_flow,  # noqa: F401
-                       nonlinear_flow_many, solve_manifold, solver_radius)
+                       nonlinear_flow_many, solve_manifold)
 from .rates import GrowthRate
 
 __all__ = ["InvarianceReport", "check_invariance", "DecayReport", "check_decay",
            "FlowReport", "check_flows",
            "PerturbationDistance", "perturbation_distance", "default_perturbation_samples",
-           "PerturbationBoundReport", "check_perturbation_bound", "common_solver_config",
-           "small_ball_radius",
+           "PerturbationBoundReport", "check_perturbation_bound", "small_ball_radius",
            "random_invariance_samples", "random_decay_pairs", "stability_constant"]
 
 
@@ -240,9 +239,6 @@ class PerturbationDistance:
 
     value: float
     n_samples: int
-    t_count: int
-    direction_count: int
-    radius_count: int
 
 
 def default_perturbation_samples(n: int, t_grid: Sequence[float],
@@ -290,10 +286,7 @@ def perturbation_distance(f: Perturbation | Callable, f_bar: Perturbation | Call
     t, u, norms = t[keep], u[keep], norms[keep]
     gap = np.abs(f_fn(t, u) - g_fn(t, u)).sum(axis=1)
     worst = float((gap / norms ** (q + 1.0)).max(initial=0.0))
-    t_seen = {round(tt, 12) for tt in t.tolist()}
-    r_seen = {round(r, 12) for r in norms.tolist()}
-    d_seen = {tuple(d) for d in np.round(u / norms[:, None], 12).tolist()}
-    return PerturbationDistance(worst, len(samples), len(t_seen), len(d_seen), len(r_seen))
+    return PerturbationDistance(worst, len(samples))
 
 
 def stability_constant(q: float, C: float, D: float, delta: float) -> float:
@@ -312,48 +305,24 @@ class PerturbationBoundReport:
     notes: tuple[str, ...] = ()
 
 
-def common_solver_config(params: DichotomyParams, pert: Perturbation,
-                         pert_bar: Perturbation, cfg: SolverConfig) -> SolverConfig:
-    """``cfg`` at the one radius that f and f_bar are solved and compared at.
+def check_perturbation_bound(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
+                             nu: GrowthRate, params: DichotomyParams, pert: Perturbation,
+                             pert_bar: Perturbation, cfg: SolverConfig,
+                             rng: random.Random | None = None) -> PerturbationBoundReport:
+    """Compare ``graph``, the solved graph of ``pert``, with the graph of ``pert_bar``.
 
-    C is that of ``cfg`` and delta = min(cfg.delta, delta_max at
-    c = max(c_f, c_fbar)); delta_max decreases in c, so the solve of either
-    perturbation is certified at it.  ValueError if the orders q differ.
+    Only f_bar is solved: under ``cfg`` with the s grid, lattice, delta and C
+    of ``graph``, so the node values of both graphs are directly comparable.
+    That solve certifies the radius for c_bar and raises ValueError naming
+    c_bar when delta exceeds delta_max there; ValueError too if the orders q
+    differ.  A ``cfg.beta_fn`` lets the f_bar solve reuse the tail integrals of
+    the f solve.
     """
     if pert.q != pert_bar.q:
         raise ValueError("perturbation orders q must match for the stability bound")
-    cap, certified = solver_radius(params, max(pert, pert_bar, key=lambda p: p.c),
-                                   replace(cfg, delta=None))
-    delta = certified if cfg.delta is None else min(cfg.delta, certified)
-    return replace(cfg, delta=delta, C=cap)
-
-
-def check_perturbation_bound(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
-                             params: DichotomyParams, pert: Perturbation,
-                             pert_bar: Perturbation, cfg: SolverConfig,
-                             rng: random.Random | None = None,
-                             solved: tuple[ManifoldGraph, list[dict]] | None = None
-                             ) -> PerturbationBoundReport:
-    """Solve with f and f_bar at one common certified radius and compare graphs.
-
-    Both graphs share the delta and C of ``common_solver_config``, hence
-    identical slice radii, so node values are directly comparable.
-    ``solved`` is an optional (graph, history) of ``pert`` already solved at
-    that delta and C; it stands in for the f solve, so only f_bar is solved.
-    A ``solved`` graph at another delta or C raises ValueError.  Without
-    ``solved`` both are solved here.  A ``cfg.beta_fn`` serves both solves,
-    which then share their tail integrals.
-    """
-    common_cfg = common_solver_config(params, pert, pert_bar, cfg)
-    if solved is None:
-        graph, _ = solve_manifold(system, mu, nu, params, pert, common_cfg)
-    elif (solved[0].delta, solved[0].C) != (common_cfg.delta, common_cfg.C):
-        raise ValueError(f"solved graph has delta={solved[0].delta!r}, C={solved[0].C!r}; "
-                         f"the comparison needs delta={common_cfg.delta!r}, "
-                         f"C={common_cfg.C!r}")
-    else:
-        graph = solved[0]
-    graph_bar, _ = solve_manifold(system, mu, nu, params, pert_bar, common_cfg)
+    bar_cfg = replace(cfg, s_grid=tuple(graph.s_grid.tolist()),
+                      nodes_per_axis=graph.nodes_per_axis, delta=graph.delta, C=graph.C)
+    graph_bar, _ = solve_manifold(system, mu, nu, params, pert_bar, bar_cfg)
     gd = graph_metric_distance(graph.values, graph_bar.values, graph)
     radii = [0.25, 0.5, 1.0]
     samples = default_perturbation_samples(system.n, graph.s_grid.tolist(), radii, rng)

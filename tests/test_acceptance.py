@@ -170,9 +170,10 @@ def test_c7_perturbation_stability():
     with criterion("criterion 7 (graph distance vs perturbation distance)") as info:
         t0 = time.perf_counter()
         system = rate_power_system(EXP, a=-1.0, b=1.0)
-        rep = check_perturbation_bound(system, EXP, EXP, ORACLE_PARAMS,
-                                       cubic_perturbation(1.0), cubic_perturbation(1.05),
-                                       ORACLE_CFG)
+        pert = cubic_perturbation(1.0)
+        graph, _ = solve_manifold(system, EXP, EXP, ORACLE_PARAMS, pert, ORACLE_CFG)
+        rep = check_perturbation_bound(graph, system, EXP, EXP, ORACLE_PARAMS, pert,
+                                       cubic_perturbation(1.05), ORACLE_CFG)
         elapsed = time.perf_counter() - t0
         assert rep.passed
         assert rep.graph_distance <= rep.stability_k * rep.f_distance.value

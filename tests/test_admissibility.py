@@ -260,8 +260,8 @@ def test_delta_max_brute_force_scan():
 
 
 def test_delta_max_respects_cap():
-    assert delta_max(1.0, 2.0, 2.0, 1.0, delta_cap=0.01) == 0.01
-    assert delta_max(0.0, 2.0, 2.0, 1.0, delta_cap=0.7) == 0.7
+    # the cap is 1.0, so the degenerate c = 0 certifies exactly that
+    assert delta_max(0.0, 2.0, 2.0, 1.0) == 1.0
 
 
 def test_delta_max_monotone_in_capacity_above_2d():
@@ -439,6 +439,20 @@ def test_walk_certified_before_a_failing_window_of_its_block(monkeypatch, bad, e
         improper_rate_integral(bad, E_T, -2.0, 0.0, 40.5)
     _assert_batch_equals_singles(bad, E_T, -2.0, 0.0, [1.0, 40.5, 1.0])
     _assert_batch_equals_singles(bad, E_T, -2.0, 0.0, [40.5, 1.0])
+
+
+def test_level_cap_fails_an_s_in_every_batch():
+    # mu^-2 = 2 + sin(1e4 t) below 1 and e^-2t above: the window [0, 1] of the walk from 0
+    # needs a level of 129544 nodes, alone or beside the windows of 400 other s
+    def log_fn(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 1.0, -0.5 * np.log(2.0 + np.sin(1e4 * t)), t)
+
+    noisy = GrowthRate("noisy below 1", lambda t: np.exp(log_fn(t)), log_fn=log_fn)
+    with pytest.raises(ConvergenceError, match="129544 nodes"):
+        improper_rate_integral(noisy, E_T, -2.0, 0.0, 0.0)
+    with pytest.raises(ConvergenceError, match="129544 on one interval"):
+        improper_rate_integrals(noisy, E_T, -2.0, 0.0, [0.0, *np.linspace(1.5, 600.0, 400)])
 
 
 # (mu, nu, p, eps): every builtin rate pair, the slow family tails and the hump, whose

@@ -164,6 +164,8 @@ def test_one_solve_per_perturbation(tmp_path, monkeypatch, name):
     solve = manifold.solve_manifold
 
     def counting(system, mu, nu, params, pert, cfg):
+        # a resolved radius: the benchmark's tracer keys each solve by (delta, C)
+        assert type(cfg.delta) is float and type(cfg.C) is float
         calls.append((stage[0], pert.label, cfg.delta))
         return solve(system, mu, nu, params, pert, cfg)
 
@@ -270,6 +272,21 @@ def test_manifest_of_0_2_0_exits_two_on_a_dropped_checks_key(tmp_path, capsys):
     out = tmp_path / "b"
     assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: checks.axiom_points: unknown key\n"
+    assert not out.exists()
+
+
+def test_manifest_of_0_3_0_exits_two_on_delta_cap(tmp_path, capsys):
+    # 0.3.0 materialized solver.delta_cap, a constant since 0.4.0
+    first = tmp_path / "a"
+    assert main(["check-rates", "--config", ORACLE, "--out", str(first)]) == 0
+    manifest = read_json(first / "manifest.json")
+    manifest["package"]["version"] = "0.3.0"
+    manifest["config"]["solver"]["delta_cap"] = 1.0
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "b"
+    assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: solver.delta_cap: unknown key\n"
     assert not out.exists()
 
 

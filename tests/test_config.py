@@ -200,7 +200,7 @@ def test_auto_delta_maps_to_none():
 
 
 # solver and checks keys that no bundled config sets, each with the reason it stays a key
-UNSET_SOLVER_KEYS = {"delta_cap": "perfbench/tracer.py's solve_key reads SolverConfig.delta_cap"}
+UNSET_SOLVER_KEYS: dict[str, str] = {}
 UNSET_CHECK_KEYS = {
     **dict.fromkeys(["dichotomy_pairs", "dichotomy_h", "beta_points", "monotonicity_points"],
                     "the benchmark's matrix-d2 workload sets it"),

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import subprocess
@@ -62,6 +63,25 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_run_passes(tmp_path):
+    # the tracer's solve key takes solve_manifold's six positional arguments and reads
+    # delta and C from the config; exponential.json resolves delta "auto" at run start
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    code = ("import sys, tracer; tracer.install_layer_spans(tracer.Tracer('run')); "
+            "from stablemanifold import cli; sys.exit(cli.main(sys.argv[1:]))")
+    config = root / "src" / "stablemanifold" / "configs" / "exponential.json"
+    assert json.loads(config.read_text())["solver"]["delta"] == "auto"
+    proc = subprocess.run([sys.executable, "-c", code, "all", "--config", str(config),
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    reports = sorted(tmp_path.glob("report-*.json"))
+    assert len(reports) == 6
+    for path in reports:
+        assert json.loads(path.read_text())["passed"] is True, path.name
 
 
 def test_failing_property_test_is_reported(tmp_path):

@@ -91,6 +91,21 @@ def test_tolerance_below_round_off_raises_instead_of_growing():
         adaptive_simpson(lambda x: np.exp(x * (20.0 - x)), 0.0, 4.0, 1e-3)
 
 
+def test_level_cap_counts_each_interval_of_a_batch():
+    # [0, 1] of 2 + sin(1e4 t) needs a level of 130322 nodes; 399 short intervals beside
+    # it lift the batch's total cap to 1024 * 400 nodes, but not the interval's own
+    def f(x):
+        return 2.0 + np.sin(1e4 * x)
+
+    with pytest.raises(ConvergenceError, match="level of 130322 nodes"):
+        adaptive_simpson(f, 0.0, 1.0, 1e-10)
+    cheap = 2.0 + np.arange(399.0)
+    a, b = np.concatenate([[0.0], cheap]), np.concatenate([[1.0], cheap + 1e-4])
+    assert np.all(np.isfinite(adaptive_simpson_many(f, a[1:], b[1:], 1e-10)))
+    with pytest.raises(ConvergenceError, match="130322 on one interval"):
+        adaptive_simpson_many(f, a, b, 1e-10)
+
+
 def test_rel_floor_raises_each_tolerance_to_its_three_point_estimate():
     # the floor reads the 3-point estimate of each interval; an infinite one keeps tol
     a, b = np.array([0.0, 0.0, 2.0, 0.0]), np.array([1.0, 10.0, 2.0, 800.0])

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from stablemanifold import verify
+from stablemanifold.admissibility import delta_max
 from stablemanifold.dichotomy import DichotomyParams, rate_power_system
 from stablemanifold.errors import BlowupError
 from stablemanifold.manifold import (SolverConfig, cubic_perturbation, eval_phi_many,
-                                     expression_perturbation, flow_steps, nonlinear_flow,
-                                     solve_manifold)
+                                     expression_perturbation, flow_steps,
+                                     graph_metric_distance, nonlinear_flow, solve_manifold)
 from stablemanifold.rates import builtin_rate
 from stablemanifold.verify import (check_decay, check_flows, check_invariance,
                                    check_perturbation_bound,
@@ -139,8 +140,8 @@ def test_perturbation_distance_axis_attainment():
 
 
 def _sample_loop_distance(f, g, q, samples):
-    """Reference: the distance and its distinct counts, one sample at a time."""
-    worst, t_seen, d_seen, r_seen = 0.0, set(), set(), set()
+    """Reference: the distance, one sample at a time."""
+    worst = 0.0
     for t, u in samples:
         one_t, one_u = np.array([t]), np.asarray(u, dtype=float)[None]
         norm = np.abs(one_u).sum(axis=1)
@@ -148,10 +149,7 @@ def _sample_loop_distance(f, g, q, samples):
             continue
         gap = np.abs(f.f(one_t, one_u) - g.f(one_t, one_u)).sum(axis=1)
         worst = max(worst, float((gap / norm ** (q + 1.0))[0]))
-        t_seen.add(round(t, 12))
-        r_seen.add(round(float(norm[0]), 12))
-        d_seen.add(tuple(np.round(one_u[0] / norm[0], 12)))
-    return worst, len(t_seen), len(d_seen), len(r_seen)
+    return worst
 
 
 @pytest.mark.parametrize("f, g", [
@@ -164,11 +162,9 @@ def test_perturbation_distance_matches_sample_loop(f, g):
     samples = default_perturbation_samples(2, [0.0, 0.7, 1.9], [0.25, 0.5, 1.0], rng)
     samples.insert(5, (0.7, np.zeros(2)))
     dist = perturbation_distance(f, g, 2.0, samples)
-    worst, t_count, d_count, r_count = _sample_loop_distance(f, g, 2.0, samples)
+    worst = _sample_loop_distance(f, g, 2.0, samples)
     assert worst > 0.0
     assert dist.value == worst
-    assert (dist.t_count, dist.direction_count, dist.radius_count) == (t_count, d_count,
-                                                                       r_count)
     assert dist.n_samples == len(samples)
 
 
@@ -198,9 +194,10 @@ def test_perturbation_bound_on_oracle():
     system = rate_power_system(EXP, a=-1.0, b=1.0)
     cfg = SolverConfig(s_grid=tuple(np.linspace(0.0, 2.0, 11)), delta=0.02, C=2.0,
                        nodes_per_axis=21, h=0.01)
-    report = check_perturbation_bound(system, EXP, EXP, PARAMS,
-                                      cubic_perturbation(1.0), cubic_perturbation(1.05),
-                                      cfg)
+    f = cubic_perturbation(1.0)
+    graph, _ = solve_manifold(system, EXP, EXP, PARAMS, f, cfg)
+    report = check_perturbation_bound(graph, system, EXP, EXP, PARAMS, f,
+                                      cubic_perturbation(1.05), cfg)
     assert report.passed
     assert report.delta == pytest.approx(0.02)
     assert report.stability_k == pytest.approx(0.3456, rel=1e-12)
@@ -213,38 +210,47 @@ def test_perturbation_bound_on_oracle():
 
 
 def test_perturbation_bound_reuses_a_matching_base_solve(monkeypatch):
+    # the graph of f, at delta 0.01 on a coarser grid and lattice than cfg, is compared
+    # at its own radius: f_bar is solved once, with the graph's delta, C, s grid and
+    # lattice, and f is not solved again
     system = rate_power_system(EXP, a=-1.0, b=1.0)
     cfg = SolverConfig(s_grid=tuple(np.linspace(0.0, 2.0, 5)), delta=0.02, C=2.0,
                        nodes_per_axis=9, h=0.02)
+    own = replace(cfg, s_grid=(0.0, 1.0, 2.0), nodes_per_axis=5, delta=0.01)
     f, g = cubic_perturbation(1.0), cubic_perturbation(1.05)
-    base = solve_manifold(system, EXP, EXP, PARAMS, f, cfg)
-    fresh = check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg)
+    graph, _ = solve_manifold(system, EXP, EXP, PARAMS, f, own)
+    graph_bar, _ = solve_manifold(system, EXP, EXP, PARAMS, g, own)
     calls = []
 
     def counting_solve(*args):
-        calls.append(args[4].label)
+        calls.append(args)
         return solve_manifold(*args)
 
     monkeypatch.setattr(verify, "solve_manifold", counting_solve)
-    reused = check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg, solved=base)
-    assert reused == fresh
-    assert calls == [g.label]
-    # a base solve at another delta or C is not the common-radius solve: it raises
-    # before anything is solved, rather than solving f a second time
-    calls.clear()
-    for change in ({"delta": 0.01}, {"C": 2.5}):
-        other = solve_manifold(system, EXP, EXP, PARAMS, f, replace(cfg, **change))
-        with pytest.raises(ValueError, match="the comparison needs delta=0.02, C=2.0"):
-            check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg, solved=other)
-    assert calls == []
+    report = check_perturbation_bound(graph, system, EXP, EXP, PARAMS, f, g, cfg)
+    [(*_, pert, bar_cfg)] = calls
+    assert pert is g and bar_cfg == own
+    assert report.delta == 0.01
+    assert report.stability_k == stability_constant(2.0, 2.0, 1.0, 0.01)
+    assert report.graph_distance == graph_metric_distance(graph.values, graph_bar.values,
+                                                          graph)
 
 
-def test_perturbation_bound_rejects_mismatched_order():
+def test_perturbation_bound_rejects_a_radius_uncertified_for_c_bar():
+    # delta_max at c = 1 exceeds delta_max at c_bar = 1.05: the f_bar solve raises
     system = rate_power_system(EXP, a=-1.0, b=1.0)
-    f = cubic_perturbation(1.0)
+    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=None, C=2.0, nodes_per_axis=5, h=0.05)
+    f, g = cubic_perturbation(1.0), cubic_perturbation(1.05)
+    graph, _ = solve_manifold(system, EXP, EXP, PARAMS, f, cfg)
+    assert graph.delta == delta_max(1.0, 2.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="exceeds the certified delta_max=.* at c=1.05"):
+        check_perturbation_bound(graph, system, EXP, EXP, PARAMS, f, g, cfg)
+
+
+def test_perturbation_bound_rejects_mismatched_order(solved):
+    system, f, graph = solved
     g_fn = lambda t, v: np.array([0.0, v[0] ** 2])
     from stablemanifold.manifold import Perturbation
     g = Perturbation(g_fn, c=1.0, q=1.0)
-    cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.02, C=2.0, nodes_per_axis=5, h=0.05)
     with pytest.raises(ValueError, match="orders q must match"):
-        check_perturbation_bound(system, EXP, EXP, PARAMS, f, g, cfg)
+        check_perturbation_bound(graph, system, EXP, EXP, PARAMS, f, g, CFG)
