@@ -192,10 +192,12 @@ def _resolve_comparison(obj: Any, path: str) -> dict:
     return _resolve_perturbation(obj, path)
 
 
-# s_grid has no default and delta, C default to None, written "auto" in a config;
-# beta_fn, None by default too, is no config key
+# SolverConfig fields that a run fills in and no config key sets
+_RUN_SCOPED = frozenset({"beta_fn", "tables"})
+# s_grid has no default and delta, C default to None, written "auto" in a config
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)
-                    if f.default is not MISSING and f.default is not None}
+                    if f.name not in _RUN_SCOPED
+                    and f.default is not MISSING and f.default is not None}
 
 _CHECK_DEFAULTS = {
     "dichotomy_pairs": 40, "dichotomy_tol": 1e-9, "dichotomy_h": 1e-3,
@@ -400,7 +402,7 @@ def build_comparison(resolved: dict, n: int) -> Perturbation:
 def build_solver_config(resolved: dict) -> SolverConfig:
     s = resolved["solver"]
     kw = {f.name: None if s[f.name] == "auto" else s[f.name] for f in fields(SolverConfig)
-          if f.name != "beta_fn"}
+          if f.name not in _RUN_SCOPED}
     return SolverConfig(**{**kw, "s_grid": tuple(s["s_grid"])})
 
 

@@ -41,7 +41,8 @@ the pulled-back forcing, not f, so a coupling A(t) still sweeps; NaN counts
 as nonzero.  Each node path is
 checked against its decay envelope.  The slice tables (truncation point, grid,
 propagator maps, envelope) depend only on the slice radii: ``solve_manifold``
-builds them once and drops them when it returns.
+builds them once, all slices in one pass, and keeps them on the graph.  A solve
+given ``SolverConfig.tables`` reuses each one it would build alike (``_SliceTable``).
 
 Graphs are stored per s-slice on a shared tensor lattice in normalized
 coordinates; evaluation is multilinear per slice, linear in s between slices,
@@ -193,6 +194,7 @@ class ManifoldGraph:
 
     ``values[k, j]`` is phi at slice s_grid[k], node ``radii[k] * targets_unit[j]``:
     lattice node j scaled to the slice, the few corners outside the ball clamped to it.
+    ``tables`` are the slice tables of the solve that made the graph.
     """
 
     s_grid: np.ndarray
@@ -207,6 +209,7 @@ class ManifoldGraph:
     nodes_per_axis: int
     radius_fn: Callable[[np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
+    tables: tuple[_SliceTable, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def n_slices(self) -> int:
@@ -275,7 +278,9 @@ class _SliceTable:
     ``stable(y)`` is T(t, s)P(s) y, and ``pull_stable(fv)`` and
     ``pull_unstable(fv)`` are the stable coordinates of P(s)T(s, t) fv and the
     unstable ones of Q(s)T(s, t) fv, each times the weight dt/dclock of
-    ``_inner_grid``, so that Simpson sums with step ``h`` integrate them over t.
+    ``_build_tables``, so that Simpson sums with step ``h`` integrate them over t.
+    ``key`` is (s, t_cut, C, requested step h, clocked): a solve of the same system,
+    rates and params reuses the table for a slice where it would build that key.
     """
 
     s: float
@@ -285,71 +290,90 @@ class _SliceTable:
     stable: Callable[[np.ndarray], np.ndarray]
     pull_stable: Callable[[np.ndarray], np.ndarray]
     pull_unstable: Callable[[np.ndarray], np.ndarray]
+    key: tuple
 
 
-def _inner_grid(system: LinearSystem, pert: Perturbation, s: float, t_max: float,
-                h: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """Grid from s to t_max uniform in a clock, its step there and dt/dclock on it.
-
-    The clock is rho = log mu(t) for the system's ``clock`` mu when mu has a
-    derivative and the perturbation is autonomous: then the propagators and
-    the forcing depend on t only through rho, and dt/drho = mu/mu'.  Otherwise
-    it is t itself, with weight 1.  The step is about h in the clock; the
-    endpoints are exactly s and t_max.
-    """
+def _grid_clock(system: LinearSystem, pert: Perturbation) -> GrowthRate | None:
+    """The system's ``clock`` mu if it has a derivative and f is autonomous, else None."""
     mu = system.clock if pert.autonomous else None
-    clocked = mu is not None and mu.has_derivative
-    lo, hi = (float(mu.log_eval(s)), float(mu.log_eval(t_max))) if clocked else (s, t_max)
-    n = max(2, int(math.ceil((hi - lo) / h)))
-    h_eff = (hi - lo) / n
-    clock = lo + h_eff * np.arange(n + 1)
-    t_grid, weight = mu.log_inverse(clock) if clocked else (clock, np.ones(n + 1))
-    t_grid[0], t_grid[-1] = s, t_max
-    return t_grid, h_eff, weight
+    return mu if mu is not None and mu.has_derivative else None
 
 
-def _slice_table(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
-                 params: DichotomyParams, pert: Perturbation, C: float, s: float,
-                 t_max: float, h: float) -> _SliceTable:
-    t_grid, h_eff, weight = _inner_grid(system, pert, s, t_max, h)
-    n_e = system.n_stable
+def _propagator_error(block: str, grid: str, s: float) -> NumericalError:
+    exc = NumericalError(f"{block} propagator under/overflowed on the {grid} grid of slice "
+                         f"s={s:g}; shorten the integration horizon")
+    exc.s = s
+    return exc
+
+
+def _closed_form_maps(n_e: int, s: float, u: np.ndarray, u_pull: np.ndarray,
+                      v_inv: np.ndarray | None):
+    def pull_unstable(fv):
+        if v_inv is None:
+            raise _propagator_error("unstable", "outer", s)
+        return v_inv * fv[..., n_e:]
+
+    return (lambda y: u * y), (lambda fv: fv[..., :n_e] / u_pull), pull_unstable
+
+
+def _matrix_maps(system: LinearSystem, t_grid: np.ndarray, weight: np.ndarray):
+    n_e, eye = system.n_stable, np.eye(system.n)
+    t0, dt = t_grid[:-1], np.diff(t_grid)
+    fwd = rk4_propagate(system.A, t0, dt, eye[:, :n_e])[:, :n_e]
+    back = rk4_propagate(lambda r: -system.A(r), t0, dt, eye, right=True)  # T(s, r)
+    back = back * weight[:, None, None]
+    return (lambda y: np.einsum("tij,btj->bti", fwd, y),
+            lambda fv: np.einsum("tij,btj->bti", back[:, :n_e], fv),
+            lambda fv: np.einsum("tij,btj->bti", back[:, n_e:], fv))
+
+
+def _build_tables(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
+                  params: DichotomyParams, pert: Perturbation, C: float,
+                  slices: Sequence[tuple[float, float]], h: float) -> list[_SliceTable]:
+    """Tables of the slices (s, t_cut): grids from s to t_cut, step about h in the clock.
+
+    The clock is rho = log mu(t) for the ``_grid_clock`` mu, when there is one,
+    and propagators and forcing depend on t only through rho; the weight is
+    dt/drho = mu/mu'.  Otherwise it is t, with weight 1.  One ``log_inverse``
+    call inverts every grid, and U, V and the envelope take one call each on
+    the joined grids: all act elementwise, so each table is bit for bit a
+    one-slice build.  Matrix tables scan each slice with RK4.  A propagator
+    that under- or overflows raises NumericalError with its slice's ``s``.
+    """
+    if not slices:
+        return []
+    clock = _grid_clock(system, pert)
+    s_arr, cuts = np.array(slices, dtype=float).T
+    lo, hi = (clock.log_eval(s_arr), clock.log_eval(cuts)) if clock is not None else (s_arr, cuts)
+    lens = np.maximum(2, np.ceil((hi - lo) / h).astype(np.int64)) + 1
+    steps = ((hi - lo) / (lens - 1)).tolist()
+    rho = np.concatenate([a + step * np.arange(k) for a, step, k in zip(lo.tolist(), steps, lens)])
+    t_all, weight = clock.log_inverse(rho) if clock is not None else (rho, np.ones(len(rho)))
+    ends = np.cumsum(lens)
+    t_all[ends - lens], t_all[ends - 1] = s_arr, cuts
+    log_b = params.a * (mu.log_eval(t_all) - np.repeat(mu.log_eval(s_arr), lens))
+    envelope = C * np.exp(log_b + params.eps * np.repeat(nu.log_eval(s_arr), lens))
+    split = ends[:-1]
     if system.form == "closed_form":
-        u = np.asarray(system.U(t_grid, s), dtype=float)[:, None]
-        if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-            raise NumericalError("stable propagator under/overflowed on the inner grid; "
-                                 "shorten the integration horizon")
-        u_pull = u / weight[:, None]
-        v = np.asarray(system.V(t_grid, s), dtype=float)
-        v_inv = None if np.any(v == 0.0) or not np.all(np.isfinite(v)) else (weight / v)[:, None]
-
-        def stable(y):
-            return u * y
-
-        def pull_stable(fv):
-            return fv[..., :n_e] / u_pull
-
-        def pull_unstable(fv):
-            if v_inv is None:
-                raise NumericalError("unstable propagator under/overflowed on the outer grid")
-            return v_inv * fv[..., n_e:]
+        s_all = np.repeat(s_arr, lens)
+        u = np.asarray(system.U(t_all, s_all), dtype=float)
+        bad = (u <= 0.0) | ~np.isfinite(u)
+        if bad.any():
+            k = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+            raise _propagator_error("stable", "inner", float(s_arr[k]))
+        v = np.asarray(system.V(t_all, s_all), dtype=float)
+        v_ok = np.logical_and.reduceat((v != 0.0) & np.isfinite(v), ends - lens)
+        with np.errstate(divide="ignore"):
+            v_inv = np.split((weight / v)[:, None], split)
+        maps = [_closed_form_maps(system.n_stable, s, ui, ui / wi, vi if ok else None)
+                for s, ui, wi, vi, ok in zip(s_arr.tolist(), np.split(u[:, None], split),
+                                              np.split(weight[:, None], split), v_inv, v_ok)]
     else:
-        eye = np.eye(system.n)
-        t0, dt = t_grid[:-1], np.diff(t_grid)
-        fwd = rk4_propagate(system.A, t0, dt, eye[:, :n_e])[:, :n_e]
-        back = rk4_propagate(lambda r: -system.A(r), t0, dt, eye, right=True)  # T(s, r)
-        back = back * weight[:, None, None]
-
-        def stable(y):
-            return np.einsum("tij,btj->bti", fwd, y)
-
-        def pull_stable(fv):
-            return np.einsum("tij,btj->bti", back[:, :n_e], fv)
-
-        def pull_unstable(fv):
-            return np.einsum("tij,btj->bti", back[:, n_e:], fv)
-    log_b = params.a * (np.asarray(mu.log_eval(t_grid), dtype=float) - float(mu.log_eval(s)))
-    envelope = C * np.exp(log_b + params.eps * float(nu.log_eval(s)))
-    return _SliceTable(s, t_grid, h_eff, envelope, stable, pull_stable, pull_unstable)
+        maps = [_matrix_maps(system, ti, wi)
+                for ti, wi in zip(np.split(t_all, split), np.split(weight, split))]
+    return [_SliceTable(s, t, step, env, *fns, key=(s, t_cut, C, h, clock is not None))
+            for (s, t_cut), t, step, env, fns in zip(slices, np.split(t_all, split), steps,
+                                                     np.split(envelope, split), maps)]
 
 
 def _ignores_graph(pert: Perturbation, n_stable: int) -> bool:
@@ -472,19 +496,22 @@ class SolverConfig:
 
     Budgets and certificate slacks are module constants (``_PICARD_TOL``,
     ``_OUTER_TOL``, ``_MAX_OUTER``, ``_DECAY_SLACK``, ``_LIPSCHITZ_TOL``).
-    ``beta_fn`` is no knob and no config key sets it: a ``BetaFunction`` of the
-    solve's (mu, nu, a, eps, q) lets solves share its cached tail integrals
-    I(s); None gives each solve its own.
+    ``beta_fn`` and ``tables`` are no knobs and no config key sets them.  A
+    ``BetaFunction`` of the solve's (mu, nu, a, eps, q) lets solves share its
+    cached tail integrals I(s); None gives each solve its own.  ``tables``, the
+    graph tables of a solve of the same system, rates and params, serve each
+    slice whose table key they hold (see ``_SliceTable``).
     """
 
     s_grid: tuple[float, ...]
     delta: float | None = None       # None: use the certified delta_max
     C: float | None = None           # None: default_capacity(D)
     nodes_per_axis: int = 41
-    h: float = 0.01                  # inner-grid step in the system's clock (see _inner_grid)
+    h: float = 0.01                  # inner-grid step in the clock (see _build_tables)
     tail_abs_tol: float = 1e-12
     t_cut_max: float = 1e5
     beta_fn: BetaFunction | None = field(default=None, compare=False, repr=False)
+    tables: tuple[_SliceTable, ...] = field(default=(), compare=False, repr=False)
 
 
 def graph_metric_distance(old: np.ndarray, new: np.ndarray, graph: ManifoldGraph) -> float:
@@ -534,6 +561,8 @@ def _slice_tables(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
 
     Slice s is cut where the certified tail of the outer integrand mu^((q+1)a-b) nu^eps
     is at most tail_abs_tol / coef(s), every slice in one ``_truncation_points`` call.
+    A table of ``cfg.tables`` with the slice's key is reused; the others are built
+    in one ``_build_tables`` call.
     """
     q, c = pert.q, pert.c
     targets = np.array([cfg.tail_abs_tol / (
@@ -543,8 +572,14 @@ def _slice_tables(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
         for s, rho in zip(graph.s_grid.tolist(), graph.radii.tolist())])
     cuts = _truncation_points(mu, nu, (q + 1.0) * params.a - params.b, params.eps,
                               graph.s_grid, targets, cfg.t_cut_max)
-    return [_slice_table(system, mu, nu, params, pert, graph.C, s, t_cut, cfg.h)
+    clocked = _grid_clock(system, pert) is not None
+    keys = [(s, t_cut, graph.C, cfg.h, clocked)
             for s, t_cut in zip(graph.s_grid.tolist(), cuts.tolist())]
+    tables = {table.key: table for table in cfg.tables}
+    todo = [key for key in keys if key not in tables]
+    tables.update(zip(todo, _build_tables(system, mu, nu, params, pert, graph.C,
+                                          [key[:2] for key in todo], cfg.h)))
+    return [tables[key] for key in keys]
 
 
 def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
@@ -553,7 +588,7 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
                        tables: Sequence[_SliceTable] | None = None) -> ManifoldGraph:
     """One outer iteration: recompute every node value through the graph operator.
 
-    ``tables`` are the slice tables of the solve, built here when not given.
+    ``tables``, the solve's slice tables (built here when not given), stay on the new graph.
     Node values at lattice corners outside the slice ball are computed at
     their radially clamped targets, which keeps the interpolant consistent
     with the Lipschitz extension.  Every node path must respect its decay
@@ -583,9 +618,9 @@ def apply_phi_operator(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRat
             inner["points"] += len(xi) * len(table.t)
             inner["simpson_sweeps"] += passes
     lipschitz = _check_lipschitz(graph, new_values)
-    return replace(graph, values=new_values, meta={**graph.meta, "max_decay_ratio": worst,
-                                                   "max_lipschitz_ratio": lipschitz,
-                                                   "inner": inner})
+    return replace(graph, values=new_values, tables=tuple(tables),
+                   meta={**graph.meta, "max_decay_ratio": worst,
+                         "max_lipschitz_ratio": lipschitz, "inner": inner})
 
 
 def _make_radius_fn(s_grid: np.ndarray, radii: np.ndarray, beta_fn: BetaFunction):
@@ -678,7 +713,8 @@ def solve_manifold(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     measured contraction ratio must stay within 10% of the certified factor;
     persistent excess raises ContractionError, a distance above ``_OUTER_TOL``
     after ``_MAX_OUTER`` steps ConvergenceError.  The slice tables are built
-    once here and dropped on return.
+    once here, reusing those of ``cfg.tables`` that fit, and kept in the
+    graph's ``tables``.
     When f reads no unstable component, Phi ignores the graph: the first
     iterate Phi(0) is the fixed point and serves as every later iterate
     unchanged, so the operator runs once.  ``cfg.beta_fn`` supplies the radius

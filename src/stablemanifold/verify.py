@@ -316,12 +316,14 @@ def check_perturbation_bound(graph: ManifoldGraph, system: LinearSystem, mu: Gro
     That solve certifies the radius for c_bar and raises ValueError naming
     c_bar when delta exceeds delta_max there; ValueError too if the orders q
     differ.  A ``cfg.beta_fn`` lets the f_bar solve reuse the tail integrals of
-    the f solve.
+    the f solve, and ``graph.tables`` its slice tables wherever f_bar cuts a
+    slice at the same point and takes the same clock.
     """
     if pert.q != pert_bar.q:
         raise ValueError("perturbation orders q must match for the stability bound")
     bar_cfg = replace(cfg, s_grid=tuple(graph.s_grid.tolist()),
-                      nodes_per_axis=graph.nodes_per_axis, delta=graph.delta, C=graph.C)
+                      nodes_per_axis=graph.nodes_per_axis, delta=graph.delta, C=graph.C,
+                      tables=graph.tables)
     graph_bar, _ = solve_manifold(system, mu, nu, params, pert_bar, bar_cfg)
     gd = graph_metric_distance(graph.values, graph_bar.values, graph)
     radii = [0.25, 0.5, 1.0]

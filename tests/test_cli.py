@@ -171,9 +171,17 @@ def test_one_solve_per_perturbation(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(cli, "solve_manifold", counting)
     monkeypatch.setattr(verify, "solve_manifold", counting)
+    built = []
+    build = manifold._build_tables
+    monkeypatch.setattr(manifold, "_build_tables",
+                        lambda *args: built.append((stage[0], len(args[6]))) or build(*args))
     config = str(CONFIG_DIR / name)
     assert main(["all", "--config", config, "--out", str(tmp_path / "all")]) == 0
     assert [c[0] for c in calls] == ["solve-manifold", "perturb-compare"]
+    # f_bar reuses the slice tables of f and builds only those whose cut c_bar moves
+    n_slices = len(read_json(tmp_path / "all" / "manifest.json")["config"]["solver"]["s_grid"])
+    assert built == [("solve-manifold", n_slices),
+                     ("perturb-compare", 1 if name == "loglog_example.json" else 0)]
     report = read_json(tmp_path / "all" / "report-perturb-compare.json")
     assert calls[0][1] != calls[1][1] == report["comparison_label"]
     assert calls[0][2] == calls[1][2] == report["delta"]
@@ -273,6 +281,29 @@ def test_manifest_of_0_2_0_exits_two_on_a_dropped_checks_key(tmp_path, capsys):
     assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: checks.axiom_points: unknown key\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["tables", "beta_fn"])
+def test_run_scoped_solver_fields_are_no_config_keys(tmp_path, capsys, key):
+    raw = read_json(ORACLE)
+    raw["solver"][key] = []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: solver.{key}: unknown key\n"
+    assert not out.exists()
+
+
+def test_propagator_failure_report_names_the_slice(tmp_path, monkeypatch):
+    # cuts 2000 past s = 1 and later: U = e^-(t-s) underflows on those slices' inner grids
+    monkeypatch.setattr(manifold, "_truncation_points",
+                        lambda mu, nu, p, eps, s_values, *rest:
+                        s_values + np.where(s_values >= 1.0, 2000.0, 1.0))
+    assert main(["solve-manifold", "--config", EXPONENTIAL, "--out", str(tmp_path)]) == 1
+    error = read_json(tmp_path / "report-solve-manifold.json")["error"]
+    assert error["type"] == "NumericalError" and error["s"] == 1.0
+    assert "inner grid of slice s=1;" in error["message"]
 
 
 def test_manifest_of_0_3_0_exits_two_on_delta_cap(tmp_path, capsys):

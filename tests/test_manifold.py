@@ -45,9 +45,14 @@ def exact_phi(xi):
     return -np.asarray(xi) ** 3 / 4.0
 
 
+def one_table(system, mu, nu, params, pert, C, s, t_max, h):
+    """The table of slice s cut at t_max, from the batched builder."""
+    return manifold._build_tables(system, mu, nu, params, pert, C, [(s, t_max)], h)[0]
+
+
 def inner_path(graph, system, mu, nu, params, pert, s, xi, t_max, h):
     """Grid, path, sweeps and worst decay ratio of the node xi at slice s, as a solve has them."""
-    table = manifold._slice_table(system, mu, nu, params, pert, graph.C, s, t_max, h)
+    table = one_table(system, mu, nu, params, pert, graph.C, s, t_max, h)
     xi = np.atleast_1d(np.asarray(xi, dtype=float)).reshape(1, graph.n_stable)
     x, _, sweeps, _ = manifold._node_paths(graph, pert, table, xi)
     return table.t, x[0], int(sweeps[0]), manifold._check_decay(table, x, xi)
@@ -529,8 +534,7 @@ def test_inner_trajectory_tolerates_unstable_overflow(solved):
     with np.errstate(over="ignore"):
         t, _, sweeps, _ = inner_path(graph, system, EXP, EXP, PARAMS, pert,
                                      s=0.0, xi=0.02, t_max=400.0, h=0.5)
-        table = manifold._slice_table(system, EXP, EXP, PARAMS, pert, graph.C, 0.0, 400.0,
-                                      0.5)
+        table = one_table(system, EXP, EXP, PARAMS, pert, graph.C, 0.0, 400.0, 0.5)
     assert t[-1] == 400.0 and sweeps == 1
     with pytest.raises(NumericalError, match="unstable propagator"):
         table.pull_unstable(np.zeros((1, len(table.t), 2)))
@@ -542,9 +546,9 @@ def test_inner_trajectory_tolerates_unstable_overflow(solved):
 def test_exponential_table_equals_uniform_t_table(system):
     # e^t has the clock rho = t and weight 1; a forcing that reads t keeps a t grid
     pert = cubic_perturbation(1.0)
-    clocked = manifold._slice_table(system, EXP, EXP, PARAMS, pert, 2.0, 0.3, 8.3, 0.07)
-    plain = manifold._slice_table(system, EXP, EXP, PARAMS, replace(pert, autonomous=False),
-                                  2.0, 0.3, 8.3, 0.07)
+    clocked = one_table(system, EXP, EXP, PARAMS, pert, 2.0, 0.3, 8.3, 0.07)
+    plain = one_table(system, EXP, EXP, PARAMS, replace(pert, autonomous=False),
+                      2.0, 0.3, 8.3, 0.07)
     assert clocked.t.tobytes() == plain.t.tobytes() and clocked.h == plain.h
     fv = np.random.default_rng(1).normal(size=(3, len(clocked.t), 2))
     for name in ("pull_stable", "pull_unstable"):
@@ -555,8 +559,7 @@ def test_exponential_table_equals_uniform_t_table(system):
                                 builtin_rate("loglog_poly", lam=4.0)], ids=lambda r: r.label)
 def test_slice_table_grid_is_uniform_in_log_mu(mu):
     system = rate_power_system(mu, a=-0.5, b=0.5)
-    table = manifold._slice_table(system, mu, mu, PARAMS, cubic_perturbation(1.0), 2.0,
-                                  0.4, 300.0, 0.05)
+    table = one_table(system, mu, mu, PARAMS, cubic_perturbation(1.0), 2.0, 0.4, 300.0, 0.05)
     assert table.t[0] == 0.4 and table.t[-1] == 300.0
     rho = mu.log_eval(table.t)
     assert table.h <= 0.05
@@ -592,13 +595,101 @@ ROTATING = matrix_system(_rotating_coeff, 3, 2, label="rotating")
     (ROTATING, cubic_perturbation(1.0, n=3)),
 ], ids=["expression-rate", "time-dependent-forcing", "sharp-oscillating", "matrix"])
 def test_unclocked_inner_problems_keep_uniform_t_grid(system, pert):
-    table = manifold._slice_table(system, POLY, POLY, PARAMS, pert, 2.0, 0.5, 20.0, 0.1)
+    table = one_table(system, POLY, POLY, PARAMS, pert, 2.0, 0.5, 20.0, 0.1)
     assert table.t[0] == 0.5 and table.t[-1] == 20.0
     assert len(table.t) == 196 and table.h == pytest.approx(0.1)
     assert np.allclose(np.diff(table.t), table.h, rtol=1e-12)
     if system.form == "closed_form":  # weight 1: the pull maps apply 1/U and 1/V
         fv = np.ones((1, len(table.t), 2))
         assert np.all(table.pull_stable(fv)[0, :, 0] == 1.0 / system.U(table.t, 0.5))
+
+
+LOG = builtin_rate("log_poly", lam=4.0)
+LOGLOG = builtin_rate("loglog_poly", lam=4.0)
+SLICES = [(0.0, 6.0), (0.4, 30.0), (1.5, 257.0)]
+CLOCK_PARAMS = DichotomyParams(D=1.0, a=-1.0, b=1.0, eps=0.1)
+
+
+@pytest.mark.parametrize("system, mu, pert", [
+    (rate_power_system(EXP, a=-1.0, b=1.0), EXP, cubic_perturbation(1.0)),
+    (rate_power_system(POLY, a=-1.0, b=1.0), POLY, cubic_perturbation(1.0)),
+    (rate_power_system(LOG, a=-1.0, b=1.0), LOG, cubic_perturbation(1.0)),
+    (rate_power_system(LOGLOG, a=-1.0, b=1.0), LOGLOG, cubic_perturbation(1.0)),
+    (rate_power_system(LOG, a=-1.0, b=1.0), LOG,
+     expression_perturbation(["0", "u1^3 * exp(-t)"], c=1.0, q=2.0)),
+    (sharp_oscillating_system(POLY, POLY, a=-1.0, b=1.0, eps=0.1), POLY,
+     cubic_perturbation(1.0)),
+    (ROTATING, POLY, cubic_perturbation(1.0, n=3)),
+], ids=["exponential", "polynomial", "log_poly", "loglog_poly", "t-clock", "sharp-oscillating",
+        "matrix"])
+def test_batched_tables_equal_one_slice_builds(system, mu, pert):
+    # one clock inversion and one U, V and envelope call serve every slice, elementwise
+    batch = manifold._build_tables(system, mu, mu, CLOCK_PARAMS, pert, 2.0, SLICES, 0.05)
+    assert len(batch) == len(SLICES)
+    for (s, t_cut), table in zip(SLICES, batch):
+        alone = one_table(system, mu, mu, CLOCK_PARAMS, pert, 2.0, s, t_cut, 0.05)
+        assert table.key == alone.key == (s, t_cut, 2.0, 0.05, system.clock is not None
+                                          and pert.autonomous)
+        assert (table.s, table.h) == (alone.s, alone.h)
+        for name in ("t", "envelope"):
+            assert getattr(table, name).tobytes() == getattr(alone, name).tobytes()
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=(2, len(table.t), system.n_stable))
+        fv = rng.normal(size=(2, len(table.t), system.n))
+        assert table.stable(y).tobytes() == alone.stable(y).tobytes()
+        for name in ("pull_stable", "pull_unstable"):
+            assert getattr(table, name)(fv).tobytes() == getattr(alone, name)(fv).tobytes()
+
+
+def test_propagator_failures_name_their_slice():
+    # U = e^-(t-s) underflows to 0 beyond t - s = 745, V = e^(t-s) overflows beyond 709
+    system = rate_power_system(EXP, a=-1.0, b=1.0)
+    pert = cubic_perturbation(1.0)
+    with pytest.raises(NumericalError, match=r"stable propagator .* inner grid of slice "
+                                             r"s=1\.5;") as err:
+        manifold._build_tables(system, EXP, EXP, PARAMS, pert, 2.0,
+                               [(0.0, 5.0), (1.5, 800.0), (2.0, 900.0)], 0.5)
+    assert err.value.s == 1.5
+    coupled = LinearSystem(2, 1, U=system.U, V=lambda t, s: np.exp(2.0 * (np.asarray(t) - s)))
+    with np.errstate(over="ignore"):
+        tables = manifold._build_tables(coupled, EXP, EXP, PARAMS, pert, 2.0,
+                                        [(0.0, 5.0), (0.5, 400.0)], 0.5)
+    tables[0].pull_unstable(np.zeros((1, len(tables[0].t), 2)))
+    with pytest.raises(NumericalError, match=r"unstable propagator .* outer grid of slice "
+                                             r"s=0\.5;") as err:
+        tables[1].pull_unstable(np.zeros((1, len(tables[1].t), 2)))
+    assert err.value.s == 0.5
+
+
+@pytest.mark.parametrize("change", ["none", "C", "h", "non-autonomous"])
+def test_tables_of_another_solve_are_rebuilt(monkeypatch, change):
+    # a table is reused only under its key (s, t_cut, C, h, clocked); at one delta,
+    # c_bar = 1.05 keeps every cut of c = 1, so unchanged settings reuse all three tables
+    system, params = rate_power_system(POLY, a=-1.0, b=1.0), CLOCK_PARAMS
+    cfg = SolverConfig(s_grid=(0.0, 0.5, 1.0), delta=0.015, C=2.0, nodes_per_axis=5, h=0.05,
+                       tail_abs_tol=1e-9, t_cut_max=5000.0)
+    graph, _ = solve_manifold(system, POLY, POLY, params, cubic_perturbation(1.0), cfg)
+    bar = cubic_perturbation(1.05)
+    if change == "C":
+        cfg = replace(cfg, C=3.0)
+    elif change == "h":
+        cfg = replace(cfg, h=0.04)
+    elif change == "non-autonomous":
+        bar = expression_perturbation(["0", "1.05 * u1^3 + 0 * t"], c=1.05, q=2.0)
+        assert not bar.autonomous
+    built = []
+    build = manifold._build_tables
+    monkeypatch.setattr(manifold, "_build_tables",
+                        lambda *args: built.append(len(args[6])) or build(*args))
+    fresh, _ = solve_manifold(system, POLY, POLY, params, bar, cfg)
+    reused, _ = solve_manifold(system, POLY, POLY, params, bar,
+                               replace(cfg, tables=graph.tables))
+    assert built == [3, 0 if change == "none" else 3]
+    assert reused.values.tobytes() == fresh.values.tobytes()
+    built.clear()
+    again, _ = solve_manifold(system, POLY, POLY, params, bar, replace(cfg, tables=fresh.tables))
+    assert built == [0] and again.values.tobytes() == fresh.values.tobytes()
+    assert all(a is b for a, b in zip(again.tables, fresh.tables))
 
 
 def test_rotating_matrix_system_under_polynomial_rates():
@@ -643,7 +734,7 @@ def test_matrix_slice_tables_match_per_stage_reference(monkeypatch):
 
     def tables_and_trajectory():
         rng = np.random.default_rng(5)
-        table = manifold._slice_table(ROTATING, POLY, POLY, params, pert, 2.0, 0.5, 30.0, 0.05)
+        table = one_table(ROTATING, POLY, POLY, params, pert, 2.0, 0.5, 30.0, 0.05)
         y = rng.standard_normal((2, len(table.t), 2))
         fv = rng.standard_normal((2, len(table.t), 3))
         x = inner_path(graph, ROTATING, POLY, POLY, params, pert, s=0.5, xi=xi, t_max=30.0,

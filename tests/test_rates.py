@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from dataclasses import replace
@@ -256,7 +257,11 @@ def test_bundled_clock_grids_invert_in_few_log_evaluations(name, tmp_path, monke
     monkeypatch.setattr(rates, "_solve_log",
                         lambda rate, rho: grids.append((rate, rho)) or solve(rate, rho))
     assert main(["solve-manifold", "--config", _bundled(name), "--out", str(tmp_path)]) == 0
-    assert len(grids) == 6  # one clock grid per slice
+    # one clock inversion serves the joined grids of all six slices
+    with open(tmp_path / "report-solve-manifold.json", encoding="utf-8") as fh:
+        points = json.load(fh)["slices"]["grid_points"]
+    assert len(points) == 6
+    assert [len(rho) for _, rho in grids] == [sum(points)]
     for rate, rho in grids:
         sizes = []
         t = solve(counting(rate, sizes), rho)
