@@ -34,7 +34,7 @@ from .verify import (DecayReport, FlowReport, InvarianceReport, PerturbationBoun
 from .config import (build_comparison, build_params, build_perturbation, build_rate,
                      build_rates, build_solver_config, build_system, resolve_config)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AxiomReport", "BUILTIN_FAMILIES", "BetaFunction", "BlowupError", "ConfigError",

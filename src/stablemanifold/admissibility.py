@@ -499,14 +499,12 @@ class BetaFunction:
     produce beta here).
     """
 
-    def __init__(self, mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float,
-                 rel_tol: float = 1e-8):
+    def __init__(self, mu: GrowthRate, nu: GrowthRate, a: float, eps: float, q: float):
         self.mu = mu
         self.nu = nu
         self.a = a
         self.eps = eps
         self.q = q
-        self.rel_tol = rel_tol
         cf = closed_form_beta(mu, nu, a, eps, q)
         self.closed_form = cf[0] if cf else None
         self._closed_fn = cf[1] if cf else None
@@ -518,7 +516,7 @@ class BetaFunction:
         missing = list(dict.fromkeys(s for s in keys if s not in self._integrals))
         if missing:
             values = improper_rate_integrals(self.mu, self.nu, self.a * self.q, self.eps,
-                                             missing, self.rel_tol)
+                                             missing)
             self._integrals.update(zip(missing, values.tolist()))
         return np.array([self._integrals[s] for s in keys])
 

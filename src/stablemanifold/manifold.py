@@ -94,6 +94,8 @@ __all__ = ["Perturbation", "cubic_perturbation", "expression_perturbation",
 _CHUNK_SAMPLES = 4096
 # work counters of the inner solves, per operator application and summed per solve
 _INNER_WORK = ("node_paths", "points", "simpson_sweeps")
+# inner-grid points a slice may need before its tail cut is a TailBoundError
+_MAX_GRID_POINTS = 2 ** 17
 # Picard sweeps an inner chunk may take before ConvergenceError
 _MAX_SWEEPS = 80
 # sweep distance that settles a node, node-metric distance that ends the outer iteration
@@ -299,6 +301,11 @@ def _grid_clock(system: LinearSystem, pert: Perturbation) -> GrowthRate | None:
     return mu if mu is not None and mu.has_derivative else None
 
 
+def _grid_points(lo: np.ndarray, hi: np.ndarray, h: float) -> np.ndarray:
+    """Points of the inner grids from clock values lo to hi at step about h (float)."""
+    return np.maximum(2.0, np.ceil((hi - lo) / h)) + 1.0
+
+
 def _propagator_error(block: str, grid: str, s: float) -> NumericalError:
     exc = NumericalError(f"{block} propagator under/overflowed on the {grid} grid of slice "
                          f"s={s:g}; shorten the integration horizon")
@@ -345,7 +352,7 @@ def _build_tables(system: LinearSystem, mu: GrowthRate, nu: GrowthRate,
     clock = _grid_clock(system, pert)
     s_arr, cuts = np.array(slices, dtype=float).T
     lo, hi = (clock.log_eval(s_arr), clock.log_eval(cuts)) if clock is not None else (s_arr, cuts)
-    lens = np.maximum(2, np.ceil((hi - lo) / h).astype(np.int64)) + 1
+    lens = _grid_points(lo, hi, h).astype(np.int64)
     steps = ((hi - lo) / (lens - 1)).tolist()
     rho = np.concatenate([a + step * np.arange(k) for a, step, k in zip(lo.tolist(), steps, lens)])
     t_all, weight = clock.log_inverse(rho) if clock is not None else (rho, np.ones(len(rho)))
@@ -464,18 +471,28 @@ def _check_decay(table: _SliceTable, x: np.ndarray, xi: np.ndarray,
 
 
 def _truncation_points(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
-                       s_values: np.ndarray, targets: np.ndarray, t_cut_max: float) -> np.ndarray:
-    """Per s, the first T = s + 2^k, 2^k <= t_cut_max, with integral_T^inf mu^p nu^eps <= target.
+                       s_values: np.ndarray, targets: np.ndarray,
+                       clock: GrowthRate | None, h: float) -> np.ndarray:
+    """Per s, the first T = s + 2^k with integral_T^inf mu^p nu^eps <= target.
 
     The tail is the analytic bound if the pair has one, else the tail integral at rel_tol
-    1e-3 raised by 1e-3; one batch per k.  TailBoundError names the first s left uncut.
+    1e-3 raised by 1e-3; one batch per k.  At the first k where T is not finite or the grid
+    s..T (step h in ``clock``, t if None) passes ``_MAX_GRID_POINTS``, TailBoundError names s.
     """
     info = analytic_tail_bound(mu, nu, p, eps)
     cuts = np.empty(len(s_values))
     todo = np.arange(len(s_values))
     span = 1.0
-    while todo.size and span <= t_cut_max:
+    rho = clock.log_eval if clock is not None else np.asarray
+    while todo.size:
         ends = s_values[todo] + span
+        with np.errstate(invalid="ignore", over="ignore"):
+            over = ~(_grid_points(rho(s_values[todo]), rho(ends), h) <= _MAX_GRID_POINTS)
+        if over.any():
+            first = todo[np.argmax(over)]
+            raise TailBoundError(f"tail of the outer integrand stays above {targets[first]:.3e} "
+                                 f"within an inner grid of {_MAX_GRID_POINTS} points",
+                                 s=float(s_values[first]))
         if info is not None and info.fn is not None:
             tails = np.array([info.fn(end) for end in ends.tolist()])
         else:
@@ -484,9 +501,6 @@ def _truncation_points(mu: GrowthRate, nu: GrowthRate, p: float, eps: float,
         cuts[todo[done]] = ends[done]
         todo = todo[~done]
         span *= 2.0
-    if todo.size:
-        raise TailBoundError(f"tail of the outer integrand stays above {targets[todo[0]]:.3e} "
-                             f"within span {t_cut_max:g}", s=float(s_values[todo[0]]))
     return cuts
 
 
@@ -495,7 +509,8 @@ class SolverConfig:
     """What a run varies in the manifold solver: its slices, radius and resolution.
 
     Budgets and certificate slacks are module constants (``_PICARD_TOL``,
-    ``_OUTER_TOL``, ``_MAX_OUTER``, ``_DECAY_SLACK``, ``_LIPSCHITZ_TOL``).
+    ``_OUTER_TOL``, ``_MAX_OUTER``, ``_DECAY_SLACK``, ``_LIPSCHITZ_TOL``), as is the
+    inner-grid limit of the tail cut at step ``h`` (``_MAX_GRID_POINTS``).
     ``beta_fn`` and ``tables`` are no knobs and no config key sets them.  A
     ``BetaFunction`` of the solve's (mu, nu, a, eps, q) lets solves share its
     cached tail integrals I(s); None gives each solve its own.  ``tables``, the
@@ -509,7 +524,6 @@ class SolverConfig:
     nodes_per_axis: int = 41
     h: float = 0.01                  # inner-grid step in the clock (see _build_tables)
     tail_abs_tol: float = 1e-12
-    t_cut_max: float = 1e5
     beta_fn: BetaFunction | None = field(default=None, compare=False, repr=False)
     tables: tuple[_SliceTable, ...] = field(default=(), compare=False, repr=False)
 
@@ -570,10 +584,10 @@ def _slice_tables(graph: ManifoldGraph, system: LinearSystem, mu: GrowthRate,
         * math.exp((params.b - (q + 1.0) * params.a) * float(mu.log_eval(s))
                    + params.eps * (q + 1.0) * float(nu.log_eval(s))))
         for s, rho in zip(graph.s_grid.tolist(), graph.radii.tolist())])
+    clock = _grid_clock(system, pert)
     cuts = _truncation_points(mu, nu, (q + 1.0) * params.a - params.b, params.eps,
-                              graph.s_grid, targets, cfg.t_cut_max)
-    clocked = _grid_clock(system, pert) is not None
-    keys = [(s, t_cut, graph.C, cfg.h, clocked)
+                              graph.s_grid, targets, clock, cfg.h)
+    keys = [(s, t_cut, graph.C, cfg.h, clock is not None)
             for s, t_cut in zip(graph.s_grid.tolist(), cuts.tolist())]
     tables = {table.key: table for table in cfg.tables}
     todo = [key for key in keys if key not in tables]

@@ -58,10 +58,11 @@ class GrowthRate:
         return self.fn(t)
 
     def log_eval(self, t):
-        """log(mu(t)), overflow-safe when a closed log form is known."""
+        """log(mu(t)), overflow-safe when a closed log form is known; -inf where mu underflows."""
         if self.log_fn is not None:
             return self.log_fn(t)
-        return np.log(self.fn(t))
+        with np.errstate(divide="ignore"):
+            return np.log(self.fn(t))
 
     def log_inverse(self, rho):
         """Times t >= 0 with log(mu(t)) = rho >= 0, and dt/drho = mu(t)/mu'(t) there.

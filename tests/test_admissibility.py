@@ -474,6 +474,13 @@ def test_batches_equal_one_element_calls(data):
     _assert_batch_equals_singles(mu, nu, p, eps, s_values, max_span=max_span)
 
 
+def test_hump_walk_reaches_its_underflowed_rate_without_a_warning():
+    # the walk from 3 reaches t = 1028, where (1 + t)^8 e^-t is 0.0: log mu is -inf there
+    hump = expression_rate("(1 + t)^8 * exp(-t)")
+    assert hump.log_eval(np.array([1028.0]))[0] == -np.inf
+    _assert_batch_equals_singles(hump, expression_rate("1 + t"), 1.0, 0.0, [3.0])
+
+
 def test_beta_function_integrals_fill_the_cache_in_one_batch(monkeypatch):
     from stablemanifold import admissibility
     batches = []

@@ -306,18 +306,20 @@ def test_propagator_failure_report_names_the_slice(tmp_path, monkeypatch):
     assert "inner grid of slice s=1;" in error["message"]
 
 
-def test_manifest_of_0_3_0_exits_two_on_delta_cap(tmp_path, capsys):
-    # 0.3.0 materialized solver.delta_cap, a constant since 0.4.0
+@pytest.mark.parametrize("version, key", [("0.3.0", "delta_cap"), ("0.4.0", "t_cut_max")])
+def test_manifest_of_0_3_0_exits_two_on_delta_cap(tmp_path, capsys, version, key):
+    # 0.3.0 materialized solver.delta_cap, a constant since 0.4.0; 0.4.0 materialized
+    # solver.t_cut_max, which the inner-grid limit replaces since 0.5.0
     first = tmp_path / "a"
     assert main(["check-rates", "--config", ORACLE, "--out", str(first)]) == 0
     manifest = read_json(first / "manifest.json")
-    manifest["package"]["version"] = "0.3.0"
-    manifest["config"]["solver"]["delta_cap"] = 1.0
+    manifest["package"]["version"] = version
+    manifest["config"]["solver"][key] = 1.0
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     out = tmp_path / "b"
     assert main(["check-rates", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: solver.delta_cap: unknown key\n"
+    assert capsys.readouterr().err == f"config error: solver.{key}: unknown key\n"
     assert not out.exists()
 
 
@@ -661,6 +663,19 @@ def test_bundled_configs_run_clean(tmp_path, name):
     for cmd in ("check-rates", "check-dichotomy", "admissibility", "solve-manifold",
                 "verify", "perturb-compare"):
         assert read_json(os.path.join(out, f"report-{cmd}.json"))["passed"] is True
+
+
+@pytest.mark.parametrize("name, s_max, t_cut", [("polynomial", 1e3, 33768.0),
+                                                ("log_example", 1e4, 141072.0)])
+def test_long_horizons_run_clean_on_short_grids(tmp_path, name, s_max, t_cut):
+    # the cuts grow with s, but the inner grids are uniform in the clock log mu(t)
+    raw = read_json(CONFIG_DIR / f"{name}.json")
+    raw["solver"]["s_max"] = s_max
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    slices = read_json(tmp_path / "out" / "report-solve-manifold.json")["slices"]
+    assert max(slices["t_cut"]) == t_cut and max(slices["grid_points"]) <= 196
 
 
 @pytest.mark.parametrize("name,rounds", [

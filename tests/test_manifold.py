@@ -355,6 +355,8 @@ def test_solver_rejects_nonvanishing_perturbation():
 
 CUT_S = np.linspace(0.0, 2.0, 21)
 CUT_TARGETS = np.geomspace(1e-3, 1e-9, 21)
+# the clock and step of the polynomial config: these cuts' inner grids hold at most 120 points
+CUT_GRID = (POLY, 0.05)
 
 
 def test_quadrature_cut_matches_the_analytic_cut():
@@ -362,8 +364,8 @@ def test_quadrature_cut_matches_the_analytic_cut():
     # integral; the polynomial pair's bound (1 + T)^-2.9 / 2.9 is exact
     expr = expression_rate("1 + t")
     assert analytic_tail_bound(expr, expr, -4.0, 0.1) is None
-    cuts = manifold._truncation_points(POLY, POLY, -4.0, 0.1, CUT_S, CUT_TARGETS, 5000.0)
-    got = manifold._truncation_points(expr, expr, -4.0, 0.1, CUT_S, CUT_TARGETS, 5000.0)
+    cuts = manifold._truncation_points(POLY, POLY, -4.0, 0.1, CUT_S, CUT_TARGETS, *CUT_GRID)
+    got = manifold._truncation_points(expr, expr, -4.0, 0.1, CUT_S, CUT_TARGETS, *CUT_GRID)
     assert got.tobytes() == cuts.tobytes()
     spans = cuts - CUT_S
     assert np.all(np.log2(spans) == np.round(np.log2(spans)))
@@ -385,23 +387,48 @@ def test_quadrature_cuts_share_the_anchor_walks(monkeypatch):
 
     monkeypatch.setattr(admissibility, "adaptive_simpson_many", counting)
     expr = expression_rate("1 + t")
-    manifold._truncation_points(expr, expr, -4.0, 0.1, CUT_S, CUT_TARGETS, 5000.0)
+    manifold._truncation_points(expr, expr, -4.0, 0.1, CUT_S, CUT_TARGETS, *CUT_GRID)
     assert sum(intervals) <= 1000
 
 
 @pytest.mark.parametrize("rate", [POLY, expression_rate("1 + t")], ids=["analytic", "quadrature"])
-def test_cut_beyond_t_cut_max_names_the_first_failing_slice(rate):
-    # spans of 8 and 16 reach the first four targets; the fifth (s = 0.4) needs 32
-    with pytest.raises(TailBoundError, match="within span 16") as info:
-        manifold._truncation_points(rate, rate, -4.0, 0.1, CUT_S, CUT_TARGETS, 16.0)
+def test_cut_beyond_the_grid_limit_names_the_first_failing_slice(rate):
+    # spans of 8 and 16 reach the first four targets; the fifth (s = 0.4) needs 32, whose
+    # t grid at step 2^-12 holds 2^17 + 1 points
+    assert manifold._MAX_GRID_POINTS == 2 ** 17
+    with pytest.raises(TailBoundError, match="inner grid of 131072 points") as info:
+        manifold._truncation_points(rate, rate, -4.0, 0.1, CUT_S, CUT_TARGETS, None, 2.0 ** -12)
     assert info.value.s == CUT_S[4]
+
+
+@pytest.mark.parametrize("clock", [None, POLY], ids=["t", "polynomial"])
+def test_non_finite_end_is_beyond_the_grid_limit(clock):
+    # s = inf ends at inf: its grid length is NaN, which counts as over the limit
+    with pytest.raises(TailBoundError, match="inner grid of 131072 points") as info:
+        manifold._truncation_points(POLY, POLY, -4.0, 0.1, np.array([0.0, np.inf]),
+                                    CUT_TARGETS[:2], clock, 0.05)
+    assert info.value.s == np.inf
+
+
+def test_solve_beyond_the_grid_limit_raises_before_building_tables(monkeypatch):
+    # f reads t, so the grid is uniform in t: the cuts 2^7 past s need over 2.5e5 points
+    # at step 5e-4, where the log(1 + t) clock would take under 1e4
+    built = []
+    monkeypatch.setattr(manifold, "_build_tables", lambda *args: built.append(args))
+    pert = expression_perturbation(["0", "u1^3 + 0 * t"], c=1.0, q=2.0)
+    cfg = SolverConfig(s_grid=(0.0, 0.5, 1.0), delta=0.015, C=2.0, nodes_per_axis=5, h=5e-4,
+                       tail_abs_tol=1e-9)
+    with pytest.raises(TailBoundError, match="inner grid of 131072 points") as info:
+        solve_manifold(rate_power_system(POLY, a=-1.0, b=1.0), POLY, POLY, CLOCK_PARAMS,
+                       pert, cfg)
+    assert info.value.s == 0.0 and built == []
 
 
 @pytest.mark.parametrize("rate", [POLY, expression_rate("1 + t")], ids=["analytic", "quadrature"])
 def test_divergent_outer_integrand_raises_divergence(rate):
     # (1 + r)^-0.9 has no finite tail
     with pytest.raises(DivergenceError):
-        manifold._truncation_points(rate, rate, -1.0, 0.1, CUT_S, CUT_TARGETS, 5000.0)
+        manifold._truncation_points(rate, rate, -1.0, 0.1, CUT_S, CUT_TARGETS, *CUT_GRID)
 
 
 def test_nonvanishing_error_names_first_bad_slice():
@@ -667,7 +694,7 @@ def test_tables_of_another_solve_are_rebuilt(monkeypatch, change):
     # c_bar = 1.05 keeps every cut of c = 1, so unchanged settings reuse all three tables
     system, params = rate_power_system(POLY, a=-1.0, b=1.0), CLOCK_PARAMS
     cfg = SolverConfig(s_grid=(0.0, 0.5, 1.0), delta=0.015, C=2.0, nodes_per_axis=5, h=0.05,
-                       tail_abs_tol=1e-9, t_cut_max=5000.0)
+                       tail_abs_tol=1e-9)
     graph, _ = solve_manifold(system, POLY, POLY, params, cubic_perturbation(1.0), cfg)
     bar = cubic_perturbation(1.05)
     if change == "C":
@@ -698,7 +725,7 @@ def test_rotating_matrix_system_under_polynomial_rates():
     # the rotation has period 2 pi in t, far below the t step of a log(1+t) grid
     params = DichotomyParams(D=1.5, a=-1.0, b=1.0, eps=0.0)
     cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.01, C=2.0, nodes_per_axis=5, h=0.05,
-                       tail_abs_tol=1e-9, t_cut_max=5000.0)
+                       tail_abs_tol=1e-9)
     graph, _ = solve_manifold(ROTATING, POLY, POLY, params, cubic_perturbation(1.0, n=3), cfg)
     tau = np.linspace(0.0, 2000.0, 400001)  # the tail beyond 2000 is below 1e-9 of the value
     for k, s in enumerate(graph.s_grid.tolist()):
@@ -728,7 +755,7 @@ def test_matrix_slice_tables_match_per_stage_reference(monkeypatch):
     params = DichotomyParams(D=1.5, a=-1.0, b=1.0, eps=0.0)
     pert = cubic_perturbation(1.0, n=3)
     cfg = SolverConfig(s_grid=(0.0, 1.0), delta=0.01, C=2.0, nodes_per_axis=3, h=0.05,
-                       tail_abs_tol=1e-6, t_cut_max=200.0)
+                       tail_abs_tol=1e-6)
     graph, _ = solve_manifold(ROTATING, POLY, POLY, params, pert, cfg)
     xi = np.array([0.3, -0.2]) * float(graph.radius_fn(0.5))
 
@@ -763,7 +790,7 @@ def test_inner_trajectory_on_rate_clock_grid():
     system = rate_power_system(POLY, a=-1.0, b=1.0)
     pert = cubic_perturbation(1.0)
     cfg = SolverConfig(s_grid=(0.0, 1.0), C=2.0, nodes_per_axis=5, h=0.05,
-                       tail_abs_tol=1e-9, t_cut_max=5000.0)
+                       tail_abs_tol=1e-9)
     graph, _ = solve_manifold(system, POLY, POLY, params, pert, cfg)
     xi = 0.5 * float(graph.radius_fn(0.5))
     t, x, sweeps, worst = inner_path(graph, system, POLY, POLY, params, pert,
